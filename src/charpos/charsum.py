@@ -154,6 +154,80 @@ def margin_values(q_or_chi, a_max: int, h: int | None = None):
     return h, W
 
 
+class _MarginBuffers:
+    """Scratch arrays for _margin_min, big enough for every modulus <= q_max.
+
+    One instance is reused across a block of moduli, so each modulus
+    writes into pages already mapped instead of allocating ~4 MB
+    temporaries afresh near q = 10**6.
+    """
+
+    def __init__(self, q_max: int):
+        half = (q_max - 1) // 2
+        self.table = np.empty(q_max, dtype=np.int8)
+        k = np.arange(1, half + 1, dtype=np.int64)
+        self.squares = np.multiply(k, k, out=k)
+        self.tmp = np.empty(half, dtype=np.int64)
+        self.a = np.empty(half + 1, dtype=np.int64)
+        self.w = np.empty(half, dtype=np.int64)
+
+
+def _legendre_table(ch: QuadChar, half: int, buf: _MarginBuffers) -> np.ndarray:
+    """chi(n) for n = 0..half as int8.
+
+    For a prime q the squares k*k mod q, k <= half, are scattered into a
+    table of nonresidues; k*k must fit int64, which holds for half < 2**31.
+    Other moduli take the general sieve.
+    """
+    q = ch.q
+    if ch.factors != (q,) or half >= 1 << 31:
+        return chi_values(ch, half)
+    sq = np.remainder(buf.squares[:half], q, out=buf.tmp[:half])
+    table = buf.table[:q]
+    table.fill(-1)
+    table[0] = 0
+    table[sq] = 1
+    return table[:half + 1]
+
+
+def _margin_min(ch: QuadChar, a_max: int, buf: _MarginBuffers):
+    """(h, min W(a), first argmin a) over 1 <= a <= a_max <= (q-1)/2.
+
+    W(a+1) - W(a) = h - A(a) and W(1) = h, so W over the half range is one
+    cumulative sum of h - A, with no linear sum B and no index array.  h
+    comes from A(half) = (2 - chi(2)) h; the class number formula is then
+    checked against B(half) = W(half) - half*(h - A(half)), which W reaches
+    without ever summing n*chi(n).  The exact-division, positivity and
+    parity checks of class_number run here too.
+    """
+    q = ch.q
+    half = (q - 1) // 2
+    if not 1 <= a_max <= half:
+        raise DomainError(f"need 1 <= a_max <= {half}, got {a_max}")
+    A = buf.a[:half + 1]
+    np.cumsum(_legendre_table(ch, half, buf), dtype=np.int64, out=A)
+    a_half = int(A[half])
+    d = 2 - jacobi(2, q)
+    if a_half % d:
+        raise ExactnessError(f"A(half) = {a_half} not divisible by {d} at q={q}")
+    h = a_half // d
+    if h <= 0:
+        raise ExactnessError(f"nonpositive class number {h} at q={q}")
+    if is_prime(q) and h % 2 == 0:
+        raise ExactnessError(f"even class number {h} for prime q={q}")
+    if half * (h + half) < _INT64_GUARD:
+        W = buf.w[:half]
+        np.subtract(h, A[:half], out=buf.tmp[:half])
+        np.cumsum(buf.tmp[:half], out=W)
+    else:
+        W = margin_values(ch, half, h)[1][1:]
+    b_half = int(W[-1]) - half * (h - a_half)
+    if q * a_half - 2 * b_half != q * h:
+        raise ExactnessError(f"class number formula disagrees with chi(2) at q={q}")
+    k = int(np.argmin(W[:a_max]))
+    return h, int(W[k]), k + 1
+
+
 @dataclass(frozen=True)
 class MarginProfile:
     q: int
@@ -167,15 +241,14 @@ def margin_profile(q_or_chi, a_max: int | None = None) -> MarginProfile:
     """Minimum of W over 1..a_max and where it is first attained.
 
     a_max defaults to (q-1)/2, which covers the whole half-period and hence
-    decides positivity of the character series on (0, 1/2).
+    decides positivity of the character series on (0, 1/2); a larger
+    a_max raises DomainError.
     """
     ch = _as_char(q_or_chi)
     if a_max is None:
         a_max = (ch.q - 1) // 2
-    h, W = margin_values(ch, a_max)
-    body = W[1:]
-    k = int(np.argmin(body))
-    return MarginProfile(ch.q, h, a_max, int(body[k]), k + 1)
+    h, min_w, argmin_a = _margin_min(ch, a_max, _MarginBuffers(ch.q))
+    return MarginProfile(ch.q, h, a_max, min_w, argmin_a)
 
 
 def quarter_margin(q_or_chi) -> MarginProfile:

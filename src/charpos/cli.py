@@ -186,15 +186,13 @@ def cmd_imitator(args) -> int:
 
 def cmd_tq(args) -> int:
     shown = 0
-    hi = 1 << 10
-    while True:
-        for q in primes_in_range(7, hi, residue=7, modulus=8):
-            t = t_stat(int(q))
-            print(f"{t} {int(q)}")
+    lo, hi = 7, 1 << 10
+    while shown < args.count:
+        for q in primes_in_range(lo, hi, residue=7, modulus=8)[:args.count - shown]:
+            print(f"{t_stat(int(q))} {int(q)}")
             shown += 1
-            if shown == args.count:
-                return 0
-        hi *= 4
+        lo, hi = hi + 1, hi * 4
+    return 0
 
 
 def cmd_testpq(args) -> int:

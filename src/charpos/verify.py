@@ -18,9 +18,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .charsum import _as_char, margin_values
+from .charsum import _MarginBuffers, _as_char, _margin_min, margin_values
 from .errors import (CertificateError, DomainError, ExactnessError,
                      InsufficientBound)
 from .fq import fq_prime_frac
@@ -50,11 +48,8 @@ def check_positivity(q_or_chi) -> PositivityReport:
     """Decide min W(a) >= 0 over the half range for one modulus, exactly."""
     ch = _as_char(q_or_chi)
     t0 = time.perf_counter()
-    h, w = margin_values(ch, (ch.q - 1) // 2)
-    body = w[1:]
-    k = int(np.argmin(body))
-    mn = int(body[k])
-    return PositivityReport(ch.q, h, mn >= 0, mn, k + 1,
+    h, mn, arg = _margin_min(ch, (ch.q - 1) // 2, _MarginBuffers(ch.q))
+    return PositivityReport(ch.q, h, mn >= 0, mn, arg,
                             time.perf_counter() - t0)
 
 
@@ -90,15 +85,18 @@ class ScanResult:
 
 
 def _scan_chunk(qs):
-    """Worker: margin minima for a block of prime moduli (ascending)."""
+    """Worker: margin minima for a block of prime moduli (ascending).
+
+    One set of kernel buffers, sized for the largest modulus, serves the
+    whole block and is dropped with it.
+    """
     count = 0
     min_w = None
     argmin_q = None
     failures = []
+    buf = _MarginBuffers(qs[-1])
     for q in qs:
-        ch = quad_char(q, assume_prime=True)
-        _, w = margin_values(ch, (q - 1) // 2)
-        m = int(w[1:].min())
+        _, m, _ = _margin_min(quad_char(q, assume_prime=True), (q - 1) // 2, buf)
         count += 1
         if min_w is None or m < min_w:
             min_w = m
@@ -323,6 +321,11 @@ def certify_f_positive(eps, q: int | None = None, xmax=Fraction(1, 4), *,
     return CertifyResult(cert, q, h, n, a_lo, xmax, achieved, not full)
 
 
+# Largest modulus verify_certificate will check.  The checker is naive on
+# purpose (trial division to sqrt(q), one jacobi call per node of the half
+# period), about 0.9 s per 10**6 of q, so this bound is about 15 minutes.
+MAX_CERT_Q = 10 ** 9
+
 _CERT_KEYS = {"version", "q", "h", "agreement_N", "a0", "xmax_num",
               "xmax_den", "margins", "verdict"}
 
@@ -338,7 +341,8 @@ def verify_certificate(cert) -> tuple[bool, str]:
     margin from scratch with plain integer arithmetic (no sieves, no
     floats, no state shared with the builder), then checks the margin
     inequality and interval coverage.  Returns (ok, reason); never raises
-    on malformed input.
+    on malformed input.  Moduli above MAX_CERT_Q are rejected before any
+    work that grows with q.
     """
     if not isinstance(cert, dict):
         return False, "certificate is not a mapping"
@@ -353,6 +357,8 @@ def verify_certificate(cert) -> tuple[bool, str]:
     q = cert["q"]
     if not _is_int(q) or q <= 3 or q % 4 != 3:
         return False, "modulus must be an integer > 3 and = 3 (mod 4)"
+    if q > MAX_CERT_Q:
+        return False, f"modulus {q} exceeds the checker limit MAX_CERT_Q = {MAX_CERT_Q}"
     d = 2
     while d * d <= q:
         if q % (d * d) == 0:

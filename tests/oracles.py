@@ -75,3 +75,37 @@ def form_count(q: int) -> int:
             a += 1
         b += 2
     return count
+
+
+def margin_min(q: int, a_max: int) -> tuple[int, int, int]:
+    """(h, min W(a), first argmin a) over 1 <= a <= a_max, by running sums.
+
+    chi(n) is the product over the prime factors p of q of the Legendre
+    symbol read off a table of squares mod p; h comes from the half-range
+    class number formula q*A(half) - 2*B(half) = q*h, and
+    W(a) = a*(h - A(a)) + B(a).
+    """
+    squares = {p: {k * k % p for k in range(1, p)} for p in factorize(q)}
+
+    def chi(n):
+        v = 1
+        for p, sq in squares.items():
+            r = n % p
+            v *= 0 if r == 0 else 1 if r in sq else -1
+        return v
+
+    half = (q - 1) // 2
+    a_sum = b_sum = 0
+    sums = []
+    for n in range(1, half + 1):
+        v = chi(n)
+        a_sum += v
+        b_sum += n * v
+        sums.append((a_sum, b_sum))
+    h = (q * a_sum - 2 * b_sum) // q
+    best_w = best_a = None
+    for a, (a_a, b_a) in enumerate(sums[:a_max], start=1):
+        w = a * (h - a_a) + b_a
+        if best_w is None or w < best_w:
+            best_w, best_a = w, a
+    return h, best_w, best_a

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from charpos import charsum, errors, ntcore
-from oracles import form_count
+from charpos import charsum, errors, ntcore, verify
+from oracles import form_count, margin_min
 
 SQUAREFREE_3MOD4 = [q for q in range(7, 600, 4)
                     if all(q % (p * p) for p in range(2, 25))]
@@ -150,6 +150,82 @@ class TestMargins:
     def test_a_max_zero_rejected(self):
         with pytest.raises(errors.DomainError):
             charsum.margin_values(163, 0)
+
+
+PRIMES_3_MOD_8 = [q for q in SQUAREFREE_3MOD4 if q % 8 == 3 and ntcore.is_prime(q)]
+PRIMES_7_MOD_8 = [q for q in SQUAREFREE_3MOD4 if q % 8 == 7 and ntcore.is_prime(q)]
+COMPOSITES = [q for q in SQUAREFREE_3MOD4 if not ntcore.is_prime(q)]
+
+
+def fresh_margin_min(q, a_max):
+    return charsum._margin_min(ntcore.quad_char(q), a_max, charsum._MarginBuffers(q))
+
+
+class TestMarginKernel:
+    @given(st.one_of(st.sampled_from(PRIMES_3_MOD_8), st.sampled_from(PRIMES_7_MOD_8),
+                     st.sampled_from(COMPOSITES)),
+           st.data())
+    def test_matches_plain_oracle(self, q, data):
+        a_max = data.draw(st.integers(1, (q - 1) // 2))
+        assert fresh_margin_min(q, a_max) == margin_min(q, a_max)
+
+    @pytest.mark.parametrize("q", [7, 15, 23, 35, 2647, 4003])
+    def test_full_half_range_matches_oracle(self, q):
+        assert fresh_margin_min(q, (q - 1) // 2) == margin_min(q, (q - 1) // 2)
+
+    def test_reused_buffer_matches_fresh_buffers(self):
+        buf = charsum._MarginBuffers(20011)
+        for q in (20011, 163, 2647, 35, 11, 4003, 7, 20011):
+            for a_max in (1, q // 4, (q - 1) // 2):
+                got = charsum._margin_min(ntcore.quad_char(q), a_max, buf)
+                assert got == fresh_margin_min(q, a_max), (q, a_max)
+                assert got == margin_min(q, a_max), (q, a_max)
+
+    @pytest.mark.parametrize("a_max", [0, 82])
+    def test_a_max_outside_half_range_rejected(self, a_max):
+        with pytest.raises(errors.DomainError):
+            fresh_margin_min(163, a_max)
+
+
+def corrupt_table(monkeypatch, edit):
+    original = charsum._legendre_table
+
+    def corrupted(ch, half, buf):
+        table = original(ch, half, buf)
+        edit(table)
+        return table
+
+    monkeypatch.setattr(charsum, "_legendre_table", corrupted)
+
+
+class TestMarginKernelCrossChecks:
+    """Corrupting one input of the kernel trips the check class_number runs."""
+
+    def test_flipped_character_value(self, monkeypatch):
+        corrupt_table(monkeypatch, lambda t: t.__setitem__(5, -t[5]))
+        with pytest.raises(errors.ExactnessError, match="not divisible"):
+            fresh_margin_min(163, 81)
+
+    def test_wrong_chi_of_two(self, monkeypatch):
+        monkeypatch.setattr(charsum, "jacobi", lambda n, m: 1)
+        with pytest.raises(errors.ExactnessError, match="class number formula"):
+            fresh_margin_min(163, 81)
+
+    def test_even_class_number_for_prime(self, monkeypatch):
+        # chi(1) = 1 zeroed: A(11) drops from 3 to 2 at q = 23, where chi(2) = 1
+        corrupt_table(monkeypatch, lambda t: t.__setitem__(1, 0))
+        with pytest.raises(errors.ExactnessError, match="even class number"):
+            fresh_margin_min(23, 11)
+
+    def test_nonpositive_class_number(self, monkeypatch):
+        corrupt_table(monkeypatch, lambda t: t.fill(-1))
+        with pytest.raises(errors.ExactnessError, match="nonpositive"):
+            fresh_margin_min(23, 11)
+
+    def test_scan_runs_the_checks(self, monkeypatch):
+        corrupt_table(monkeypatch, lambda t: t.__setitem__(1, -1))
+        with pytest.raises(errors.ExactnessError):
+            verify.scan_positivity(5, 2000)
 
 
 class TestWeightedPrefixSum:

@@ -190,6 +190,14 @@ class TestMiscCommands:
         first = [int(line.split()[0]) for line in out.splitlines()]
         assert first == [1, 5, 10, 14, 29, 42, 57, 80, 111, 91]
 
+    def test_tq_count_past_first_range_has_no_repeats(self, capsys):
+        code, out, _ = run_cli(capsys, "tq", "--count", "50")
+        assert code == 0
+        qs = [int(line.split()[1]) for line in out.splitlines()]
+        assert len(qs) == 50
+        assert qs == sorted(set(qs))
+        assert all(q % 8 == 7 for q in qs)
+
     def test_imitator(self, capsys):
         code, out, _ = run_cli(capsys, "imitator", "--agreement", "40")
         assert code == 0

@@ -1,5 +1,6 @@
 import copy
 import json
+import time
 from fractions import Fraction
 from importlib import resources
 
@@ -210,6 +211,16 @@ class TestVerifyCertificate:
         for i, b in enumerate(bad):
             ok, why = verify.verify_certificate(b)
             assert not ok, (i, why)
+
+    @pytest.mark.parametrize("q", [verify.MAX_CERT_Q + 3, 2 ** 64 - 1, 2 ** 64 + 3])
+    def test_oversized_modulus_rejected_fast(self, cert, q):
+        c = copy.deepcopy(cert)
+        c["q"] = q
+        t0 = time.perf_counter()
+        ok, why = verify.verify_certificate(c)
+        assert time.perf_counter() - t0 < 1.0
+        assert not ok
+        assert "MAX_CERT_Q" in why
 
     def test_margin_below_threshold_rejected(self):
         # forge a certificate citing true but too-small margins
