@@ -8,7 +8,7 @@ from .ntcore import (QuadChar, LiouvilleTable, chi_values, is_prime, jacobi,
                      liouville_sieve, pi4_times_at_least, primes_in_range,
                      quad_char)
 from .charsum import (ClassNumber, MarginProfile, PrefixSums, class_number,
-                      l_one, margin_profile, margin_values, prefix_sums,
+                      margin_profile, margin_values, prefix_sums,
                       quarter_margin, rational_margin, t_stat,
                       weighted_prefix_sum)
 from .fq import (CHI3, FIFTH_IM, FIFTH_RE, FqExact, FqShape, LatticeQuadEval,
@@ -38,7 +38,7 @@ __all__ = [
     "fifth_alpha_lower_bound", "find_imitator", "fq_exact", "fq_fifth",
     "fq_lattice_quad", "fq_min_and_zeros", "fq_prime_frac", "fq_series",
     "fq_third", "identity_check", "is_prime", "jacobi", "l2_series",
-    "l_one", "lattice_quad_values", "liouville_sieve", "margin_profile",
+    "lattice_quad_values", "liouville_sieve", "margin_profile",
     "margin_values", "merge_certificates", "pi4_times_at_least",
     "piecewise_fq", "prefix_sums", "primes_in_range", "quad_char",
     "quarter_margin", "rational_margin", "read_checkpoint",

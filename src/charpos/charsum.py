@@ -38,16 +38,15 @@ def _as_char(q_or_chi) -> QuadChar:
 
 @dataclass(frozen=True)
 class PrefixSums:
-    """A(upto), B(upto) and optionally sum n**2 chi(n), all exact."""
+    """A(upto) and B(upto), exact."""
 
     q: int
     upto: int
     plain: int
     linear: int
-    square: int | None = None
 
 
-def prefix_sums(q_or_chi, upto: int, *, squares: bool = False) -> PrefixSums:
+def prefix_sums(q_or_chi, upto: int) -> PrefixSums:
     """Exact character prefix sums through `upto`, streamed in blocks.
 
     Per block the index n = lo + j is expanded so every numpy intermediate
@@ -59,7 +58,6 @@ def prefix_sums(q_or_chi, upto: int, *, squares: bool = False) -> PrefixSums:
         raise DomainError("prefix_sums needs upto >= 0")
     a_tot = 0
     b_tot = 0
-    c_tot = 0 if squares else None
     for lo, arr in chi_sieve(ch, upto):
         v = arr.astype(np.int64)
         j = np.arange(len(v), dtype=np.int64)
@@ -67,10 +65,7 @@ def prefix_sums(q_or_chi, upto: int, *, squares: bool = False) -> PrefixSums:
         s1 = int((j * v).sum())
         a_tot += s0
         b_tot += lo * s0 + s1
-        if squares:
-            s2 = int((j * j * v).sum())
-            c_tot += lo * lo * s0 + 2 * lo * s1 + s2
-    return PrefixSums(ch.q, upto, a_tot, b_tot, c_tot)
+    return PrefixSums(ch.q, upto, a_tot, b_tot)
 
 
 @dataclass(frozen=True)
@@ -293,10 +288,3 @@ def t_stat(q: int) -> int:
         raise DomainError(f"t_stat needs a prime q = 7 (mod 8), got {q}")
     ch = QuadChar(q, (q,))
     return prefix_sums(ch, q // 4).linear
-
-
-def l_one(q_or_chi) -> tuple[Fraction, float]:
-    """L(1, chi) as (exact multiple of pi/sqrt(q), float approximation)."""
-    ch = _as_char(q_or_chi)
-    h = class_number(ch).h
-    return Fraction(h), math.pi * h / math.sqrt(ch.q)

@@ -25,10 +25,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .charsum import _as_char, class_number, margin_values, _scan_arrays
+from .charsum import (_as_char, _scan_arrays, class_number, margin_values,
+                      weighted_prefix_sum)
 from .errors import DomainError
-from .ntcore import (PI2_HI, QuadChar, chi_sieve, chi_values, is_prime,
-                     jacobi)
+from .ntcore import BLOCK, PI2_HI, QuadChar, chi_values, is_prime, jacobi
 
 _HALF = Fraction(1, 2)
 
@@ -92,8 +92,6 @@ def fq_exact(q_or_chi, x) -> FqExact:
     At x = a/q the coefficient equals W(a)/q with W the integer margin, so
     positivity questions reduce to signs of integers.
     """
-    from .charsum import weighted_prefix_sum
-
     ch = _as_char(q_or_chi)
     x = Fraction(x)
     t = x - math.floor(x)
@@ -219,6 +217,53 @@ class PrimeFracEval:
     value: float
 
 
+def _residue_totals(ch: QuadChar, p: int, residues) -> dict[int, int]:
+    """T(r) = sum of b**2 chi(b) over 0 < b <= pq with b = r (mod p), exact.
+
+    b runs over i*p + r for 0 <= i < q (b = pq adds chi(pq) = 0), so one
+    period table of chi gives every term.  Per slab of at most BLOCK
+    entries the column sums S0 = sum v, S1 = sum j*v and S2 = sum j**2*v
+    are taken in int64 over the local row j = i - i0 < BLOCK, which keeps
+    them below 2**62; the slabs and T(r) = p**2 S2 + 2pr S1 + r**2 S0 are
+    recombined in Python integers, so no width limit applies overall.
+    The row offsets i*(p mod q) fit int64 only for q < 2**31.
+    """
+    q = ch.q
+    if q >= 1 << 31:
+        raise DomainError(f"q = {q} too large for the residue sums (need q < 2**31)")
+    res = sorted(set(residues))
+    cols = np.array([r % q for r in res], dtype=np.int64)
+    table = chi_values(ch, q - 1)
+    twice = np.concatenate((table, table))
+    rows = max(1, BLOCK // len(res))
+    s0 = s1 = s2 = 0
+    for i0 in range(0, q, rows):
+        i = np.arange(i0, min(i0 + rows, q), dtype=np.int64)
+        v = twice[(i * (p % q) % q)[:, None] + cols]
+        j = i - i0
+        w = np.vstack((np.ones_like(j), j, j * j))
+        c0, c1, c2 = np.einsum("ki,ij->kj", w, v,
+                               dtype=np.int64).astype(object)
+        s2 = s2 + i0 * i0 * c0 + 2 * i0 * c1 + c2
+        s1 = s1 + i0 * c0 + c1
+        s0 = s0 + c0
+    r = np.array(res, dtype=object)
+    totals = p * p * s2 + 2 * p * r * s1 + r * r * s0
+    return dict(zip(res, totals.tolist()))
+
+
+def _prime_frac(a: int, p: int, ch: QuadChar, chi_p: int,
+                totals: dict[int, int]) -> PrimeFracEval:
+    """PrimeFracEval from the residue totals of (p, q), chi_p = chi_q(p)."""
+    q = ch.q
+    core = -chi_p * (totals[a * q % p] - totals[-a * q % p])
+    stat = core // (p * q) if core % (p * q) == 0 else None
+    q_div = stat is not None and stat % q == 0
+    value = math.pi ** 2 * core / (2.0 * p * p * q * q * math.sqrt(q))
+    return PrimeFracEval(a, p, q, core, stat, q_div,
+                         len(ch.factors) == 1, value)
+
+
 def fq_prime_frac(a: int, p: int, q_or_chi) -> PrimeFracEval:
     """Evaluate f_q(a/p) for an odd prime p = 3 (mod 4) not dividing q."""
     ch = _as_char(q_or_chi)
@@ -229,28 +274,8 @@ def fq_prime_frac(a: int, p: int, q_or_chi) -> PrimeFracEval:
         raise DomainError(f"p = {p} divides the modulus {q}")
     if not (1 <= a and 2 * a < p):
         raise DomainError(f"need 0 < a < p/2, got a={a}, p={p}")
-    r_pos = (a * q) % p
-    r_neg = (-a * q) % p
-    totals = [0, 0]
-    for lo, arr in chi_sieve(ch, p * q):
-        v = arr.astype(np.int64)
-        m = len(v)
-        for idx, r in enumerate((r_pos, r_neg)):
-            start = (r - lo) % p
-            if start >= m:
-                continue
-            sub = v[start::p]
-            j = np.arange(start, m, p, dtype=np.int64)
-            s0 = int(sub.sum())
-            s1 = int((j * sub).sum())
-            s2 = int((j * j * sub).sum())
-            totals[idx] += lo * lo * s0 + 2 * lo * s1 + s2
-    core = -jacobi(p, q) * (totals[0] - totals[1])
-    stat = core // (p * q) if core % (p * q) == 0 else None
-    q_div = stat is not None and stat % q == 0
-    value = math.pi ** 2 * core / (2.0 * p * p * q * q * math.sqrt(q))
-    return PrimeFracEval(a, p, q, core, stat, q_div,
-                         len(ch.factors) == 1, value)
+    totals = _residue_totals(ch, p, (a * q % p, -a * q % p))
+    return _prime_frac(a, p, ch, jacobi(p, q), totals)
 
 
 @dataclass(frozen=True)
@@ -305,26 +330,25 @@ def lattice_quad_values(q_or_chi, a_max: int) -> np.ndarray:
 
     The shifted quadratic sums telescope: with prefix sums P0, P1 of chi
     and m*chi over one period, each correction term is a linear combination
-    of window sums, so the whole batch costs O(q + a_max).
+    of window sums, so the whole batch costs O(q + a_max).  Above
+    _LATTICE_INT64_MAX the same formula runs on Python integers.
     """
     ch = _as_char(q_or_chi)
     q = ch.q
     if not 1 <= a_max < q:
         raise DomainError(f"need 1 <= a_max < q, got {a_max}")
-    if q > _LATTICE_INT64_MAX:
-        c = chi_values(ch, q - 1).astype(object)
-        return np.array([_lattice_core(ch, c, a) for a in range(1, a_max + 1)],
-                        dtype=object)
-    c = chi_values(ch, q - 1).astype(np.int64)
-    m = np.arange(q, dtype=np.int64)
+    dtype = object if q > _LATTICE_INT64_MAX else np.int64
+    c = chi_values(ch, q - 1).astype(dtype)
+    m = np.arange(q).astype(dtype, copy=False)
     p0 = np.cumsum(c)
     p1 = np.cumsum(m * c)
-    s1 = int(p1[-1])
-    a = np.arange(1, a_max + 1, dtype=np.int64)
-    l0 = p0[-1] - p0[q - a - 1]
-    l1 = p1[-1] - p1[q - a - 1]
-    f0 = p0[a - 1]
-    f1 = p1[a - 1]
+    s1 = p1[-1]
+    idx = np.arange(1, a_max + 1)
+    a = idx.astype(dtype, copy=False)
+    l0 = p0[-1] - p0[q - idx - 1]
+    l1 = p1[-1] - p1[q - idx - 1]
+    f0 = p0[idx - 1]
+    f1 = p1[idx - 1]
     corr_hi = 2 * q * (l1 + a * l0) - q * q * l0
     corr_lo = 2 * q * (f1 - a * f0) + q * q * f0
     diff = 4 * a * s1 - corr_hi - corr_lo
@@ -332,7 +356,11 @@ def lattice_quad_values(q_or_chi, a_max: int) -> np.ndarray:
 
 
 def identity_check(q_or_chi, a: int | None = None) -> bool:
-    """Confirm core(a) == 4*q*W(a), for one a or the whole half range."""
+    """Confirm core(a) == 4*q*W(a), for one a or the whole half range.
+
+    The half range is compared as core % 4q == 0 and core // 4q == W, which
+    is exact and never forms 4q*W, so int64 cannot overflow.
+    """
     ch = _as_char(q_or_chi)
     q = ch.q
     if a is not None:
@@ -342,7 +370,8 @@ def identity_check(q_or_chi, a: int | None = None) -> bool:
     a_max = (q - 1) // 2
     cores = lattice_quad_values(ch, a_max)
     _, w = margin_values(ch, a_max)
-    return all(int(cores[i]) == 4 * q * int(w[i + 1]) for i in range(a_max))
+    return bool((cores % (4 * q) == 0).all()) and np.array_equal(
+        cores // (4 * q), w[1:])
 
 
 # Weight patterns for the auxiliary L-style tails: value at n depends on

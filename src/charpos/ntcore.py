@@ -302,12 +302,3 @@ def pi4_times_at_least(c: Fraction, target: Fraction) -> bool:
         return False
     raise ExactnessError(
         f"pi**4 * {c} vs {target} falls inside the rational pi bounds")
-
-
-def sqrt_bounds(n: int, digits: int = 25) -> tuple[Fraction, Fraction]:
-    """Rational lo <= sqrt(n) <= hi with the given number of decimal digits."""
-    if n < 0:
-        raise DomainError("sqrt_bounds needs n >= 0")
-    scale = 10 ** digits
-    s = math.isqrt(n * scale * scale)
-    return Fraction(s, scale), Fraction(s + 1, scale)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from .charsum import _MarginBuffers, _as_char, _margin_min, margin_values
 from .errors import (CertificateError, DomainError, ExactnessError,
                      InsufficientBound)
-from .fq import fq_prime_frac
+from .fq import _prime_frac, _residue_totals
 from .liouville import agreement_length, find_imitator
 from .ntcore import is_prime, jacobi, pi4_times_at_least, primes_in_range, quad_char
 
@@ -501,6 +501,8 @@ def scan_prime_fracs(p_max: int, q_max: int, a_max: int | None = None,
     q runs over primes = q_mod8 (mod 8), p over primes = 3 (mod 4) below q.
     Records any nonpositive core, any core not divisible by p*q, how often
     the reduced value is divisible by q, and the minimum reduced value.
+    Each (p, q) takes one O(pq) pass that yields T(r) for every residue
+    the a range needs; the cores are then formed in Python integers.
     """
     if q_mod8 % 4 != 3:
         raise DomainError("q_mod8 must be 3 or 7")
@@ -516,8 +518,11 @@ def scan_prime_fracs(p_max: int, q_max: int, a_max: int | None = None,
         for p in primes_in_range(3, min(p_max, q - 1), residue=3, modulus=4):
             p = int(p)
             top = (p - 1) // 2 if a_max is None else min(a_max, (p - 1) // 2)
+            residues = [s * a * q % p for a in range(1, top + 1) for s in (1, -1)]
+            totals = _residue_totals(ch, p, residues)
+            chi_p = jacobi(p, q)
             for a in range(1, top + 1):
-                ev = fq_prime_frac(a, p, ch)
+                ev = _prime_frac(a, p, ch, chi_p, totals)
                 count += 1
                 if ev.core <= 0:
                     nonpos.append((a, p, q, ev.core))

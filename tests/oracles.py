@@ -109,3 +109,15 @@ def margin_min(q: int, a_max: int) -> tuple[int, int, int]:
         if best_w is None or w < best_w:
             best_w, best_a = w, a
     return h, best_w, best_a
+
+
+def prime_frac_core(a: int, p: int, q: int) -> int:
+    """The f_q(a/p) core -chi(p) * (T(aq mod p) - T(-aq mod p)), directly.
+
+    T(r) is the sum of b**2 chi(b) over 0 < b <= pq with b = r (mod p);
+    chi(b) comes from chi_factor, one Euler criterion per prime factor.
+    """
+    def t_sum(r):
+        return sum(b * b * chi_factor(b, q) for b in range(r, p * q + 1, p))
+
+    return -chi_factor(p, q) * (t_sum(a * q % p) - t_sum(-a * q % p))

@@ -29,12 +29,6 @@ class TestPrefixSums:
             ps = charsum.prefix_sums(q, upto)
             a, b = direct_sums(q, upto)
             assert (ps.plain, ps.linear) == (a, b), (q, upto)
-            assert ps.square is None
-
-    def test_square_sums(self):
-        ps = charsum.prefix_sums(11, 30, squares=True)
-        want = sum(n * n * ntcore.jacobi(n, 11) for n in range(31))
-        assert ps.square == want
 
     def test_negative_upto_rejected(self):
         with pytest.raises(errors.DomainError):
@@ -330,8 +324,3 @@ class TestSoftBounds:
             running = np.cumsum(vals.astype(np.int64))
             bound = 2 * math.sqrt(q) * math.log(q)
             assert int(np.abs(running).max()) < bound, q
-
-    def test_l_one(self):
-        exact, approx = charsum.l_one(163)
-        assert exact == 1
-        assert approx == pytest.approx(math.pi / math.sqrt(163))

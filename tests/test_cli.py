@@ -215,6 +215,12 @@ class TestMiscCommands:
         fields = out.split()
         assert fields[0] == "130724"
 
+    def test_testpq_stdout_is_pinned(self, capsys):
+        code, out, _ = run_cli(capsys, "testpq", "--a", "1", "--p", "1163",
+                               "--q", "3511")
+        assert code == 0
+        assert out == "561760 2293830675680 0.0114576249717\n"
+
     def test_fq_eval(self, capsys):
         code, out, _ = run_cli(capsys, "fq-eval", "--q", "163",
                                "--x", "7/163")
@@ -240,6 +246,11 @@ class TestMiscCommands:
         assert code == 0 and out.strip() == "ok"
         code, out, _ = run_cli(capsys, "identity", "--q", "163", "--a", "40")
         assert code == 0 and out.strip() == "ok"
+
+    def test_identity_stdout_is_pinned(self, capsys):
+        code, out, _ = run_cli(capsys, "identity", "--q", "127")
+        assert code == 0
+        assert out == "ok\n"
 
     def test_invalid_modulus_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "class-number", "12")

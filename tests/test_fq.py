@@ -4,12 +4,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from charpos import charsum, errors, fq, ntcore
+from oracles import prime_frac_core
 
 MODULI = [7, 11, 19, 23, 43, 163, 35]
+PRIMES_3_MOD_4 = [int(p) for p in
+                  ntcore.primes_in_range(3, 200, residue=3, modulus=4)]
 
 
 def series_oracle(q, x, n_terms):
@@ -218,6 +221,41 @@ class TestPrimeFrac:
         assert fq.fq_prime_frac(1, 23, ntcore.quad_char(11)).modulus_prime
         assert not fq.fq_prime_frac(1, 23, ntcore.quad_char(35)).modulus_prime
 
+    @given(st.sampled_from([11, 19, 43, 163, 15, 35, 51, 91]),
+           st.sampled_from(PRIMES_3_MOD_4), st.data())
+    def test_core_matches_direct_sum(self, q, p, data):
+        ch = ntcore.quad_char(q)
+        assume(p not in ch.factors)
+        a = data.draw(st.integers(1, (p - 1) // 2))
+        assert fq.fq_prime_frac(a, p, ch).core == prime_frac_core(a, p, q)
+
+    @pytest.mark.parametrize("q", [11, 163, 35])
+    def test_huge_p_matches_closed_form(self, q):
+        # the kernel costs O(q) rows whatever p is; f_q(a/p) from fq_exact
+        # gives core = 4 p**2 q**2 coeff exactly
+        p = 10 ** 12 + 39
+        ev = fq.fq_prime_frac(12345, p, ntcore.quad_char(q))
+        coeff = fq.fq_exact(q, Fraction(12345, p)).coeff
+        assert ev.core == 4 * p * p * q * q * coeff
+
+    def test_oversized_modulus_rejected(self):
+        # 2**31 + 11 is prime and 3 (mod 4); rejected before any table is built
+        ch = ntcore.quad_char(2 ** 31 + 11)
+        with pytest.raises(errors.DomainError, match="too large"):
+            fq.fq_prime_frac(1, 7, ch)
+
+    def test_slabs_recombine_exactly(self, monkeypatch):
+        # two residues per row, so BLOCK = 64 splits q = 2971 into 93 slabs
+        # and BLOCK = 1 gives one row per slab
+        ch = ntcore.quad_char(2971)
+        assert fq.fq_prime_frac(1, 719, ch).stat == 130724
+        for block in (64, 1):
+            monkeypatch.setattr(fq, "BLOCK", block)
+            assert fq.fq_prime_frac(1, 719, ch).stat == 130724
+            for a, p, q in [(2, 7, 15), (5, 43, 91), (9, 31, 163)]:
+                got = fq.fq_prime_frac(a, p, ntcore.quad_char(q)).core
+                assert got == prime_frac_core(a, p, q), (block, a, p, q)
+
 
 class TestLatticeQuad:
     def test_frozen_first_value(self):
@@ -227,6 +265,37 @@ class TestLatticeQuad:
     @pytest.mark.parametrize("q", [11, 19, 43, 163, 35, 15, 51, 91])
     def test_identity_full_half_range(self, q):
         assert fq.identity_check(ntcore.quad_char(q)) is True
+
+    def test_identity_floor_divides_negative_cores(self):
+        # min W = -3 at q = 127, so some cores are negative multiples of 4q
+        _, w = charsum.margin_values(127, 63)
+        assert int(w[1:].min()) == -3
+        cores = fq.lattice_quad_values(127, 63)
+        assert (cores < 0).any()
+        assert fq.identity_check(127) is True
+
+    @pytest.mark.parametrize("shift", [1, 4 * 163])
+    def test_identity_detects_one_corrupt_core(self, monkeypatch, shift):
+        # shift 1 breaks divisibility by 4q, shift 4q only the quotient
+        real = fq.lattice_quad_values
+
+        def corrupt(ch, a_max):
+            cores = real(ch, a_max).copy()
+            cores[a_max // 2] += shift
+            return cores
+
+        monkeypatch.setattr(fq, "lattice_quad_values", corrupt)
+        assert fq.identity_check(ntcore.quad_char(163)) is False
+
+    @pytest.mark.parametrize("q", [163, 35])
+    def test_object_path_matches_int64(self, monkeypatch, q):
+        a_max = (q - 1) // 2
+        fast = fq.lattice_quad_values(q, a_max)
+        monkeypatch.setattr(fq, "_LATTICE_INT64_MAX", 10)
+        slow = fq.lattice_quad_values(q, a_max)
+        assert fast.dtype == np.int64 and slow.dtype == object
+        assert slow.tolist() == fast.tolist()
+        assert fq.identity_check(q) is True
 
     def test_identity_single_nodes(self):
         ch = ntcore.quad_char(163)

@@ -201,9 +201,3 @@ class TestPiBounds:
             ntcore.pi4_times_at_least(Fraction(1), target)
         with pytest.raises(errors.DomainError):
             ntcore.pi4_times_at_least(Fraction(-1), Fraction(1))
-
-    @given(st.integers(0, 10 ** 12))
-    def test_sqrt_bounds_bracket(self, n):
-        lo, hi = ntcore.sqrt_bounds(n)
-        assert lo * lo <= n <= hi * hi
-        assert hi - lo == Fraction(1, 10 ** 25)

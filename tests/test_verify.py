@@ -7,7 +7,8 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from charpos import charsum, errors, ntcore, verify
+from charpos import charsum, errors, fq, ntcore, verify
+from oracles import prime_frac_core, simple_primes
 
 
 def load_schema(name):
@@ -312,3 +313,32 @@ class TestPrimeFracScan:
     def test_bad_residue_rejected(self):
         with pytest.raises(errors.DomainError):
             verify.scan_prime_fracs(50, 50, q_mod8=5)
+
+    @pytest.mark.parametrize("q_mod8", [3, 7])
+    def test_census_matches_pointwise_oracle(self, q_mod8):
+        count = qdiv = 0
+        nonpos, nonint = [], []
+        best = None
+        primes = simple_primes(300)
+        for q in [q for q in primes if q > 3 and q % 8 == q_mod8]:
+            for p in [p for p in primes if p <= min(60, q - 1) and p % 4 == 3]:
+                for a in range(1, (p - 1) // 2 + 1):
+                    core = prime_frac_core(a, p, q)
+                    count += 1
+                    if core <= 0:
+                        nonpos.append((a, p, q, core))
+                    if core % (p * q):
+                        nonint.append((a, p, q, core))
+                        continue
+                    stat = core // (p * q)
+                    qdiv += stat % q == 0
+                    if best is None or stat < best[0]:
+                        best = (stat, (a, p, q))
+        want = verify.PrimeFracScan(60, 300, q_mod8, count, tuple(nonpos),
+                                    tuple(nonint), qdiv, *best)
+        assert verify.scan_prime_fracs(60, 300, q_mod8=q_mod8) == want
+
+    def test_census_independent_of_slab_size(self, monkeypatch):
+        want = verify.scan_prime_fracs(60, 200, q_mod8=7)
+        monkeypatch.setattr(fq, "BLOCK", 8)
+        assert verify.scan_prime_fracs(60, 200, q_mod8=7) == want
