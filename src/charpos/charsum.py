@@ -22,11 +22,12 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, ExactnessError
-from .ntcore import BLOCK, QuadChar, chi_sieve, chi_values, is_prime, jacobi, quad_char
+from .ntcore import (BLOCK, QuadChar, _qr_period, chi_sieve, chi_values, is_prime,
+                     jacobi, quad_char)
 
-# Largest a for which a*(h + a) + a*(a+1)/2 provably fits int64 is far above
-# this; the guard is a named constant so tests can shrink it and force the
-# exact object-dtype path on small inputs.
+# W over a = 0..n is formed in int64 while its bound n*(|h| + n) stays below
+# this, else in Python integers; a named constant so tests can shrink it and
+# force the exact object-dtype path on small inputs.
 _INT64_GUARD = 1 << 62
 
 
@@ -78,83 +79,49 @@ class ClassNumber:
     b_half: int
 
 
-@functools.lru_cache(maxsize=512)
-def _class_number_cached(q: int) -> ClassNumber:
-    ch = quad_char(q)
-    half = (q - 1) // 2
-    ps = prefix_sums(ch, half)
-    num = q * ps.plain - 2 * ps.linear
-    if num % q:
-        raise ExactnessError(
-            f"q*A - 2*B not divisible by q at q={q}; modulus validation is broken")
-    h = num // q
+def _checked_class_number(q: int, a_half: int, b_half: int) -> int:
+    """h from A(half) and B(half), once every class number cross-check holds.
+
+    h = A(half)/(2 - chi(2)) must be an exact quotient, positive, odd for
+    prime q, and satisfy the class number formula q*A(half) - 2*B(half) =
+    q*h; together these say q divides q*A - 2*B and (2 - chi(2))*h = A(half).
+    Every path that produces a class number goes through here.
+    """
+    d = 2 - jacobi(2, q)
+    if a_half % d:
+        raise ExactnessError(f"A(half) = {a_half} not divisible by {d} at q={q}")
+    h = a_half // d
     if h <= 0:
         raise ExactnessError(f"nonpositive class number {h} at q={q}")
-    if (2 - jacobi(2, q)) * h != ps.plain:
-        raise ExactnessError(f"class number cross-check failed at q={q}")
     if is_prime(q) and h % 2 == 0:
         raise ExactnessError(f"even class number {h} for prime q={q}")
-    return ClassNumber(q, h, ps.plain, ps.linear)
+    if q * a_half - 2 * b_half != q * h:
+        raise ExactnessError(f"class number formula disagrees with chi(2) at q={q}")
+    return h
+
+
+@functools.lru_cache(maxsize=512)
+def _class_number_cached(q: int) -> ClassNumber:
+    ps = prefix_sums(quad_char(q), (q - 1) // 2)
+    return ClassNumber(q, _checked_class_number(q, ps.plain, ps.linear),
+                       ps.plain, ps.linear)
 
 
 def class_number(q_or_chi) -> ClassNumber:
     """Class number of Q(sqrt(-q)) via the finite character sum formula.
 
-    The exact-division, chi(2), and parity cross-checks all sit on the
-    single code path, so a wrong answer cannot escape silently.
+    The prefix sums are streamed, so memory stays bounded for large q.
     """
     ch = _as_char(q_or_chi)
     return _class_number_cached(ch.q)
 
 
-def _scan_arrays(ch: QuadChar, a_max: int, h: int | None):
-    """Shared exact scan: returns (h, A, B, W) as arrays over 0..a_max.
-
-    Arrays are int64 when the worst case provably fits, otherwise object
-    dtype holding Python integers.  The switch is on values, not trust.
-    """
-    if a_max < 1:
-        raise DomainError("need a_max >= 1")
-    q = ch.q
-    c = chi_values(ch, a_max)
-    fits = a_max * (a_max + 1) // 2 < _INT64_GUARD
-    if fits:
-        cN = c.astype(np.int64)
-        n = np.arange(a_max + 1, dtype=np.int64)
-    else:
-        cN = c.astype(object)
-        n = np.arange(a_max + 1, dtype=object)
-    A = np.cumsum(cN)
-    B = np.cumsum(n * cN)
-    if h is None:
-        if a_max == (q - 1) // 2:
-            num = q * int(A[-1]) - 2 * int(B[-1])
-            if num % q:
-                raise ExactnessError(f"inexact class number division at q={q}")
-            h = num // q
-        else:
-            h = class_number(ch).h
-    if fits and a_max * (h + a_max) + a_max * (a_max + 1) // 2 >= _INT64_GUARD:
-        A = A.astype(object)
-        B = B.astype(object)
-        n = n.astype(object)
-    W = n * (h - A) + B
-    return h, A, B, W
-
-
-def margin_values(q_or_chi, a_max: int, h: int | None = None):
-    """(h, W) where W[a] = a*(h - A(a)) + B(a) for a = 0..a_max, exact."""
-    ch = _as_char(q_or_chi)
-    h, _, _, W = _scan_arrays(ch, a_max, h)
-    return h, W
-
-
 class _MarginBuffers:
-    """Scratch arrays for _margin_min, big enough for every modulus <= q_max.
+    """Scratch arrays for _margins over a = 0..n, n <= (q_max-1)/2.
 
-    One instance is reused across a block of moduli, so each modulus
-    writes into pages already mapped instead of allocating ~4 MB
-    temporaries afresh near q = 10**6.
+    One instance serves every modulus <= q_max.  A scan reuses it across a
+    block of moduli, so each modulus writes into pages already mapped
+    instead of allocating ~4 MB temporaries afresh near q = 10**6.
     """
 
     def __init__(self, q_max: int):
@@ -164,63 +131,69 @@ class _MarginBuffers:
         self.squares = np.multiply(k, k, out=k)
         self.tmp = np.empty(half, dtype=np.int64)
         self.a = np.empty(half + 1, dtype=np.int64)
-        self.w = np.empty(half, dtype=np.int64)
+        self.w = np.empty(half + 1, dtype=np.int64)
 
 
-def _legendre_table(ch: QuadChar, half: int, buf: _MarginBuffers) -> np.ndarray:
-    """chi(n) for n = 0..half as int8.
-
-    For a prime q the squares k*k mod q, k <= half, are scattered into a
-    table of nonresidues; k*k must fit int64, which holds for half < 2**31.
-    Other moduli take the general sieve.
-    """
+def _chi_table(ch: QuadChar, n: int, buf: _MarginBuffers) -> np.ndarray:
+    """chi(a) for a = 0..n as int8; a prime modulus scatters squares into buf."""
     q = ch.q
-    if ch.factors != (q,) or half >= 1 << 31:
-        return chi_values(ch, half)
-    sq = np.remainder(buf.squares[:half], q, out=buf.tmp[:half])
-    table = buf.table[:q]
-    table.fill(-1)
-    table[0] = 0
-    table[sq] = 1
-    return table[:half + 1]
+    if ch.factors != (q,) or q >= 1 << 32:
+        return chi_values(ch, n)
+    period = _qr_period(q, buf)
+    return period[:n + 1] if n < q else np.resize(period, n + 1)
+
+
+def _margins(ch: QuadChar, a_max: int, buf: _MarginBuffers | None = None):
+    """(h, A, W) over a = 0..a_max, with W(a) = a*(h - A(a)) + B(a), exact.
+
+    W(0) = 0 and W(a+1) - W(a) = h - A(a), so W is one cumulative sum of
+    h - A, with no linear sum B and no index array.  It runs over
+    n = max(a_max, half): h is read off A(half) = (2 - chi(2))*h, and
+    B(half) = W(half) - half*(h - A(half)) then lets _checked_class_number
+    confirm h.  |W| <= n*(|h| + n): below _INT64_GUARD W is int64, else
+    object dtype holding Python integers.  buf defaults to fresh buffers
+    for n; A and an int64 W are views of it.
+    """
+    if a_max < 1:
+        raise DomainError("need a_max >= 1")
+    q = ch.q
+    half = (q - 1) // 2
+    n = max(a_max, half)
+    if buf is None:
+        buf = _MarginBuffers(2 * n + 1)
+    A = buf.a[:n + 1]
+    np.cumsum(_chi_table(ch, n, buf), dtype=np.int64, out=A)
+    a_half = int(A[half])
+    h = a_half // (2 - jacobi(2, q))
+    steps = np.subtract(h, A[:n], out=buf.tmp[:n])
+    if n * (abs(h) + n) < _INT64_GUARD:
+        W = buf.w[:n + 1]
+    else:
+        W = np.empty(n + 1, dtype=object)
+        steps = steps.astype(object)
+    W[0] = 0
+    np.cumsum(steps, out=W[1:])
+    _checked_class_number(q, a_half, int(W[half]) - half * (h - a_half))
+    return h, A[:a_max + 1], W[:a_max + 1]
+
+
+def margin_values(q_or_chi, a_max: int):
+    """(h, W) where W[a] = a*(h - A(a)) + B(a) for a = 0..a_max, exact.
+
+    Any a_max >= 1 is allowed, including ranges past the half period.
+    """
+    h, _, W = _margins(_as_char(q_or_chi), a_max)
+    return h, W
 
 
 def _margin_min(ch: QuadChar, a_max: int, buf: _MarginBuffers):
-    """(h, min W(a), first argmin a) over 1 <= a <= a_max <= (q-1)/2.
-
-    W(a+1) - W(a) = h - A(a) and W(1) = h, so W over the half range is one
-    cumulative sum of h - A, with no linear sum B and no index array.  h
-    comes from A(half) = (2 - chi(2)) h; the class number formula is then
-    checked against B(half) = W(half) - half*(h - A(half)), which W reaches
-    without ever summing n*chi(n).  The exact-division, positivity and
-    parity checks of class_number run here too.
-    """
-    q = ch.q
-    half = (q - 1) // 2
+    """(h, min W(a), first argmin a) over 1 <= a <= a_max <= (q-1)/2."""
+    half = (ch.q - 1) // 2
     if not 1 <= a_max <= half:
         raise DomainError(f"need 1 <= a_max <= {half}, got {a_max}")
-    A = buf.a[:half + 1]
-    np.cumsum(_legendre_table(ch, half, buf), dtype=np.int64, out=A)
-    a_half = int(A[half])
-    d = 2 - jacobi(2, q)
-    if a_half % d:
-        raise ExactnessError(f"A(half) = {a_half} not divisible by {d} at q={q}")
-    h = a_half // d
-    if h <= 0:
-        raise ExactnessError(f"nonpositive class number {h} at q={q}")
-    if is_prime(q) and h % 2 == 0:
-        raise ExactnessError(f"even class number {h} for prime q={q}")
-    if half * (h + half) < _INT64_GUARD:
-        W = buf.w[:half]
-        np.subtract(h, A[:half], out=buf.tmp[:half])
-        np.cumsum(buf.tmp[:half], out=W)
-    else:
-        W = margin_values(ch, half, h)[1][1:]
-    b_half = int(W[-1]) - half * (h - a_half)
-    if q * a_half - 2 * b_half != q * h:
-        raise ExactnessError(f"class number formula disagrees with chi(2) at q={q}")
-    k = int(np.argmin(W[:a_max]))
-    return h, int(W[k]), k + 1
+    h, _, W = _margins(ch, half, buf)
+    k = int(np.argmin(W[1:a_max + 1]))
+    return h, int(W[k + 1]), k + 1
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .charsum import (_as_char, _scan_arrays, class_number, margin_values,
+from .charsum import (_as_char, _margins, class_number, margin_values,
                       weighted_prefix_sum)
 from .errors import DomainError
 from .ntcore import BLOCK, PI2_HI, QuadChar, chi_values, is_prime, jacobi
@@ -136,8 +136,10 @@ def piecewise_fq(q_or_chi, a_max: int | None = None) -> PiecewiseFq:
     ch = _as_char(q_or_chi)
     if a_max is None:
         a_max = (ch.q - 1) // 2
-    h, A, B, W = _scan_arrays(ch, a_max, None)
-    return PiecewiseFq(ch.q, h, a_max, h - A, B, W)
+    h, A, W = _margins(ch, a_max)
+    slopes = h - A
+    a = np.arange(a_max + 1).astype(W.dtype, copy=False)
+    return PiecewiseFq(ch.q, h, a_max, slopes, W - a * slopes, W)
 
 
 @dataclass(frozen=True)
@@ -217,24 +219,31 @@ class PrimeFracEval:
     value: float
 
 
-def _residue_totals(ch: QuadChar, p: int, residues) -> dict[int, int]:
-    """T(r) = sum of b**2 chi(b) over 0 < b <= pq with b = r (mod p), exact.
+def _chi_twice(ch: QuadChar) -> np.ndarray:
+    """chi(n) for 0 <= n < 2q as int8, the table _residue_totals reads.
 
-    b runs over i*p + r for 0 <= i < q (b = pq adds chi(pq) = 0), so one
-    period table of chi gives every term.  Per slab of at most BLOCK
-    entries the column sums S0 = sum v, S1 = sum j*v and S2 = sum j**2*v
-    are taken in int64 over the local row j = i - i0 < BLOCK, which keeps
-    them below 2**62; the slabs and T(r) = p**2 S2 + 2pr S1 + r**2 S0 are
-    recombined in Python integers, so no width limit applies overall.
-    The row offsets i*(p mod q) fit int64 only for q < 2**31.
+    The row offsets i*(p mod q) there fit int64 only for q < 2**31.
     """
     q = ch.q
     if q >= 1 << 31:
         raise DomainError(f"q = {q} too large for the residue sums (need q < 2**31)")
+    return chi_values(ch, 2 * q - 1)
+
+
+def _residue_totals(twice: np.ndarray, p: int, residues) -> dict[int, int]:
+    """T(r) = sum of b**2 chi(b) over 0 < b <= pq with b = r (mod p), exact.
+
+    b runs over i*p + r for 0 <= i < q (b = pq adds chi(pq) = 0), read
+    from twice = _chi_twice(ch) at (i*p mod q) + r.  Per slab of at most
+    BLOCK entries the column sums S0 = sum v, S1 = sum j*v and
+    S2 = sum j**2*v are taken in int64 over the local row j = i - i0 <
+    BLOCK, which keeps them below 2**62; the slabs and
+    T(r) = p**2 S2 + 2pr S1 + r**2 S0 are recombined in Python integers,
+    so no width limit applies overall.
+    """
+    q = len(twice) // 2
     res = sorted(set(residues))
     cols = np.array([r % q for r in res], dtype=np.int64)
-    table = chi_values(ch, q - 1)
-    twice = np.concatenate((table, table))
     rows = max(1, BLOCK // len(res))
     s0 = s1 = s2 = 0
     for i0 in range(0, q, rows):
@@ -274,7 +283,7 @@ def fq_prime_frac(a: int, p: int, q_or_chi) -> PrimeFracEval:
         raise DomainError(f"p = {p} divides the modulus {q}")
     if not (1 <= a and 2 * a < p):
         raise DomainError(f"need 0 < a < p/2, got a={a}, p={p}")
-    totals = _residue_totals(ch, p, (a * q % p, -a * q % p))
+    totals = _residue_totals(_chi_twice(ch), p, (a * q % p, -a * q % p))
     return _prime_frac(a, p, ch, jacobi(p, q), totals)
 
 

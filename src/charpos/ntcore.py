@@ -218,12 +218,25 @@ def quad_char(q: int, *, assume_prime: bool = False) -> QuadChar:
     return QuadChar(q, tuple(factors))
 
 
-def _qr_period(p: int) -> np.ndarray:
-    """One period of the Legendre symbol mod an odd prime p, as int8."""
-    t = np.full(p, -1, dtype=np.int8)
+def _qr_period(p: int, buf=None) -> np.ndarray:
+    """One period of the Legendre symbol mod an odd prime p < 2**32, as int8.
+
+    Scatters k*k mod p, k <= (p-1)/2, into a table of nonresidues.  buf,
+    if given, is scratch reused across moduli: an int8 `table` of >= p
+    entries (the result is a view of it), and int64 `squares` (k*k for
+    k = 1, 2, ...) and `tmp`, each at least (p-1)/2 long.
+    """
+    half = (p - 1) // 2
+    if buf is None:
+        k = np.arange(1, half + 1, dtype=np.int64)
+        sq = np.remainder(np.multiply(k, k, out=k), p, out=k)
+        t = np.empty(p, dtype=np.int8)
+    else:
+        sq = np.remainder(buf.squares[:half], p, out=buf.tmp[:half])
+        t = buf.table[:p]
+    t.fill(-1)
     t[0] = 0
-    k = np.arange(1, (p - 1) // 2 + 1, dtype=np.int64)
-    t[(k * k) % p] = 1
+    t[sq] = 1
     return t
 
 # A prime factor's period table is only built when it is not grossly larger

@@ -21,7 +21,7 @@ from fractions import Fraction
 from .charsum import _MarginBuffers, _as_char, _margin_min, margin_values
 from .errors import (CertificateError, DomainError, ExactnessError,
                      InsufficientBound)
-from .fq import _prime_frac, _residue_totals
+from .fq import _chi_twice, _prime_frac, _residue_totals
 from .liouville import agreement_length, find_imitator
 from .ntcore import is_prime, jacobi, pi4_times_at_least, primes_in_range, quad_char
 
@@ -515,11 +515,12 @@ def scan_prime_fracs(p_max: int, q_max: int, a_max: int | None = None,
     for q in primes_in_range(5, q_max, residue=q_mod8, modulus=8):
         q = int(q)
         ch = quad_char(q, assume_prime=True)
+        twice = _chi_twice(ch)
         for p in primes_in_range(3, min(p_max, q - 1), residue=3, modulus=4):
             p = int(p)
             top = (p - 1) // 2 if a_max is None else min(a_max, (p - 1) // 2)
             residues = [s * a * q % p for a in range(1, top + 1) for s in (1, -1)]
-            totals = _residue_totals(ch, p, residues)
+            totals = _residue_totals(twice, p, residues)
             chi_p = jacobi(p, q)
             for a in range(1, top + 1):
                 ev = _prime_frac(a, p, ch, chi_p, totals)

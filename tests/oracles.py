@@ -77,8 +77,8 @@ def form_count(q: int) -> int:
     return count
 
 
-def margin_min(q: int, a_max: int) -> tuple[int, int, int]:
-    """(h, min W(a), first argmin a) over 1 <= a <= a_max, by running sums.
+def margins(q: int, a_max: int) -> tuple[int, list[int]]:
+    """(h, [W(0), W(1), ..., W(a_max)]) by running sums, for any a_max >= 0.
 
     chi(n) is the product over the prime factors p of q of the Legendre
     symbol read off a table of squares mod p; h comes from the half-range
@@ -96,19 +96,22 @@ def margin_min(q: int, a_max: int) -> tuple[int, int, int]:
 
     half = (q - 1) // 2
     a_sum = b_sum = 0
-    sums = []
-    for n in range(1, half + 1):
+    sums = [(0, 0)]
+    for n in range(1, max(a_max, half) + 1):
         v = chi(n)
         a_sum += v
         b_sum += n * v
         sums.append((a_sum, b_sum))
-    h = (q * a_sum - 2 * b_sum) // q
-    best_w = best_a = None
-    for a, (a_a, b_a) in enumerate(sums[:a_max], start=1):
-        w = a * (h - a_a) + b_a
-        if best_w is None or w < best_w:
-            best_w, best_a = w, a
-    return h, best_w, best_a
+    a_half, b_half = sums[half]
+    h = (q * a_half - 2 * b_half) // q
+    return h, [a * (h - a_a) + b_a for a, (a_a, b_a) in enumerate(sums[:a_max + 1])]
+
+
+def margin_min(q: int, a_max: int) -> tuple[int, int, int]:
+    """(h, min W(a), first argmin a) over 1 <= a <= a_max, from margins."""
+    h, w = margins(q, a_max)
+    best = min(w[1:])
+    return h, best, w.index(best, 1)
 
 
 def prime_frac_core(a: int, p: int, q: int) -> int:

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from charpos import charsum, errors, ntcore, verify
-from oracles import form_count, margin_min
+from charpos import charsum, errors, fq, ntcore, verify
+from oracles import form_count, margin_min, margins
 
 SQUAREFREE_3MOD4 = [q for q in range(7, 600, 4)
                     if all(q % (p * p) for p in range(2, 25))]
@@ -182,14 +182,14 @@ class TestMarginKernel:
 
 
 def corrupt_table(monkeypatch, edit):
-    original = charsum._legendre_table
+    original = charsum._chi_table
 
-    def corrupted(ch, half, buf):
-        table = original(ch, half, buf)
+    def corrupted(ch, n, buf):
+        table = original(ch, n, buf)
         edit(table)
         return table
 
-    monkeypatch.setattr(charsum, "_legendre_table", corrupted)
+    monkeypatch.setattr(charsum, "_chi_table", corrupted)
 
 
 class TestMarginKernelCrossChecks:
@@ -220,6 +220,43 @@ class TestMarginKernelCrossChecks:
         corrupt_table(monkeypatch, lambda t: t.__setitem__(1, -1))
         with pytest.raises(errors.ExactnessError):
             verify.scan_positivity(5, 2000)
+
+    @pytest.mark.parametrize("path", [
+        lambda: charsum.margin_values(163, 81),
+        lambda: fq.piecewise_fq(163),
+        lambda: fq.identity_check(163),
+        lambda: charsum._class_number_cached.__wrapped__(163),
+    ], ids=["margin_values", "piecewise_fq", "identity_check", "class_number"])
+    def test_every_path_checks_chi_of_two(self, monkeypatch, path):
+        monkeypatch.setattr(charsum, "jacobi", lambda n, m: 1)
+        with pytest.raises(errors.ExactnessError, match="class number formula"):
+            path()
+
+
+WIDE_MODULI = [11, 163, 1019, 7, 23, 2647, 15, 35, 51, 91]
+
+
+class TestMarginValuesAgainstOracle:
+    """The whole W array, slopes and intercepts, also past the half period."""
+
+    @pytest.mark.parametrize("object_path", [False, True])
+    @pytest.mark.parametrize("q", WIDE_MODULI)
+    def test_matches_plain_margins(self, monkeypatch, q, object_path):
+        if object_path:
+            monkeypatch.setattr(charsum, "_INT64_GUARD", 1)
+        h, want = margins(q, 2 * q + 1)
+        half = (q - 1) // 2
+        for a_max in (1, q // 4, half, half + 1, q - 1, q, 2 * q):
+            got_h, w = charsum.margin_values(q, a_max)
+            assert w.dtype == (object if object_path else np.int64)
+            assert got_h == h
+            assert [int(v) for v in w] == want[:a_max + 1], a_max
+            pw = fq.piecewise_fq(q, a_max)
+            slopes = [want[a + 1] - want[a] for a in range(a_max + 1)]
+            assert [int(v) for v in pw.slopes] == slopes, a_max
+            assert [int(v) for v in pw.intercepts] == [
+                want[a] - a * slopes[a] for a in range(a_max + 1)], a_max
+            assert [int(v) for v in pw.margins] == want[:a_max + 1], a_max
 
 
 class TestWeightedPrefixSum:

@@ -62,6 +62,18 @@ class TestCertifyCommand:
         ok, why = verify.verify_certificate(cert)
         assert ok, why
 
+    def test_stdout_is_pinned(self, capsys):
+        code, out, _ = run_cli(capsys, "certify", "--eps", "7/163", "--q", "163")
+        w = [8, 10, 13, 15, 16, 18, 21, 25, 28, 30, 31, 33, 36, 40, 45, 49, 52,
+             56, 59, 61, 62, 64, 67, 71, 76, 82, 89, 95, 100, 104, 107, 111,
+             114, 116, 117]
+        assert code == 0
+        assert out == (
+            '{"a0":7,"agreement_N":40,"h":1,"margins":['
+            + ",".join(f'{{"W":{v},"a":{a}}}' for a, v in enumerate(w, start=7))
+            + '],"q":163,"verdict":"nonnegative","version":"v1",'
+              '"xmax_den":4,"xmax_num":1}\n')
+
     def test_file_output(self, capsys, tmp_path):
         path = tmp_path / "cert.json"
         code, out, err = run_cli(capsys, "certify", "--eps", "7/163",
@@ -240,6 +252,12 @@ class TestMiscCommands:
         assert lines[0] == "min 0 at 11"
         assert "zero 11/23" in lines
         assert "flat 11/23 1/2" in lines
+
+    def test_fq_zeros_stdout_is_pinned(self, capsys):
+        code, out, _ = run_cli(capsys, "fq-zeros", "--q", "2647")
+        assert code == 0
+        assert out == ("min -171 at 1185\nzero 10285/23823\nzero 1320/2647\n"
+                       "zero 1323/2647\nflat 1323/2647 1/2\n")
 
     def test_identity(self, capsys):
         code, out, _ = run_cli(capsys, "identity", "--q", "35")

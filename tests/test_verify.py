@@ -64,6 +64,13 @@ class TestScan:
         b = verify.scan_positivity(5, 50_000, jobs=3)
         assert a.to_json() == b.to_json()
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_json_is_pinned(self, jobs):
+        got = verify.scan_positivity(5, 20000, jobs=jobs).to_json()
+        assert got == ('{"argmin_q":11,"campaign":"positivity:5:20000","count":570,'
+                       '"failures":[],"holds":true,"min_w":1,"q_max":20000,'
+                       '"q_min":5,"version":"v1"}')
+
     def test_rejects_bad_jobs(self):
         with pytest.raises(errors.DomainError):
             verify.scan_positivity(5, 100, jobs=0)
@@ -337,6 +344,14 @@ class TestPrimeFracScan:
         want = verify.PrimeFracScan(60, 300, q_mod8, count, tuple(nonpos),
                                     tuple(nonint), qdiv, *best)
         assert verify.scan_prime_fracs(60, 300, q_mod8=q_mod8) == want
+
+    def test_census_builds_one_table_per_modulus(self, monkeypatch):
+        built = []
+        real = fq.chi_values
+        monkeypatch.setattr(fq, "chi_values",
+                            lambda ch, n: built.append(ch.q) or real(ch, n))
+        verify.scan_prime_fracs(60, 300)
+        assert built == [q for q in simple_primes(300) if q > 3 and q % 8 == 3]
 
     def test_census_independent_of_slab_size(self, monkeypatch):
         want = verify.scan_prime_fracs(60, 200, q_mod8=7)
