@@ -11,15 +11,14 @@ positivity into lower bounds for f itself.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .charsum import _as_char, class_number, weighted_prefix_sum
+from .charsum import _as_char
 from .errors import DomainError, SearchBudgetExceeded
-from .fq import SeriesValue, _sin_sum
+from .fq import SeriesValue, _sin_sum, fq_exact
 from .ntcore import (QuadChar, jacobi, liouville_sieve, pi4_times_at_least,
                      primes_in_range)
 
@@ -123,14 +122,8 @@ def f_lower_bound(x, q_or_chi) -> FBound:
     x = Fraction(x)
     if not 0 < x <= Fraction(1, 2):
         raise DomainError(f"need 0 < x <= 1/2, got {x}")
-    rec = agreement_length(ch)
-    if 2 * x == 1:
-        coeff = Fraction(0)
-    else:
-        h = class_number(ch).h
-        coeff = x * (h - weighted_prefix_sum(ch, ch.q * x))
-    n = rec.n_agree
-    positive = coeff > 0 and pi4_times_at_least(
-        coeff * coeff * n * n, Fraction(ch.q))
-    value = 2 * math.pi ** 2 / math.sqrt(ch.q) * float(coeff)
-    return FBound(x, ch.q, n, coeff, value, 2.0 / n, positive)
+    n = agreement_length(ch).n_agree
+    fx = fq_exact(ch, x)
+    positive = fx.coeff > 0 and pi4_times_at_least(
+        fx.coeff * fx.coeff * n * n, Fraction(ch.q))
+    return FBound(x, ch.q, n, fx.coeff, fx.value, 2.0 / n, positive)

@@ -10,15 +10,16 @@ only the Jacobi symbol and rational arithmetic; no sieves, no floats.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import multiprocessing
 import os
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .charsum import _MarginBuffers, _as_char, _margin_min, margin_values
+from .charsum import (_MarginBuffers, _as_char, _margin_min, margin_profile,
+                      margin_values)
 from .errors import (CertificateError, DomainError, ExactnessError,
                      InsufficientBound)
 from .fq import _chi_twice, _prime_frac, _residue_totals
@@ -27,8 +28,10 @@ from .ntcore import is_prime, jacobi, pi4_times_at_least, primes_in_range, quad_
 
 _HALF = Fraction(1, 2)
 
-# Target sum of moduli per worker chunk; fixed so the chunk decomposition,
-# and therefore every reported tie-break, is independent of the job count.
+# Target sum of moduli per scan chunk, about 0.7 s of kernel work at
+# q ~ 10**6.  A chunk is the unit handed to a worker and the unit of
+# checkpointing (one frontier line each); the layout depends only on the
+# prime list, never on the job count.
 _CHUNK_WEIGHT = 1 << 26
 
 
@@ -41,16 +44,28 @@ class PositivityReport:
     holds: bool
     min_w: int
     argmin_a: int
-    elapsed: float
 
 
 def check_positivity(q_or_chi) -> PositivityReport:
     """Decide min W(a) >= 0 over the half range for one modulus, exactly."""
-    ch = _as_char(q_or_chi)
-    t0 = time.perf_counter()
-    h, mn, arg = _margin_min(ch, (ch.q - 1) // 2, _MarginBuffers(ch.q))
-    return PositivityReport(ch.q, h, mn >= 0, mn, arg,
-                            time.perf_counter() - t0)
+    prof = margin_profile(q_or_chi)
+    return PositivityReport(prof.q, prof.h, prof.min_w >= 0, prof.min_w,
+                            prof.argmin_a)
+
+
+def _json_line(tally, **fields) -> str:
+    """Canonical v1 JSON of a scan tally plus its own fields: keys sorted,
+    no whitespace.  Shared by scan reports and checkpoint lines."""
+    payload = {
+        "version": "v1",
+        "campaign": tally.campaign,
+        "count": tally.count,
+        "min_w": tally.min_w,
+        "argmin_q": tally.argmin_q,
+        "failures": [list(f) for f in tally.failures],
+        **fields,
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -70,50 +85,30 @@ class ScanResult:
         return not self.failures
 
     def to_json(self) -> str:
-        payload = {
-            "version": "v1",
-            "campaign": self.campaign,
-            "q_min": self.q_min,
-            "q_max": self.q_max,
-            "count": self.count,
-            "min_w": self.min_w,
-            "argmin_q": self.argmin_q,
-            "failures": [list(f) for f in self.failures],
-            "holds": self.holds,
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return _json_line(self, q_min=self.q_min, q_max=self.q_max,
+                          holds=self.holds)
 
 
 def _scan_chunk(qs):
-    """Worker: margin minima for a block of prime moduli (ascending).
+    """Worker: min W over the half range for each modulus of a block.
 
     One set of kernel buffers, sized for the largest modulus, serves the
     whole block and is dropped with it.
     """
-    count = 0
-    min_w = None
-    argmin_q = None
-    failures = []
     buf = _MarginBuffers(qs[-1])
-    for q in qs:
-        _, m, _ = _margin_min(quad_char(q, assume_prime=True), (q - 1) // 2, buf)
-        count += 1
-        if min_w is None or m < min_w:
-            min_w = m
-            argmin_q = q
-        if m < 0:
-            failures.append((q, m))
-    return count, min_w, argmin_q, failures, qs[-1]
+    return [_margin_min(quad_char(q, assume_prime=True), (q - 1) // 2, buf)[1]
+            for q in qs]
 
 
-def _chunked(qs, weight: int = _CHUNK_WEIGHT):
+def _chunked(qs):
+    """Split ascending moduli into blocks of about _CHUNK_WEIGHT total."""
     out = []
     cur = []
     acc = 0
     for q in qs:
         cur.append(int(q))
         acc += int(q)
-        if acc >= weight:
+        if acc >= _CHUNK_WEIGHT:
             out.append(cur)
             cur = []
             acc = 0
@@ -163,82 +158,49 @@ def read_checkpoint(path, campaign: str) -> ScanCheckpoint | None:
 
 
 def _append_checkpoint(path, ck: ScanCheckpoint) -> None:
-    payload = {
-        "version": "v1",
-        "campaign": ck.campaign,
-        "last_q": ck.last_q,
-        "count": ck.count,
-        "min_w": ck.min_w,
-        "argmin_q": ck.argmin_q,
-        "failures": [list(f) for f in ck.failures],
-    }
     with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-        fh.write("\n")
+        fh.write(_json_line(ck, last_q=ck.last_q) + "\n")
         fh.flush()
 
 
 def scan_positivity(q_min: int, q_max: int, *, jobs: int = 1,
-                    checkpoint_path=None,
-                    checkpoint_every: int = 1 << 16) -> ScanResult:
+                    checkpoint_path=None) -> ScanResult:
     """Margin scan over every prime q = 3 (mod 8) with q_min <= q <= q_max.
 
-    Deterministic for a fixed range regardless of jobs: the chunk layout
-    depends only on the prime list, chunks are merged in order, and ties
-    in the minimum keep the smallest modulus.  With a checkpoint path the
-    scan appends a frontier line every checkpoint_every moduli and resumes
-    from the latest matching line on restart.
+    Deterministic for a fixed range regardless of jobs: the minima are
+    folded one modulus at a time in ascending order, so ties in the
+    minimum keep the smallest modulus.  With a checkpoint path the scan
+    appends one frontier line per chunk and resumes after the latest
+    matching line on restart.
     """
     if jobs < 1:
         raise DomainError("jobs must be >= 1")
     campaign = f"positivity:{q_min}:{q_max}"
-    count = 0
-    min_w = None
-    argmin_q = None
-    failures: list[tuple[int, int]] = []
-    resume_after = None
+    ck = None
     if checkpoint_path is not None:
         ck = read_checkpoint(checkpoint_path, campaign)
-        if ck is not None:
-            count = ck.count
-            min_w = ck.min_w
-            argmin_q = ck.argmin_q
-            failures = list(ck.failures)
-            resume_after = ck.last_q
-    lo = max(q_min, 5)
-    qs = primes_in_range(lo, q_max, residue=3, modulus=8)
-    if resume_after is not None:
-        qs = qs[qs > resume_after]
-    chunks = _chunked(qs, _CHUNK_WEIGHT)
-
-    def merge(part) -> int:
-        nonlocal count, min_w, argmin_q
-        c, mw, aq, fails, last = part
-        count += c
-        if mw is not None and (min_w is None or mw < min_w):
-            min_w = mw
-            argmin_q = aq
-        failures.extend(fails)
-        return last
-
-    def consume(parts) -> None:
-        since_ck = 0
-        for chunk, part in zip(chunks, parts):
-            last = merge(part)
-            since_ck += len(chunk)
-            if checkpoint_path is not None and since_ck >= checkpoint_every:
+    if ck is None:
+        ck = ScanCheckpoint(campaign, 0, 0, None, None, ())
+    count, min_w, argmin_q = ck.count, ck.min_w, ck.argmin_q
+    failures = list(ck.failures)
+    qs = primes_in_range(max(q_min, 5), q_max, residue=3, modulus=8)
+    chunks = _chunked(qs[qs > ck.last_q])
+    with contextlib.ExitStack() as stack:
+        parts = map(_scan_chunk, chunks)
+        if jobs > 1 and len(chunks) > 1:
+            pool = stack.enter_context(
+                multiprocessing.get_context("fork").Pool(jobs))
+            parts = pool.imap(_scan_chunk, chunks)
+        for chunk, minima in zip(chunks, parts):
+            for q, m in zip(chunk, minima):
+                count += 1
+                if min_w is None or m < min_w:
+                    min_w, argmin_q = m, q
+                if m < 0:
+                    failures.append((q, m))
+            if checkpoint_path is not None:
                 _append_checkpoint(checkpoint_path, ScanCheckpoint(
-                    campaign, last, count, min_w, argmin_q, tuple(failures)))
-                since_ck = 0
-
-    if jobs == 1 or len(chunks) <= 1:
-        consume(map(_scan_chunk, chunks))
-    else:
-        with multiprocessing.get_context("fork").Pool(jobs) as pool:
-            consume(pool.imap(_scan_chunk, chunks))
-    if checkpoint_path is not None and len(qs):
-        _append_checkpoint(checkpoint_path, ScanCheckpoint(
-            campaign, int(qs[-1]), count, min_w, argmin_q, tuple(failures)))
+                    campaign, chunk[-1], count, min_w, argmin_q, tuple(failures)))
     return ScanResult(campaign, q_min, q_max, count, min_w, argmin_q,
                       tuple(failures))
 

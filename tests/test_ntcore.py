@@ -185,10 +185,42 @@ class TestChiSieve:
             assert np.array_equal(slow, ntcore.chi_values(ch, 500)), q
 
 
+def machin_pi(digits):
+    """Rational (lo, hi) with lo < pi < hi and hi - lo < 10**-digits.
+
+    pi = 16 atan(1/5) - 4 atan(1/239), each arctangent summed in integers
+    scaled by 10**(digits + 10).  Every floor division loses less than one
+    unit and the dropped alternating tail is under one unit, so a sum of
+    t terms is off by at most t + 1 units.
+    """
+    one = 10 ** (digits + 10)
+
+    def atan_inv(x):
+        total, power, n, sign = 0, one // x, 1, 1
+        while power:
+            total += sign * (power // n)
+            power //= x * x
+            n += 2
+            sign = -sign
+        return total, (n - 1) // 2 + 1
+
+    a5, t5 = atan_inv(5)
+    a239, t239 = atan_inv(239)
+    err = 16 * t5 + 4 * t239
+    mid = 16 * a5 - 4 * a239
+    return Fraction(mid - err, one), Fraction(mid + err, one)
+
+
 class TestPiBounds:
     def test_pi_bracket(self):
         assert float(ntcore.PI_LO) <= math.pi <= float(ntcore.PI_HI)
         assert ntcore.PI_HI - ntcore.PI_LO == Fraction(1, 10 ** 37)
+
+    def test_pi_bracket_against_machin(self):
+        lo, hi = machin_pi(60)
+        assert hi - lo < Fraction(1, 10 ** 60)
+        assert ntcore.PI_LO < lo and hi < ntcore.PI_HI
+        assert ntcore.PI4_LO < lo ** 4 and hi ** 4 < ntcore.PI4_HI
 
     def test_pi4_decisions(self):
         assert ntcore.pi4_times_at_least(Fraction(1), Fraction(97)) is True
