@@ -176,16 +176,14 @@ def fq_min_and_zeros(q_or_chi) -> FqShape:
     k = int(np.argmin(body))
     min_w = int(body[k])
     argmin_a = k + 1
-    zeros = [Fraction(a, q) for a in range(1, half + 1) if W[a] == 0]
-    for a in range(half):
-        wl = int(W[a])
-        wr = int(W[a + 1])
-        if wl * wr < 0:
-            zeros.append(Fraction(-int(B[a]), q * int(S[a])))
-    flat_pieces = [a for a in range(half + 1)
-                   if int(S[a]) == 0 and int(B[a]) == 0]
+    zeros = [Fraction(a, q) for a in (np.flatnonzero(body == 0) + 1).tolist()]
+    neg = W < 0
+    pos = W > 0
+    cross = (neg[:-1] & pos[1:]) | (pos[:-1] & neg[1:])
+    for a in np.flatnonzero(cross).tolist():
+        zeros.append(Fraction(-int(B[a]), q * int(S[a])))
     flats: list[tuple[Fraction, Fraction]] = []
-    for a in flat_pieces:
+    for a in np.flatnonzero((S == 0) & (B == 0)).tolist():
         lo = Fraction(a, q)
         hi = min(Fraction(a + 1, q), _HALF)
         if flats and flats[-1][1] == lo:

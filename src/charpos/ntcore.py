@@ -19,9 +19,12 @@ from .errors import DomainError, ExactnessError, InvalidModulus
 # Streaming block size (entries, not bytes); keeps big sieves cache-resident.
 BLOCK = 1 << 20
 
-# Rational bounds PI_LO < pi < PI_HI, 37 correct digits.  Wide enough that
-# none of the cross-multiplied certificate comparisons in this package can
-# land inside the gap for any modulus below ~10**30.
+# Rational bounds PI_LO < pi < PI_HI, 37 correct digits.  Sharp enough for
+# certificates: for every prime q = 3 (mod 8) below 10**6, at its own
+# agreement length N, pi4_square_thresholds(N**2, q**3) returns two equal
+# thresholds, so no integer margin W at such a modulus is undecidable
+# (asserted in the tests).  Larger moduli are decided or rejected node by
+# node.
 PI_LO = Fraction(31415926535897932384626433832795028841, 10**37)
 PI_HI = PI_LO + Fraction(1, 10**37)
 PI2_LO = PI_LO * PI_LO
@@ -315,3 +318,21 @@ def pi4_times_at_least(c: Fraction, target: Fraction) -> bool:
         return False
     raise ExactnessError(
         f"pi**4 * {c} vs {target} falls inside the rational pi bounds")
+
+
+def pi4_square_thresholds(c: int, target: int) -> tuple[int, int]:
+    """(w_lo, w_yes) that decide pi**4 * c * W**2 >= target for integers W >= 1.
+
+    w_yes is the least W >= 1 with PI4_LO * c * W**2 >= target, so the
+    inequality holds for W >= w_yes; w_lo is the least W >= 1 with
+    PI4_HI * c * W**2 >= target, so it fails for 1 <= W < w_lo.  W in
+    [w_lo, w_yes) is undecidable with these bounds.  Since w_lo >= 1, a
+    W <= 0 reads as failing, as a positivity margin should.  Needs
+    integers c >= 1 and target >= 1; each threshold is the integer square
+    root of a ceiling quotient, with the bounds read when called.
+    """
+    def least(bound: Fraction) -> int:
+        t = -(-target * bound.denominator // (bound.numerator * c))
+        return math.isqrt(t - 1) + 1
+
+    return least(PI4_HI), least(PI4_LO)

@@ -18,13 +18,17 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
+from . import ntcore
 from .charsum import (_MarginBuffers, _as_char, _margin_min, margin_profile,
                       margin_values)
 from .errors import (CertificateError, DomainError, ExactnessError,
                      InsufficientBound)
 from .fq import _chi_twice, _prime_frac, _residue_totals
 from .liouville import agreement_length, find_imitator
-from .ntcore import is_prime, jacobi, pi4_times_at_least, primes_in_range, quad_char
+from .ntcore import (is_prime, jacobi, pi4_square_thresholds, primes_in_range,
+                     quad_char)
 
 _HALF = Fraction(1, 2)
 
@@ -205,15 +209,6 @@ def scan_positivity(q_min: int, q_max: int, *, jobs: int = 1,
                       tuple(failures))
 
 
-def _margin_ok(w: int, n_agree: int, q: int) -> bool:
-    """Does 2*pi**2*W/q**(3/2) >= 2/N hold?  Equivalent to the rational
-    test pi**4 * W**2 * N**2 >= q**3 once W > 0."""
-    if w <= 0:
-        return False
-    return pi4_times_at_least(Fraction(w * w * n_agree * n_agree),
-                              Fraction(q) ** 3)
-
-
 @dataclass(frozen=True)
 class CertifyResult:
     certificate: dict
@@ -236,10 +231,13 @@ def certify_f_positive(eps, q: int | None = None, xmax=Fraction(1, 4), *,
     searched for below search_ceiling.
 
     Every node a/q with floor(q*eps) <= a <= ceil(q*xmax) (capped at the
-    half period) must clear the margin 2/N.  If the right-hand nodes fail,
-    the certificate honestly shrinks to the passing prefix; if the nodes
-    at eps itself fail, InsufficientBound is raised carrying the smallest
-    certifiable left endpoint, when one exists.
+    half period) must clear the margin 2/N, that is
+    2*pi**2*W/q**(3/2) >= 2/N, or pi**4 * W**2 * N**2 >= q**3 with W > 0.
+    That test is monotone in W, so two integer thresholds settle every
+    node; a W the rational pi bounds cannot decide raises ExactnessError.
+    If the right-hand nodes fail, the certificate honestly shrinks to the
+    passing prefix; if the nodes at eps itself fail, InsufficientBound is
+    raised carrying the smallest certifiable left endpoint, when one exists.
     """
     eps = Fraction(eps)
     xmax = Fraction(xmax)
@@ -255,12 +253,17 @@ def certify_f_positive(eps, q: int | None = None, xmax=Fraction(1, 4), *,
     a_lo = math.floor(eps * q)
     a_hi = min(math.ceil(xmax * q), half)
     h, w = margin_values(ch, a_hi)
-    ok = [_margin_ok(int(w[a]), n, q) for a in range(a_lo, a_hi + 1)]
-    k = a_lo - 1
-    while k + 1 <= a_hi and ok[k + 1 - a_lo]:
-        k += 1
+    w_lo, w_yes = pi4_square_thresholds(n * n, q ** 3)
+    seg = w[a_lo : a_hi + 1]
+    bad = np.flatnonzero(seg < w_yes)
+    undecided = np.flatnonzero(seg[bad] >= w_lo)
+    if undecided.size:
+        v = int(seg[bad[undecided[0]]])
+        raise ExactnessError(f"pi**4 * {v * v * n * n} vs {q ** 3} falls "
+                             "inside the rational pi bounds")
+    k = a_lo + int(bad[0]) - 1 if bad.size else a_hi
     if k < a_lo or Fraction(k, q) <= eps:
-        last_bad = max(a for a in range(a_lo, a_hi + 1) if not ok[a - a_lo])
+        last_bad = a_lo + int(bad[-1])
         best = None
         if last_bad < a_hi and Fraction(last_bad + 1, q) < xmax:
             best = Fraction(last_bad + 1, q)
@@ -285,7 +288,8 @@ def certify_f_positive(eps, q: int | None = None, xmax=Fraction(1, 4), *,
 
 # Largest modulus verify_certificate will check.  The checker is naive on
 # purpose (trial division to sqrt(q), one jacobi call per node of the half
-# period), about 0.9 s per 10**6 of q, so this bound is about 15 minutes.
+# period); at q = 991027 it took 1.8 s on a 2-core Xeon VM, so this bound
+# is about half an hour.
 MAX_CERT_Q = 10 ** 9
 
 _CERT_KEYS = {"version", "q", "h", "agreement_N", "a0", "xmax_num",
@@ -294,6 +298,26 @@ _CERT_KEYS = {"version", "q", "h", "agreement_N", "a0", "xmax_num",
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _checker_thresholds(q: int, n: int) -> tuple[int, int]:
+    """The checker's own (w_lo, w_yes) for pi**4 * W**2 * n**2 >= q**3.
+
+    For each rational bound P of pi**4 (ntcore.PI4_HI, then PI4_LO, read
+    when called): the least W >= 1 with P * W**2 * n**2 >= q**3, found
+    from the integer square root of the floored quotient and stepped up
+    until the cross-multiplied inequality holds.  W >= w_yes clears the
+    margin, W < w_lo fails it, and anything between is undecidable.
+    """
+    out = []
+    for bound in (ntcore.PI4_HI, ntcore.PI4_LO):
+        lhs = bound.numerator * n * n
+        rhs = q ** 3 * bound.denominator
+        w = max(1, math.isqrt(rhs // lhs))
+        while lhs * w * w < rhs:
+            w += 1
+        out.append(w)
+    return out[0], out[1]
 
 
 def verify_certificate(cert) -> tuple[bool, str]:
@@ -376,7 +400,7 @@ def verify_certificate(cert) -> tuple[bool, str]:
     h = num // q
     if h != cert["h"]:
         return False, f"class number is {h}, certificate says {cert['h']}"
-    q_cubed = Fraction(q) ** 3
+    w_lo, w_yes = _checker_thresholds(q, n_cert)
     for a, w_cited in cited.items():
         a_a, b_a = snapshots[a]
         w_true = a * (h - a_a) + b_a
@@ -384,12 +408,9 @@ def verify_certificate(cert) -> tuple[bool, str]:
             return False, f"W({a}) is {w_true}, certificate says {w_cited}"
         if w_cited <= 0:
             return False, f"W({a}) = {w_cited} is not positive"
-        try:
-            big = pi4_times_at_least(
-                Fraction(w_cited * w_cited * n_cert * n_cert), q_cubed)
-        except ExactnessError:
-            return False, f"margin at node {a} is undecidable at this precision"
-        if not big:
+        if w_cited < w_yes:
+            if w_cited >= w_lo:
+                return False, f"margin at node {a} is undecidable at this precision"
             return False, f"W({a}) = {w_cited} does not clear the 2/{n_cert} margin"
     if a_last * cert["xmax_den"] < q * cert["xmax_num"]:
         return False, (f"nodes end at {a_last}/{q}, short of xmax = {xmax}")

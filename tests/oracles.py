@@ -8,6 +8,7 @@ explicit factorization, and characters from per-prime Euler criteria.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 
 def simple_primes(limit: int) -> list[int]:
@@ -112,6 +113,36 @@ def margin_min(q: int, a_max: int) -> tuple[int, int, int]:
     h, w = margins(q, a_max)
     best = min(w[1:])
     return h, best, w.index(best, 1)
+
+
+def fq_shape(q: int):
+    """(min W, first argmin a, zeros, flats) of f_q on (0, 1/2], by loops.
+
+    Piece a covers [a/q, (a+1)/q] with slope S(a) = W(a+1) - W(a) and
+    intercept B(a) = W(a) - a*S(a), both from margins.  Zeros are nodes
+    with W(a) = 0 plus the root -B(a)/(q*S(a)) of every piece whose end
+    nodes have opposite signs; flats are maximal runs of pieces with
+    S = B = 0, cut at 1/2.
+    """
+    half = (q - 1) // 2
+    _, w = margins(q, half + 1)
+    s = [w[a + 1] - w[a] for a in range(half + 1)]
+    b = [w[a] - a * s[a] for a in range(half + 1)]
+    best = min(w[1:half + 1])
+    zeros = [Fraction(a, q) for a in range(1, half + 1) if w[a] == 0]
+    for a in range(half):
+        if w[a] * w[a + 1] < 0:
+            zeros.append(Fraction(-b[a], q * s[a]))
+    flats = []
+    for a in range(half + 1):
+        if s[a] == 0 and b[a] == 0:
+            lo = Fraction(a, q)
+            hi = min(Fraction(a + 1, q), Fraction(1, 2))
+            if flats and flats[-1][1] == lo:
+                flats[-1] = (flats[-1][0], hi)
+            else:
+                flats.append((lo, hi))
+    return best, w.index(best, 1), tuple(sorted(zeros)), tuple(flats)
 
 
 def prime_frac_core(a: int, p: int, q: int) -> int:

@@ -8,7 +8,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from charpos import charsum, errors, fq, ntcore
-from oracles import prime_frac_core
+from oracles import fq_shape, prime_frac_core
 
 MODULI = [7, 11, 19, 23, 43, 163, 35]
 PRIMES_3_MOD_4 = [int(p) for p in
@@ -165,6 +165,17 @@ class TestShapes:
             # every reported zero is a true zero of the exact evaluator
             assert fq.fq_exact(2647, z).coeff == 0, z
             assert 0 < z < Fraction(1, 2)
+
+    @pytest.mark.parametrize("q", [7, 11, 23, 103, 127, 163, 463, 2647, 4003,
+                                   15, 35, 91, 51, 115])
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_matches_loop_oracle(self, monkeypatch, q, wide):
+        if wide:
+            monkeypatch.setattr(charsum, "_INT64_GUARD", 1)
+        dtype = fq.piecewise_fq(q).margins.dtype
+        assert (dtype == object) == wide
+        sh = fq.fq_min_and_zeros(ntcore.quad_char(q))
+        assert (sh.min_w, sh.argmin_a, sh.zeros, sh.flats) == fq_shape(q)
 
     def test_interior_zeros_lie_between_sign_changes(self):
         sh = fq.fq_min_and_zeros(ntcore.quad_char(2647))

@@ -6,8 +6,10 @@ from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from charpos import charsum, errors, fq, ntcore, verify
+from charpos import charsum, errors, fq, liouville, ntcore, verify
 from oracles import prime_frac_core, simple_primes
 
 
@@ -206,6 +208,29 @@ class TestCertify:
             verify.certify_f_positive(Fraction(1, 7), q=7, xmax=Fraction(2, 7))
         assert exc.value.best_eps is None
 
+    @pytest.mark.parametrize("eps,q,xmax,n_agree,node,best", [
+        (Fraction(1, 163), 163, Fraction(1, 4), 40, "1/163", Fraction(6, 163)),
+        (Fraction(1, 50), 163, Fraction(1, 2), 40, "3/163", None),
+        (Fraction(1, 10), 1019, Fraction(1, 2), 2, "101/1019", None),
+        (Fraction(1, 100), 991027, Fraction(1, 4), 40, "9910/991027",
+         Fraction(31394, 991027)),
+    ])
+    def test_insufficient_bound_is_pinned(self, eps, q, xmax, n_agree, node,
+                                          best):
+        with pytest.raises(errors.InsufficientBound) as exc:
+            verify.certify_f_positive(eps, q=q, xmax=xmax)
+        assert str(exc.value) == (f"margin 2/{n_agree} not met at node {node}; "
+                                  f"cannot certify down to eps={eps}")
+        assert exc.value.best_eps == best
+
+    def test_truncation_at_991027_is_pinned(self):
+        res = verify.certify_f_positive(Fraction(1, 10), q=991027,
+                                        xmax=Fraction(1, 2))
+        assert res.truncated is True
+        assert res.achieved_xmax == Fraction(478278, 991027)
+        cert = res.certificate
+        assert (cert["a0"], cert["margins"][-1]["a"]) == (99102, 478278)
+
     def test_auto_search_lands_on_163(self):
         res = verify.certify_f_positive(Fraction(7, 163), xmax=Fraction(1, 4))
         assert res.q == 163
@@ -222,6 +247,104 @@ class TestCertify:
         a = verify.certify_f_positive(Fraction(7, 163), q=163).certificate
         b = verify.certify_f_positive(Fraction(7, 163), q=163).certificate
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def pi4_decision(w, n, q):
+    """The per-node margin test as pi4_times_at_least decides it."""
+    if w <= 0:
+        return "fails"
+    try:
+        big = ntcore.pi4_times_at_least(Fraction(w * w * n * n),
+                                        Fraction(q) ** 3)
+    except errors.ExactnessError:
+        return "undecidable"
+    return "clears" if big else "fails"
+
+
+def threshold_decision(w, w_lo, w_yes):
+    if w >= w_yes:
+        return "clears"
+    return "undecidable" if w >= w_lo else "fails"
+
+
+# (PI4_LO, PI4_HI) to monkeypatch; None keeps the 37-digit bracket.
+BRACKETS = [None, (Fraction(97), Fraction(98)), (Fraction(1), Fraction(98))]
+
+
+class TestMarginThresholds:
+    @settings(max_examples=300)
+    @given(st.integers(2, 10 ** 9 - 1), st.integers(1, 199),
+           st.sampled_from(BRACKETS))
+    def test_builder_and_checker_match_pi4_times_at_least(self, q, n,
+                                                          bracket):
+        with pytest.MonkeyPatch.context() as mp:
+            if bracket is not None:
+                mp.setattr(ntcore, "PI4_LO", bracket[0])
+                mp.setattr(ntcore, "PI4_HI", bracket[1])
+            builder = ntcore.pi4_square_thresholds(n * n, q ** 3)
+            checker = verify._checker_thresholds(q, n)
+            ws = {t + d for t in builder for d in range(-3, 4)} | {0, -1}
+            for w in sorted(ws):
+                want = pi4_decision(w, n, q)
+                assert threshold_decision(w, *builder) == want, (w, builder)
+                assert threshold_decision(w, *checker) == want, (w, checker)
+
+    def test_no_undecidable_margin_below_a_million(self):
+        # Every prime q = 3 (mod 8) below 10**6, at its own agreement
+        # length: no integer W falls between the two thresholds, so the
+        # 37-digit pi bracket decides every margin these moduli can cite.
+        qs = ntcore.primes_in_range(5, 10 ** 6, residue=3, modulus=8)
+        assert len(qs) == 19652
+        for q in qs.tolist():
+            n = liouville.agreement_length(
+                ntcore.quad_char(q, assume_prime=True)).n_agree
+            w_lo, w_yes = ntcore.pi4_square_thresholds(n * n, q ** 3)
+            assert w_lo == w_yes, q
+
+    @pytest.mark.parametrize("bracket,eps,message", [
+        ((Fraction(1), Fraction(98)), Fraction(7, 163),
+         "pi**4 * 102400 vs 4330747 falls inside the rational pi bounds"),
+        ((Fraction(1), Fraction(98)), Fraction(1, 163),
+         "pi**4 * 78400 vs 4330747 falls inside the rational pi bounds"),
+        ((Fraction(1), Fraction(2)), Fraction(7, 163),
+         "pi**4 * 2560000 vs 4330747 falls inside the rational pi bounds"),
+        # w_lo = 8 = W(7): the band's lowest value is undecidable
+        ((Fraction(1), Fraction(43)), Fraction(7, 163),
+         "pi**4 * 102400 vs 4330747 falls inside the rational pi bounds"),
+    ])
+    def test_wide_bracket_builder_raises(self, monkeypatch, bracket, eps,
+                                         message):
+        monkeypatch.setattr(ntcore, "PI4_LO", bracket[0])
+        monkeypatch.setattr(ntcore, "PI4_HI", bracket[1])
+        with pytest.raises(errors.ExactnessError) as exc:
+            verify.certify_f_positive(eps, q=163, xmax=Fraction(1, 4))
+        assert str(exc.value) == message
+
+    def test_margin_equal_to_w_yes_clears(self, monkeypatch):
+        genuine = verify.certify_f_positive(Fraction(7, 163), q=163,
+                                            xmax=Fraction(1, 4)).certificate
+        # w_yes = 8 = W(7), the smallest cited margin
+        monkeypatch.setattr(ntcore, "PI4_LO", Fraction(43))
+        monkeypatch.setattr(ntcore, "PI4_HI", Fraction(98))
+        res = verify.certify_f_positive(Fraction(7, 163), q=163,
+                                        xmax=Fraction(1, 4))
+        assert res.certificate == genuine
+
+    @pytest.mark.parametrize("bracket,reason", [
+        ((Fraction(1), Fraction(98)),
+         "margin at node 7 is undecidable at this precision"),
+        ((Fraction(1), Fraction(2)), "W(7) = 8 does not clear the 2/40 margin"),
+        ((Fraction(1), Fraction(43)),
+         "margin at node 7 is undecidable at this precision"),
+        ((Fraction(43), Fraction(98)), "ok"),
+        ((Fraction(97), Fraction(98)), "ok"),
+    ])
+    def test_wide_bracket_checker(self, monkeypatch, bracket, reason):
+        cert = verify.certify_f_positive(Fraction(7, 163), q=163,
+                                         xmax=Fraction(1, 4)).certificate
+        monkeypatch.setattr(ntcore, "PI4_LO", bracket[0])
+        monkeypatch.setattr(ntcore, "PI4_HI", bracket[1])
+        assert verify.verify_certificate(cert) == (reason == "ok", reason)
 
 
 class TestVerifyCertificate:
@@ -294,7 +417,7 @@ class TestVerifyCertificate:
         }
         ok, why = verify.verify_certificate(forged)
         assert not ok
-        assert "margin" in why
+        assert why == "W(1) = 1 does not clear the 2/40 margin"
 
     def test_nodes_beyond_half_rejected(self, cert):
         c = copy.deepcopy(cert)
