@@ -28,7 +28,7 @@ import numpy as np
 from .charsum import (_as_char, _margins, class_number, margin_values,
                       weighted_prefix_sum)
 from .errors import DomainError
-from .ntcore import BLOCK, PI2_HI, QuadChar, chi_values, is_prime, jacobi
+from .ntcore import BLOCK, PI2_HI, QuadChar, chi_values, is_prime
 
 _HALF = Fraction(1, 2)
 
@@ -217,58 +217,80 @@ class PrimeFracEval:
     value: float
 
 
-def _chi_twice(ch: QuadChar) -> np.ndarray:
-    """chi(n) for 0 <= n < 2q as int8, the table _residue_totals reads.
+def _residue_totals(chi: np.ndarray, p, r, s) -> np.ndarray:
+    """T(r)/chi(p) for T(r) = sum of b**2 chi(b) over 0 < b <= pq, b = r (mod p).
 
-    The row offsets i*(p mod q) there fit int64 only for q < 2**31.
+    chi is one period of the character mod q, read at call time in slabs
+    of at most BLOCK entries; p, r and s are equal-length integer arrays
+    with gcd(p, q) = 1, 0 <= r < p and s = r/p mod q.  With b = i*p + r,
+    0 <= i < q (b = 0 adds 0 and b = pq adds chi(pq) = 0), complete
+    multiplicativity gives chi(b) = chi(p) chi(i + s), so
+
+        T(r)/chi(p) = p**2 S2 + 2pr S1 + r**2 S0,  S_k = sum_i i**k chi(i + s).
+
+    Splitting the period at j = s (i = j - s above it, j - s + q below)
+    writes every S_k through M_k(t) = sum_{j<t} j**k chi(j):
+
+        S0 = M0(q)
+        S1 = M1(q) - s M0(q) + q M0(s)
+        S2 = M2(q) - 2s M1(q) + s**2 M0(q) + 2q M1(s) + q(q - 2s) M0(s)
+
+    and M0(q) = 0, as chi is not principal, so one O(q) pass over the
+    period serves every residue in O(1).  Per slab the cumulative sums
+    run in int64 over the local index l < BLOCK (sum of l**2 below
+    2**60); M0(s) and M1(s) (|M1| < q**2/2 < 2**61 for q < 2**31) stay
+    int64, while M2(q) and the recombination use Python integers, so no
+    width limit applies to p.
+    """
+    q = len(chi)
+    s = np.asarray(s, dtype=np.int64)
+    at0 = np.zeros(len(s), dtype=np.int64)
+    at1 = np.zeros(len(s), dtype=np.int64)
+    m0 = m1 = m2 = 0
+    for j0 in range(0, q, BLOCK):
+        v = chi[j0:j0 + BLOCK].astype(np.int64)
+        loc = np.arange(len(v), dtype=np.int64)
+        lv = loc * v
+        c0 = np.cumsum(v)
+        c1 = np.cumsum(lv)
+        hit = np.flatnonzero((s >= j0) & (s < j0 + len(v)))
+        o = s[hit] - j0
+        e0 = c0[o] - v[o]
+        at0[hit] = m0 + e0
+        at1[hit] = m1 + j0 * e0 + (c1[o] - lv[o])
+        t0, t1 = int(c0[-1]), int(c1[-1])
+        m2 += j0 * j0 * t0 + 2 * j0 * t1 + int(lv @ loc)
+        m1 += j0 * t0 + t1
+        m0 += t0
+    s = s.astype(object)
+    at0 = at0.astype(object)
+    s1 = m1 + q * at0
+    s2 = m2 - 2 * s * m1 + 2 * q * at1.astype(object) + q * (q - 2 * s) * at0
+    p = np.asarray(p, dtype=object)
+    return p * (p * s2 + 2 * np.asarray(r, dtype=object) * s1)
+
+
+def _prime_frac_cores(ch: QuadChar, p, a) -> np.ndarray:
+    """core = -chi(p) (T(aq mod p) - T(-aq mod p)) for aligned arrays p, a.
+
+    Builds one period table of chi.  Since chi(p)**2 = 1 the core is
+    -(T'(r+) - T'(r-)) with T' = T/chi(p), so chi(p) is never evaluated.
+    With k = floor(aq/p) the residues are r+ = aq - kp and r- = p - r+
+    (p divides neither a < p nor q), and r/p mod q is -k for r+ and k + 1
+    for r-.  p and a may be object arrays; int64 needs a*q < 2**63.
     """
     q = ch.q
     if q >= 1 << 31:
+        # chi_values would build a q-byte table
         raise DomainError(f"q = {q} too large for the residue sums (need q < 2**31)")
-    return chi_values(ch, 2 * q - 1)
-
-
-def _residue_totals(twice: np.ndarray, p: int, residues) -> dict[int, int]:
-    """T(r) = sum of b**2 chi(b) over 0 < b <= pq with b = r (mod p), exact.
-
-    b runs over i*p + r for 0 <= i < q (b = pq adds chi(pq) = 0), read
-    from twice = _chi_twice(ch) at (i*p mod q) + r.  Per slab of at most
-    BLOCK entries the column sums S0 = sum v, S1 = sum j*v and
-    S2 = sum j**2*v are taken in int64 over the local row j = i - i0 <
-    BLOCK, which keeps them below 2**62; the slabs and
-    T(r) = p**2 S2 + 2pr S1 + r**2 S0 are recombined in Python integers,
-    so no width limit applies overall.
-    """
-    q = len(twice) // 2
-    res = sorted(set(residues))
-    cols = np.array([r % q for r in res], dtype=np.int64)
-    rows = max(1, BLOCK // len(res))
-    s0 = s1 = s2 = 0
-    for i0 in range(0, q, rows):
-        i = np.arange(i0, min(i0 + rows, q), dtype=np.int64)
-        v = twice[(i * (p % q) % q)[:, None] + cols]
-        j = i - i0
-        w = np.vstack((np.ones_like(j), j, j * j))
-        c0, c1, c2 = np.einsum("ki,ij->kj", w, v,
-                               dtype=np.int64).astype(object)
-        s2 = s2 + i0 * i0 * c0 + 2 * i0 * c1 + c2
-        s1 = s1 + i0 * c0 + c1
-        s0 = s0 + c0
-    r = np.array(res, dtype=object)
-    totals = p * p * s2 + 2 * p * r * s1 + r * r * s0
-    return dict(zip(res, totals.tolist()))
-
-
-def _prime_frac(a: int, p: int, ch: QuadChar, chi_p: int,
-                totals: dict[int, int]) -> PrimeFracEval:
-    """PrimeFracEval from the residue totals of (p, q), chi_p = chi_q(p)."""
-    q = ch.q
-    core = -chi_p * (totals[a * q % p] - totals[-a * q % p])
-    stat = core // (p * q) if core % (p * q) == 0 else None
-    q_div = stat is not None and stat % q == 0
-    value = math.pi ** 2 * core / (2.0 * p * p * q * q * math.sqrt(q))
-    return PrimeFracEval(a, p, q, core, stat, q_div,
-                         len(ch.factors) == 1, value)
+    chi = chi_values(ch, q - 1)
+    k = a * q // p
+    r = a * q - k * p
+    n = len(r)
+    t = _residue_totals(chi, np.concatenate((p, p)),
+                        np.concatenate((r, p - r)),
+                        np.concatenate((-k % q, (k + 1) % q)))
+    return t[n:] - t[:n]
 
 
 def fq_prime_frac(a: int, p: int, q_or_chi) -> PrimeFracEval:
@@ -281,8 +303,13 @@ def fq_prime_frac(a: int, p: int, q_or_chi) -> PrimeFracEval:
         raise DomainError(f"p = {p} divides the modulus {q}")
     if not (1 <= a and 2 * a < p):
         raise DomainError(f"need 0 < a < p/2, got a={a}, p={p}")
-    totals = _residue_totals(_chi_twice(ch), p, (a * q % p, -a * q % p))
-    return _prime_frac(a, p, ch, jacobi(p, q), totals)
+    core = int(_prime_frac_cores(ch, np.array([p], dtype=object),
+                                 np.array([a], dtype=object))[0])
+    stat = core // (p * q) if core % (p * q) == 0 else None
+    q_div = stat is not None and stat % q == 0
+    value = math.pi ** 2 * core / (2.0 * p * p * q * q * math.sqrt(q))
+    return PrimeFracEval(a, p, q, core, stat, q_div,
+                         len(ch.factors) == 1, value)
 
 
 @dataclass(frozen=True)
@@ -346,20 +373,30 @@ def lattice_quad_values(q_or_chi, a_max: int) -> np.ndarray:
         raise DomainError(f"need 1 <= a_max < q, got {a_max}")
     dtype = object if q > _LATTICE_INT64_MAX else np.int64
     c = chi_values(ch, q - 1).astype(dtype)
-    m = np.arange(q).astype(dtype, copy=False)
     p0 = np.cumsum(c)
-    p1 = np.cumsum(m * c)
-    s1 = p1[-1]
-    idx = np.arange(1, a_max + 1)
-    a = idx.astype(dtype, copy=False)
-    l0 = p0[-1] - p0[q - idx - 1]
-    l1 = p1[-1] - p1[q - idx - 1]
-    f0 = p0[idx - 1]
-    f1 = p1[idx - 1]
-    corr_hi = 2 * q * (l1 + a * l0) - q * q * l0
-    corr_lo = 2 * q * (f1 - a * f0) + q * q * f0
-    diff = 4 * a * s1 - corr_hi - corr_lo
-    return q * q * c[1 : a_max + 1] - diff
+    p1 = np.cumsum(np.arange(q).astype(dtype, copy=False) * c)
+    a = np.arange(1, a_max + 1).astype(dtype, copy=False)
+    # Regrouped, with P0(q-1) = 0 as chi is not principal:
+    # core(a) = q**2 (chi(a) + w) + 2q t - 4a P1(q-1) with
+    # w = P0(q-1-a) + P0(a-1) and t = P1(q-1) - P1(q-1-a) + P1(a-1) - a w;
+    # the P(q-1-a) are a reversed slice and the P(a-1) a forward one.
+    # int64 bounds at q = _LATTICE_INT64_MAX = 10**6, a < q, from
+    # |chi| <= 1: |P0(q-1-a)| <= a and |P0(a-1)| <= a, so
+    # |w| <= min(2a, q) = 10**6; |P1| < q**2/2 = 5e11;
+    # |t| <= aq + a**2/2 + a|w| <= 2.5 q**2 = 2.5e12, so |2q t| <= 5e18;
+    # |q**2 (chi(a) + w)| <= q**2 (q + 1) < 1.01e18; |4a P1(q-1)| < 2q**3
+    # = 2e18.  Every partial sum stays below 8.1e18 < 2**63 ~ 9.22e18.
+    w = p0[q - a_max - 1 : q - 1][::-1] + p0[:a_max]
+    t = p1[-1] - p1[q - a_max - 1 : q - 1][::-1]
+    t += p1[:a_max]
+    t -= a * w
+    t *= 2 * q
+    w += c[1 : a_max + 1]
+    w *= q * q
+    w += t
+    a *= 4 * p1[-1]
+    w -= a
+    return w
 
 
 def identity_check(q_or_chi, a: int | None = None) -> bool:

@@ -25,7 +25,7 @@ from .charsum import (_MarginBuffers, _as_char, _margin_min, margin_profile,
                       margin_values)
 from .errors import (CertificateError, DomainError, ExactnessError,
                      InsufficientBound)
-from .fq import _chi_twice, _prime_frac, _residue_totals
+from .fq import _prime_frac_cores
 from .liouville import agreement_length, find_imitator
 from .ntcore import (is_prime, jacobi, pi4_square_thresholds, primes_in_range,
                      quad_char)
@@ -483,12 +483,15 @@ def scan_prime_fracs(p_max: int, q_max: int, a_max: int | None = None,
 
     q runs over primes = q_mod8 (mod 8), p over primes = 3 (mod 4) below q.
     Records any nonpositive core, any core not divisible by p*q, how often
-    the reduced value is divisible by q, and the minimum reduced value.
-    Each (p, q) takes one O(pq) pass that yields T(r) for every residue
-    the a range needs; the cores are then formed in Python integers.
+    the reduced value is divisible by q, and the minimum reduced value
+    (first occurrence in (q, p, a) order).  Each q takes one chi table and
+    one O(q) moment pass that serves every (p, a) in O(1); the cores are
+    formed in Python integers.
     """
     if q_mod8 % 4 != 3:
         raise DomainError("q_mod8 must be 3 or 7")
+    if a_max is not None and a_max < 1:
+        raise DomainError(f"need a_max >= 1, got {a_max}")
     count = 0
     nonpos = []
     nonint = []
@@ -497,26 +500,25 @@ def scan_prime_fracs(p_max: int, q_max: int, a_max: int | None = None,
     argmin = None
     for q in primes_in_range(5, q_max, residue=q_mod8, modulus=8):
         q = int(q)
-        ch = quad_char(q, assume_prime=True)
-        twice = _chi_twice(ch)
-        for p in primes_in_range(3, min(p_max, q - 1), residue=3, modulus=4):
-            p = int(p)
-            top = (p - 1) // 2 if a_max is None else min(a_max, (p - 1) // 2)
-            residues = [s * a * q % p for a in range(1, top + 1) for s in (1, -1)]
-            totals = _residue_totals(twice, p, residues)
-            chi_p = jacobi(p, q)
-            for a in range(1, top + 1):
-                ev = _prime_frac(a, p, ch, chi_p, totals)
-                count += 1
-                if ev.core <= 0:
-                    nonpos.append((a, p, q, ev.core))
-                if ev.stat is None:
-                    nonint.append((a, p, q, ev.core))
-                else:
-                    if ev.q_divides:
-                        qdiv += 1
-                    if min_stat is None or ev.stat < min_stat:
-                        min_stat = ev.stat
-                        argmin = (a, p, q)
+        ps = primes_in_range(3, min(p_max, q - 1), residue=3, modulus=4)
+        tops = (ps - 1) // 2 if a_max is None else np.minimum(a_max, (ps - 1) // 2)
+        p = np.repeat(ps, tops)
+        a = np.arange(1, len(p) + 1) - np.repeat(np.cumsum(tops) - tops, tops)
+        cores = _prime_frac_cores(quad_char(q, assume_prime=True), p, a)
+        pq = (p * q).astype(object)
+        stat = cores // pq
+        whole = cores % pq == 0
+        nonpos += [(int(a[i]), int(p[i]), q, cores[i])
+                   for i in np.flatnonzero(cores <= 0)]
+        nonint += [(int(a[i]), int(p[i]), q, cores[i])
+                   for i in np.flatnonzero(~whole)]
+        count += len(cores)
+        hits = np.flatnonzero(whole)
+        if len(hits):
+            qdiv += int(np.count_nonzero(stat[hits] % q == 0))
+            best = hits[np.argmin(stat[hits])]
+            if min_stat is None or stat[best] < min_stat:
+                min_stat = stat[best]
+                argmin = (int(a[best]), int(p[best]), q)
     return PrimeFracScan(p_max, q_max, q_mod8, count, tuple(nonpos),
                          tuple(nonint), qdiv, min_stat, argmin)

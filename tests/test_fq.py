@@ -8,7 +8,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from charpos import charsum, errors, fq, ntcore
-from oracles import fq_shape, prime_frac_core
+from oracles import chi_factor, fq_shape, prime_frac_core
 
 MODULI = [7, 11, 19, 23, 43, 163, 35]
 PRIMES_3_MOD_4 = [int(p) for p in
@@ -235,10 +235,42 @@ class TestPrimeFrac:
     @given(st.sampled_from([11, 19, 43, 163, 15, 35, 51, 91]),
            st.sampled_from(PRIMES_3_MOD_4), st.data())
     def test_core_matches_direct_sum(self, q, p, data):
+        # small slabs put the split points r/p mod q on slab edges
         ch = ntcore.quad_char(q)
         assume(p not in ch.factors)
         a = data.draw(st.integers(1, (p - 1) // 2))
-        assert fq.fq_prime_frac(a, p, ch).core == prime_frac_core(a, p, q)
+        want = prime_frac_core(a, p, q)
+        for block in (ntcore.BLOCK, 1, 7):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(fq, "BLOCK", block)
+                assert fq.fq_prime_frac(a, p, ch).core == want, block
+
+    @pytest.mark.parametrize("q", [11, 163, 35, 91])
+    def test_residue_totals_match_direct_sums(self, monkeypatch, q):
+        # every residue r mod p, so the split points s = r/p mod q cover
+        # the period and its slab edges; chi(p) = 1/chi(p) turns T into T'
+        ch = ntcore.quad_char(q)
+        chi = ntcore.chi_values(ch, q - 1)
+        for p in (3, 7, 19, 43, 59):
+            if p in ch.factors:
+                continue
+            r = np.arange(p)
+            s = r * pow(p, -1, q) % q
+            want = [chi_factor(p, q) * sum(b * b * chi_factor(b, q)
+                                           for b in range(x, p * q + 1, p))
+                    for x in range(p)]
+            for block in (ntcore.BLOCK, 1, 7):
+                monkeypatch.setattr(fq, "BLOCK", block)
+                got = fq._residue_totals(chi, np.full(p, p), r, s)
+                assert got.tolist() == want, (p, block)
+
+    def test_modulus_past_int64_moments_is_pinned(self):
+        # sum of j**2 chi(j) over one period could overflow int64 past
+        # q ~ 3.0e6; at q = 10000019 the slabs must recombine exactly
+        ev = fq.fq_prime_frac(1, 1163, ntcore.quad_char(10000019))
+        assert ev.core == 593232567163096044384
+        assert ev.stat == 51008722272
+        assert not ev.q_divides
 
     @pytest.mark.parametrize("q", [11, 163, 35])
     def test_huge_p_matches_closed_form(self, q):
@@ -256,8 +288,8 @@ class TestPrimeFrac:
             fq.fq_prime_frac(1, 7, ch)
 
     def test_slabs_recombine_exactly(self, monkeypatch):
-        # two residues per row, so BLOCK = 64 splits q = 2971 into 93 slabs
-        # and BLOCK = 1 gives one row per slab
+        # BLOCK = 64 splits the period of q = 2971 into 47 slabs and
+        # BLOCK = 1 gives one period entry per slab
         ch = ntcore.quad_char(2971)
         assert fq.fq_prime_frac(1, 719, ch).stat == 130724
         for block in (64, 1):
@@ -298,7 +330,8 @@ class TestLatticeQuad:
         monkeypatch.setattr(fq, "lattice_quad_values", corrupt)
         assert fq.identity_check(ntcore.quad_char(163)) is False
 
-    @pytest.mark.parametrize("q", [163, 35])
+    # 999983 is the largest prime the int64 path takes, with a up to 499991
+    @pytest.mark.parametrize("q", [163, 35, 999983])
     def test_object_path_matches_int64(self, monkeypatch, q):
         a_max = (q - 1) // 2
         fast = fq.lattice_quad_values(q, a_max)

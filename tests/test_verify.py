@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import time
 from fractions import Fraction
@@ -497,6 +498,11 @@ class TestPrimeFracScan:
         with pytest.raises(errors.DomainError):
             verify.scan_prime_fracs(50, 50, q_mod8=5)
 
+    @pytest.mark.parametrize("a_max", [0, -3])
+    def test_empty_a_range_rejected(self, a_max):
+        with pytest.raises(errors.DomainError, match="a_max >= 1"):
+            verify.scan_prime_fracs(50, 60, a_max=a_max)
+
     @pytest.mark.parametrize("q_mod8", [3, 7])
     def test_census_matches_pointwise_oracle(self, q_mod8):
         count = qdiv = 0
@@ -521,6 +527,11 @@ class TestPrimeFracScan:
                                     tuple(nonint), qdiv, *best)
         assert verify.scan_prime_fracs(60, 300, q_mod8=q_mod8) == want
 
+    def test_census_argmin_is_first_occurrence(self):
+        # stat 8 is reached at (1, 3, 7) and again at (9, 19, 23)
+        sc = verify.scan_prime_fracs(19, 23, q_mod8=7)
+        assert (sc.min_stat, sc.argmin) == (8, (1, 3, 7))
+
     def test_census_builds_one_table_per_modulus(self, monkeypatch):
         built = []
         real = fq.chi_values
@@ -531,5 +542,20 @@ class TestPrimeFracScan:
 
     def test_census_independent_of_slab_size(self, monkeypatch):
         want = verify.scan_prime_fracs(60, 200, q_mod8=7)
-        monkeypatch.setattr(fq, "BLOCK", 8)
-        assert verify.scan_prime_fracs(60, 200, q_mod8=7) == want
+        for block in (8, 1):
+            monkeypatch.setattr(fq, "BLOCK", block)
+            assert verify.scan_prime_fracs(60, 200, q_mod8=7) == want, block
+
+    @pytest.mark.parametrize("p_max,q_max,q_mod8,digest", [
+        (30, 100, 3, "1f2e17d1f2adfb0da0eb53059515a0b4ec43e5cd2941efa1d277b188baedeab3"),
+        (150, 1000, 3, "46f9be9eb885090e42b8056302594d8fc2ba36ac27a61ef397cd0ea7c421f021"),
+        (200, 200, 3, "76355c1082ae1d5a61b8d13de84130b51be15d8d9a38834057213c538eefa2d5"),
+        (200, 200, 7, "d32e7bc5937d6b0f5c97a6d3c6cd24f833c88cf957a0adfdbea141b3a42d2022"),
+        (60, 3000, 3, "cf47d9e05ab004a579d6a2958acaff19689cc904ef851e650135228b5cee6370"),
+        (60, 300, 7, "ec98813fd8db4e46ee9a4c91d79ce72ce263903ea578e1c442b8c1f021b85ded"),
+    ])
+    def test_census_records_are_pinned(self, p_max, q_max, q_mod8, digest):
+        # sha256 of the repr of the whole PrimeFracScan: every record, in
+        # (q, p, a) order, with the first-occurrence argmin
+        sc = verify.scan_prime_fracs(p_max, q_max, q_mod8=q_mod8)
+        assert hashlib.sha256(repr(sc).encode()).hexdigest() == digest
