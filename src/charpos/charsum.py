@@ -22,8 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, ExactnessError
-from .ntcore import (BLOCK, QuadChar, _qr_period, chi_sieve, chi_values, is_prime,
-                     jacobi, quad_char)
+from .ntcore import QuadChar, chi_sieve, chi_values, is_prime, jacobi, quad_char
 
 # W over a = 0..n is formed in int64 while its bound n*(|h| + n) stays below
 # this, else in Python integers; a named constant so tests can shrink it and
@@ -50,9 +49,11 @@ class PrefixSums:
 def prefix_sums(q_or_chi, upto: int) -> PrefixSums:
     """Exact character prefix sums through `upto`, streamed in blocks.
 
-    Per block the index n = lo + j is expanded so every numpy intermediate
-    is a sum of at most BLOCK terms of magnitude < 2**40; the cross terms
-    are recombined in Python integers, so no width limit applies overall.
+    The blocks are views of one chi table of at most q + BLOCK entries
+    (chi_sieve), so memory is O(q + BLOCK) whatever upto is.  Per
+    block the index n = lo + j is expanded so every numpy intermediate is
+    a sum of at most BLOCK terms of magnitude < 2**40; the cross terms are
+    recombined in Python integers, so no width limit applies overall.
     """
     ch = _as_char(q_or_chi)
     if upto < 0:
@@ -110,7 +111,8 @@ def _class_number_cached(q: int) -> ClassNumber:
 def class_number(q_or_chi) -> ClassNumber:
     """Class number of Q(sqrt(-q)) via the finite character sum formula.
 
-    The prefix sums are streamed, so memory stays bounded for large q.
+    The half-range prefix sums read one chi table of (q + 1)/2 entries,
+    so memory grows linearly with q.
     """
     ch = _as_char(q_or_chi)
     return _class_number_cached(ch.q)
@@ -134,16 +136,8 @@ class _MarginBuffers:
         self.w = np.empty(half + 1, dtype=np.int64)
 
 
-def _chi_table(ch: QuadChar, n: int, buf: _MarginBuffers) -> np.ndarray:
-    """chi(a) for a = 0..n as int8; a prime modulus scatters squares into buf."""
-    q = ch.q
-    if ch.factors != (q,) or q >= 1 << 32:
-        return chi_values(ch, n)
-    period = _qr_period(q, buf)
-    return period[:n + 1] if n < q else np.resize(period, n + 1)
-
-
-def _margins(ch: QuadChar, a_max: int, buf: _MarginBuffers | None = None):
+def _margins(ch: QuadChar, a_max: int, buf: _MarginBuffers | None = None,
+             chi: np.ndarray | None = None):
     """(h, A, W) over a = 0..a_max, with W(a) = a*(h - A(a)) + B(a), exact.
 
     W(0) = 0 and W(a+1) - W(a) = h - A(a), so W is one cumulative sum of
@@ -152,7 +146,8 @@ def _margins(ch: QuadChar, a_max: int, buf: _MarginBuffers | None = None):
     B(half) = W(half) - half*(h - A(half)) then lets _checked_class_number
     confirm h.  |W| <= n*(|h| + n): below _INT64_GUARD W is int64, else
     object dtype holding Python integers.  buf defaults to fresh buffers
-    for n; A and an int64 W are views of it.
+    for n; A and an int64 W are views of it.  chi, a prebuilt table of at
+    least n + 1 entries, defaults to chi_values(ch, n, buf).
     """
     if a_max < 1:
         raise DomainError("need a_max >= 1")
@@ -161,8 +156,10 @@ def _margins(ch: QuadChar, a_max: int, buf: _MarginBuffers | None = None):
     n = max(a_max, half)
     if buf is None:
         buf = _MarginBuffers(2 * n + 1)
+    if chi is None:
+        chi = chi_values(ch, n, buf)
     A = buf.a[:n + 1]
-    np.cumsum(_chi_table(ch, n, buf), dtype=np.int64, out=A)
+    np.cumsum(chi[:n + 1], dtype=np.int64, out=A)
     a_half = int(A[half])
     h = a_half // (2 - jacobi(2, q))
     steps = np.subtract(h, A[:n], out=buf.tmp[:n])

@@ -25,8 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .charsum import (_as_char, _margins, class_number, margin_values,
-                      weighted_prefix_sum)
+from .charsum import _as_char, _margins, class_number, weighted_prefix_sum
 from .errors import DomainError
 from .ntcore import BLOCK, PI2_HI, QuadChar, chi_values, is_prime
 
@@ -323,7 +322,13 @@ class LatticeQuadEval:
 
 
 def _lattice_core(ch: QuadChar, c: np.ndarray, a: int) -> int:
+    """core(a) from one period c of chi, for 1 <= a < q coprime to q."""
     q = ch.q
+    if not 1 <= a < q:
+        raise DomainError(f"need 1 <= a < q, got a={a}")
+    if math.gcd(a, q) != 1:
+        raise DomainError(f"a = {a} shares a factor with q = {q}")
+    c = c.astype(object if q > _LATTICE_INT64_MAX else np.int64)
     cc = np.arange(q, dtype=c.dtype)
     cc = cc * cc
     s = int(np.sum(cc * (np.roll(c, a) - np.roll(c, -a))))
@@ -345,16 +350,7 @@ def fq_lattice_quad(q_or_chi, a: int) -> LatticeQuadEval:
     """
     ch = _as_char(q_or_chi)
     q = ch.q
-    if not 1 <= a < q:
-        raise DomainError(f"need 1 <= a < q, got a={a}")
-    if math.gcd(a, q) != 1:
-        raise DomainError(f"a = {a} shares a factor with q = {q}")
-    c = chi_values(ch, q - 1)
-    if q > _LATTICE_INT64_MAX:
-        c = c.astype(object)
-    else:
-        c = c.astype(np.int64)
-    core = _lattice_core(ch, c, a)
+    core = _lattice_core(ch, chi_values(ch, q - 1), a)
     value = math.pi ** 2 * core / (2.0 * q * q * math.sqrt(q))
     return LatticeQuadEval(q, a, core, value)
 
@@ -371,8 +367,14 @@ def lattice_quad_values(q_or_chi, a_max: int) -> np.ndarray:
     q = ch.q
     if not 1 <= a_max < q:
         raise DomainError(f"need 1 <= a_max < q, got {a_max}")
+    return _lattice_cores(chi_values(ch, q - 1), a_max)
+
+
+def _lattice_cores(chi: np.ndarray, a_max: int) -> np.ndarray:
+    """lattice_quad_values from one prebuilt period chi of q entries."""
+    q = len(chi)
     dtype = object if q > _LATTICE_INT64_MAX else np.int64
-    c = chi_values(ch, q - 1).astype(dtype)
+    c = chi.astype(dtype)
     p0 = np.cumsum(c)
     p1 = np.cumsum(np.arange(q).astype(dtype, copy=False) * c)
     a = np.arange(1, a_max + 1).astype(dtype, copy=False)
@@ -402,18 +404,20 @@ def lattice_quad_values(q_or_chi, a_max: int) -> np.ndarray:
 def identity_check(q_or_chi, a: int | None = None) -> bool:
     """Confirm core(a) == 4*q*W(a), for one a or the whole half range.
 
-    The half range is compared as core % 4q == 0 and core // 4q == W, which
-    is exact and never forms 4q*W, so int64 cannot overflow.
+    Both sides read one chi table.  The half range is compared as
+    core % 4q == 0 and core // 4q == W, which is exact and never forms
+    4q*W, so int64 cannot overflow.
     """
     ch = _as_char(q_or_chi)
     q = ch.q
+    chi = chi_values(ch, q - 1)
     if a is not None:
-        ev = fq_lattice_quad(ch, a)
-        _, w = margin_values(ch, a)
-        return ev.core == 4 * q * int(w[a])
+        core = _lattice_core(ch, chi, a)
+        _, _, w = _margins(ch, a, chi=chi)
+        return core == 4 * q * int(w[a])
     a_max = (q - 1) // 2
-    cores = lattice_quad_values(ch, a_max)
-    _, w = margin_values(ch, a_max)
+    cores = _lattice_cores(chi, a_max)
+    _, _, w = _margins(ch, a_max, chi=chi)
     return bool((cores % (4 * q) == 0).all()) and np.array_equal(
         cores // (4 * q), w[1:])
 

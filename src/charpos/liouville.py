@@ -19,8 +19,7 @@ import numpy as np
 from .charsum import _as_char
 from .errors import DomainError, SearchBudgetExceeded
 from .fq import SeriesValue, _sin_sum, fq_exact
-from .ntcore import (QuadChar, jacobi, liouville_sieve, pi4_times_at_least,
-                     primes_in_range)
+from .ntcore import jacobi, liouville_sieve, pi4_times_at_least, primes_in_range
 
 _lam_cache = {"limit": 0, "values": None}
 

@@ -224,10 +224,11 @@ def quad_char(q: int, *, assume_prime: bool = False) -> QuadChar:
 def _qr_period(p: int, buf=None) -> np.ndarray:
     """One period of the Legendre symbol mod an odd prime p < 2**32, as int8.
 
-    Scatters k*k mod p, k <= (p-1)/2, into a table of nonresidues.  buf,
-    if given, is scratch reused across moduli: an int8 `table` of >= p
-    entries (the result is a view of it), and int64 `squares` (k*k for
-    k = 1, 2, ...) and `tmp`, each at least (p-1)/2 long.
+    Scatters k*k mod p, k <= (p-1)/2, into a table of nonresidues; the
+    bound on p keeps every k*k below 2**62.  Only chi_values calls it.
+    buf, if given, is scratch reused across moduli: an int8 `table` of
+    >= p entries (the result is a view of it), and int64 `squares` (k*k
+    for k = 1, 2, ...) and `tmp`, each at least (p-1)/2 long.
     """
     half = (p - 1) // 2
     if buf is None:
@@ -251,23 +252,16 @@ _PERIOD_CAP = 1 << 27
 def chi_sieve(chi: QuadChar, n_max: int, block: int = BLOCK):
     """Yield (lo, values) covering chi(n) for n = 0..n_max in consecutive slabs.
 
-    values is int8; chi(0) = 0 and chi(n) = 0 exactly when gcd(n, q) > 1.
+    Every slab is an int8 view of one chi_values table of
+    min(n_max, q - 1 + block) + 1 entries: chi has period q, so slab lo
+    is that table at lo % q.  Memory stays bounded by q + block whatever
+    n_max is.
     """
-    if n_max < 0:
-        raise DomainError("chi_sieve needs n_max >= 0")
-    biggest = max(chi.factors)
-    if biggest <= min(_PERIOD_CAP, max(2 * (n_max + 1), 1 << 21)):
-        periods = [_qr_period(p) for p in chi.factors]
-        for lo in range(0, n_max + 1, block):
-            m = min(lo + block, n_max + 1) - lo
-            arr = np.ones(m, dtype=np.int8)
-            for p, per in zip(chi.factors, periods):
-                arr *= np.resize(np.roll(per, -(lo % p)), m)
-            yield lo, arr
-    else:
-        full = _chi_multiplicative(chi, n_max)
-        for lo in range(0, n_max + 1, block):
-            yield lo, full[lo : lo + block]
+    q = chi.q
+    ext = chi_values(chi, min(n_max, q - 1 + block))
+    for lo in range(0, n_max + 1, block):
+        s = lo % q
+        yield lo, ext[s : s + min(block, n_max + 1 - lo)]
 
 
 def _chi_multiplicative(chi: QuadChar, n_max: int) -> np.ndarray:
@@ -295,11 +289,32 @@ def _chi_multiplicative(chi: QuadChar, n_max: int) -> np.ndarray:
     return out
 
 
-def chi_values(chi: QuadChar, n_max: int) -> np.ndarray:
-    """Dense int8 array of chi(n) for n = 0..n_max."""
-    out = np.empty(n_max + 1, dtype=np.int8)
-    for lo, arr in chi_sieve(chi, n_max):
-        out[lo : lo + len(arr)] = arr
+def chi_values(chi: QuadChar, n_max: int, buf=None) -> np.ndarray:
+    """Dense int8 array of chi(n) for n = 0..n_max; the one chi table builder.
+
+    chi(0) = 0 and chi(n) = 0 exactly when gcd(n, q) > 1.  A prime
+    modulus with n_max < q returns a view of its one period (of buf.table
+    when buf is given, see _qr_period).  Otherwise each prime factor's
+    period is tiled to n_max + 1 entries and the tiles are multiplied.  A
+    factor above _PERIOD_CAP, or far longer than the range, switches to
+    _chi_multiplicative instead; with buf, whose squares are already
+    allocated, a prime modulus below 2**32 always scatters.
+    """
+    if n_max < 0:
+        raise DomainError("chi_values needs n_max >= 0")
+    q = chi.q
+    prime = chi.factors == (q,)
+    if buf is not None and prime and q < 1 << 32:
+        cap = q
+    else:
+        cap = min(_PERIOD_CAP, max(2 * (n_max + 1), 1 << 21))
+    if max(chi.factors) > cap:
+        return _chi_multiplicative(chi, n_max)
+    if prime and n_max < q:
+        return _qr_period(q, buf)[:n_max + 1]
+    out = np.ones(n_max + 1, dtype=np.int8)
+    for p in chi.factors:
+        out *= np.resize(_qr_period(p, buf), n_max + 1)
     return out
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +34,18 @@ class TestPrefixSums:
     def test_negative_upto_rejected(self):
         with pytest.raises(errors.DomainError):
             charsum.prefix_sums(11, -1)
+
+    def test_long_range_streams_in_bounded_memory(self):
+        # M_0(q) = 0, so 10**7 whole periods sum to (0, 10**7 * B(q - 1));
+        # a table of all 1.1e8 entries alone would take 110 MB
+        tracemalloc.start()
+        try:
+            ps = charsum.prefix_sums(11, 11 * 10**7 - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (ps.plain, ps.linear) == (0, 10**7 * charsum.prefix_sums(11, 10).linear)
+        assert peak < 64 * 2**20, peak
 
     @given(st.sampled_from([11, 19, 43, 163]), st.integers(1, 400))
     def test_advance_by_one_step(self, q, n):
@@ -182,14 +195,15 @@ class TestMarginKernel:
 
 
 def corrupt_table(monkeypatch, edit):
-    original = charsum._chi_table
+    # _margins builds its table through charsum's binding of chi_values
+    original = charsum.chi_values
 
     def corrupted(ch, n, buf):
         table = original(ch, n, buf)
         edit(table)
         return table
 
-    monkeypatch.setattr(charsum, "_chi_table", corrupted)
+    monkeypatch.setattr(charsum, "chi_values", corrupted)
 
 
 class TestMarginKernelCrossChecks:

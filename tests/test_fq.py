@@ -319,15 +319,16 @@ class TestLatticeQuad:
 
     @pytest.mark.parametrize("shift", [1, 4 * 163])
     def test_identity_detects_one_corrupt_core(self, monkeypatch, shift):
-        # shift 1 breaks divisibility by 4q, shift 4q only the quotient
-        real = fq.lattice_quad_values
+        # shift 1 breaks divisibility by 4q, shift 4q only the quotient;
+        # identity_check reads the cores from the private batch formula
+        real = fq._lattice_cores
 
-        def corrupt(ch, a_max):
-            cores = real(ch, a_max).copy()
+        def corrupt(chi, a_max):
+            cores = real(chi, a_max).copy()
             cores[a_max // 2] += shift
             return cores
 
-        monkeypatch.setattr(fq, "lattice_quad_values", corrupt)
+        monkeypatch.setattr(fq, "_lattice_cores", corrupt)
         assert fq.identity_check(ntcore.quad_char(163)) is False
 
     # 999983 is the largest prime the int64 path takes, with a up to 499991
@@ -340,6 +341,21 @@ class TestLatticeQuad:
         assert fast.dtype == np.int64 and slow.dtype == object
         assert slow.tolist() == fast.tolist()
         assert fq.identity_check(q) is True
+
+    @pytest.mark.parametrize("a", [None, 40, 100])
+    def test_identity_builds_one_table(self, monkeypatch, a):
+        # count the scatter under every module binding it could have
+        built = []
+        real = ntcore._qr_period
+
+        def counting(p, buf=None):
+            built.append(p)
+            return real(p, buf)
+
+        for mod in (ntcore, charsum):
+            monkeypatch.setattr(mod, "_qr_period", counting, raising=False)
+        assert fq.identity_check(163, a) is True
+        assert built == [163]
 
     def test_identity_single_nodes(self):
         ch = ntcore.quad_char(163)

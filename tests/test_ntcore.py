@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from charpos import errors, ntcore
+from charpos import charsum, errors, ntcore
 from oracles import chi_factor, legendre_pow, liouville_factor, simple_primes
 
 
@@ -154,11 +154,38 @@ class TestQuadChar:
 
 class TestChiSieve:
     @pytest.mark.parametrize("q", [11, 19, 35, 15, 163, 91])
-    def test_matches_jacobi(self, q):
+    def test_matches_jacobi(self, monkeypatch, q):
+        # _PERIOD_CAP as shipped, at the largest prime factor (the period is
+        # scattered) and one below it (the multiplicative sieve runs, except
+        # for a prime modulus with buffers, which always scatters)
         ch = ntcore.quad_char(q)
-        vals = ntcore.chi_values(ch, 3 * q)
-        for n in range(3 * q + 1):
-            assert vals[n] == ntcore.jacobi(n, q), (n, q)
+        sieved = []
+        real = ntcore._chi_multiplicative
+        monkeypatch.setattr(ntcore, "_chi_multiplicative",
+                            lambda ch, n: sieved.append(n) or real(ch, n))
+        spans = (0, q // 2, q - 1, q, 2 * q + 3, 3 * q)
+        for cap in (ntcore._PERIOD_CAP, max(ch.factors), max(ch.factors) - 1):
+            monkeypatch.setattr(ntcore, "_PERIOD_CAP", cap)
+            for buf in (None, charsum._MarginBuffers(q)):
+                sieved.clear()
+                for n_max in spans:
+                    vals = ntcore.chi_values(ch, n_max, buf)
+                    assert vals.dtype == np.int8 and len(vals) == n_max + 1
+                    want = [ntcore.jacobi(n, q) for n in range(n_max + 1)]
+                    assert vals.tolist() == want, (q, cap, buf, n_max)
+                scatters = (cap >= max(ch.factors)
+                            or (buf is not None and ch.factors == (q,)))
+                assert sieved == ([] if scatters else list(spans)), (cap, buf)
+
+    def test_negative_range_rejected(self):
+        with pytest.raises(errors.DomainError):
+            ntcore.chi_values(ntcore.quad_char(11), -1)
+
+    def test_scan_table_is_a_view_of_the_buffers(self):
+        q = 163
+        buf = charsum._MarginBuffers(q)
+        vals = ntcore.chi_values(ntcore.quad_char(q), (q - 1) // 2, buf)
+        assert np.shares_memory(vals, buf.table)
 
     def test_matches_factor_oracle_for_composite(self):
         ch = ntcore.quad_char(35)
@@ -177,6 +204,9 @@ class TestChiSieve:
             parts.append(arr)
         assert lo_seen == 1001
         assert np.array_equal(np.concatenate(parts), whole)
+        # every slab is a view of one table, not a fresh array
+        assert parts[0].base is not None
+        assert all(arr.base is parts[0].base for arr in parts)
 
     def test_multiplicative_fallback_agrees(self):
         for q in (163, 35, 1019):
