@@ -118,8 +118,18 @@ def class_number(q_or_chi) -> ClassNumber:
     return _class_number_cached(ch.q)
 
 
-class _MarginBuffers:
-    """Scratch arrays for _margins over a = 0..n, n <= (q_max-1)/2.
+class _KernelArrays:
+    """The int64 arrays _margins writes over a = 0..n: A, h - A and W."""
+
+    def __init__(self, n: int):
+        self.tmp = np.empty(n, dtype=np.int64)
+        self.a = np.empty(n + 1, dtype=np.int64)
+        self.w = np.empty(n + 1, dtype=np.int64)
+
+
+class _MarginBuffers(_KernelArrays):
+    """Scratch arrays for _margins over a = 0..n, n <= (q_max-1)/2, plus the
+    int8 table and the squares chi_values scatters a prime period with.
 
     One instance serves every modulus <= q_max.  A scan reuses it across a
     block of moduli, so each modulus writes into pages already mapped
@@ -128,12 +138,10 @@ class _MarginBuffers:
 
     def __init__(self, q_max: int):
         half = (q_max - 1) // 2
+        super().__init__(half)
         self.table = np.empty(q_max, dtype=np.int8)
         k = np.arange(1, half + 1, dtype=np.int64)
         self.squares = np.multiply(k, k, out=k)
-        self.tmp = np.empty(half, dtype=np.int64)
-        self.a = np.empty(half + 1, dtype=np.int64)
-        self.w = np.empty(half + 1, dtype=np.int64)
 
 
 def _margins(ch: QuadChar, a_max: int, buf: _MarginBuffers | None = None,
@@ -146,8 +154,9 @@ def _margins(ch: QuadChar, a_max: int, buf: _MarginBuffers | None = None,
     B(half) = W(half) - half*(h - A(half)) then lets _checked_class_number
     confirm h.  |W| <= n*(|h| + n): below _INT64_GUARD W is int64, else
     object dtype holding Python integers.  buf defaults to fresh buffers
-    for n; A and an int64 W are views of it.  chi, a prebuilt table of at
-    least n + 1 entries, defaults to chi_values(ch, n, buf).
+    for n, only the int64 arrays when chi is given; A and an int64 W are
+    views of it.  chi, a prebuilt table of at least n + 1 entries, defaults
+    to chi_values(ch, n, buf).
     """
     if a_max < 1:
         raise DomainError("need a_max >= 1")
@@ -155,7 +164,7 @@ def _margins(ch: QuadChar, a_max: int, buf: _MarginBuffers | None = None,
     half = (q - 1) // 2
     n = max(a_max, half)
     if buf is None:
-        buf = _MarginBuffers(2 * n + 1)
+        buf = _MarginBuffers(2 * n + 1) if chi is None else _KernelArrays(n)
     if chi is None:
         chi = chi_values(ch, n, buf)
     A = buf.a[:n + 1]

@@ -5,7 +5,9 @@ and an independent certificate checker.
 A certificate asserts f(x) > 0 on [a0/q, xmax] by listing the integer
 margins W(a) at every node a/q spanning the interval and citing the
 agreement length N of chi with the Liouville function.  Checking it needs
-only the Jacobi symbol and rational arithmetic; no sieves, no floats.
+only integer and rational arithmetic: the class number from a count of
+reduced binary quadratic forms, and the Jacobi symbol summed up to the last
+cited node; no sieves, no floats.
 """
 
 from __future__ import annotations
@@ -272,6 +274,7 @@ def certify_f_positive(eps, q: int | None = None, xmax=Fraction(1, 4), *,
             f"cannot certify down to eps={eps}", best_eps=best)
     full = k == a_hi and Fraction(a_hi, q) >= xmax
     achieved = xmax if full else Fraction(k, q)
+    rows = zip(range(a_lo, k + 1), w[a_lo:k + 1].tolist())
     cert = {
         "version": "v1",
         "q": q,
@@ -280,16 +283,17 @@ def certify_f_positive(eps, q: int | None = None, xmax=Fraction(1, 4), *,
         "a0": a_lo,
         "xmax_num": achieved.numerator,
         "xmax_den": achieved.denominator,
-        "margins": [{"a": a, "W": int(w[a])} for a in range(a_lo, k + 1)],
+        "margins": [{"a": a, "W": v} for a, v in rows],
         "verdict": "nonnegative",
     }
     return CertifyResult(cert, q, h, n, a_lo, xmax, achieved, not full)
 
 
 # Largest modulus verify_certificate will check.  The checker is naive on
-# purpose (trial division to sqrt(q), one jacobi call per node of the half
-# period); at q = 991027 it took 1.8 s on a 2-core Xeon VM, so this bound
-# is about half an hour.
+# purpose (trial division to sqrt(q), a reduced-form count, one jacobi call
+# per node up to the last cited one); at q = 991027 over [1/10, 1/4] it took
+# 1.0 s on a 2-core Xeon VM.  A certificate reaching xmax = 1/2 walks the
+# half period, about half an hour at this bound, plus about 5 s of forms.
 MAX_CERT_Q = 10 ** 9
 
 _CERT_KEYS = {"version", "q", "h", "agreement_N", "a0", "xmax_num",
@@ -320,15 +324,34 @@ def _checker_thresholds(q: int, n: int) -> tuple[int, int]:
     return out[0], out[1]
 
 
+def _reduced_form_count(q: int) -> int:
+    """Number of reduced forms a*x**2 + b*x*y + c*y**2 of discriminant -q.
+
+    Reduced means |b| <= a <= c, with b >= 0 when |b| = a or a = c.  Since
+    b*b = -q = 1 (mod 4), b is odd; 3*b*b <= q, and a runs over the divisors
+    of a*c = (b*b + q)/4 from b up to its square root.  For a squarefree
+    q = 3 (mod 4) with q > 3 the discriminant -q is fundamental, so every
+    such form is primitive and the count is the class number h(-q).
+    """
+    count = 0
+    for b in range(1, math.isqrt(q // 3) + 1, 2):
+        ac = (b * b + q) // 4
+        for a in range(b, math.isqrt(ac) + 1):
+            if ac % a == 0:
+                count += 1 if a == b or a * a == ac else 2
+    return count
+
+
 def verify_certificate(cert) -> tuple[bool, str]:
     """Independently check a positivity certificate.
 
-    Recomputes the class number, the agreement length, and every cited
-    margin from scratch with plain integer arithmetic (no sieves, no
-    floats, no state shared with the builder), then checks the margin
-    inequality and interval coverage.  Returns (ok, reason); never raises
-    on malformed input.  Moduli above MAX_CERT_Q are rejected before any
-    work that grows with q.
+    Recomputes the agreement length, the class number (by counting reduced
+    forms of discriminant -q) and every cited margin (by summing the Jacobi
+    symbol up to the last cited node) from scratch with plain integer
+    arithmetic (no sieves, no floats, no state shared with the builder),
+    then checks the margin inequality and interval coverage.  Returns
+    (ok, reason); never raises on malformed input.  Moduli above MAX_CERT_Q
+    are rejected before any work that grows with q.
     """
     if not isinstance(cert, dict):
         return False, "certificate is not a mapping"
@@ -384,34 +407,28 @@ def verify_certificate(cert) -> tuple[bool, str]:
     if p - 1 != n_cert:
         return False, f"agreement length is {p - 1}, certificate says {n_cert}"
 
-    cited = {row["a"]: row["W"] for row in margins}
-    a_sum = 0
-    b_sum = 0
-    snapshots = {}
-    for m in range(1, half + 1):
-        v = jacobi(m, q)
-        a_sum += v
-        b_sum += m * v
-        if m in cited:
-            snapshots[m] = (a_sum, b_sum)
-    num = q * a_sum - 2 * b_sum
-    if num % q:
-        return False, "class number formula did not divide evenly"
-    h = num // q
+    h = _reduced_form_count(q)
     if h != cert["h"]:
         return False, f"class number is {h}, certificate says {cert['h']}"
     w_lo, w_yes = _checker_thresholds(q, n_cert)
-    for a, w_cited in cited.items():
-        a_a, b_a = snapshots[a]
-        w_true = a * (h - a_a) + b_a
+    a_sum = 0
+    b_sum = 0
+    for m in range(1, a_last + 1):
+        v = jacobi(m, q)
+        a_sum += v
+        b_sum += m * v
+        if m < a0:
+            continue
+        w_true = m * (h - a_sum) + b_sum
+        w_cited = margins[m - a0]["W"]
         if w_cited != w_true:
-            return False, f"W({a}) is {w_true}, certificate says {w_cited}"
+            return False, f"W({m}) is {w_true}, certificate says {w_cited}"
         if w_cited <= 0:
-            return False, f"W({a}) = {w_cited} is not positive"
+            return False, f"W({m}) = {w_cited} is not positive"
         if w_cited < w_yes:
             if w_cited >= w_lo:
-                return False, f"margin at node {a} is undecidable at this precision"
-            return False, f"W({a}) = {w_cited} does not clear the 2/{n_cert} margin"
+                return False, f"margin at node {m} is undecidable at this precision"
+            return False, f"W({m}) = {w_cited} does not clear the 2/{n_cert} margin"
     if a_last * cert["xmax_den"] < q * cert["xmax_num"]:
         return False, (f"nodes end at {a_last}/{q}, short of xmax = {xmax}")
     return True, "ok"

@@ -188,6 +188,19 @@ class TestMarginKernel:
                 assert got == fresh_margin_min(q, a_max), (q, a_max)
                 assert got == margin_min(q, a_max), (q, a_max)
 
+    def test_prebuilt_table_allocates_only_the_kernel_arrays(self,
+                                                             monkeypatch):
+        q = 4003
+        ch = ntcore.quad_char(q)
+        chi = ntcore.chi_values(ch, q - 1)
+        want = charsum._margins(ch, q - 2)
+        monkeypatch.setattr(charsum, "_MarginBuffers", None)
+        for a_max in (1, (q - 1) // 2, q - 2):
+            got = charsum._margins(ch, a_max, chi=chi)
+            assert got[0] == want[0]
+            for have, full in zip(got[1:], want[1:]):
+                assert np.array_equal(have, full[:a_max + 1]), a_max
+
     @pytest.mark.parametrize("a_max", [0, 82])
     def test_a_max_outside_half_range_rejected(self, a_max):
         with pytest.raises(errors.DomainError):

@@ -42,3 +42,76 @@ def test_detector_flags_a_name_read_only_in_a_docstring():
                      'def f():\n    """Slabs of BLOCK entries."""\n'
                      '    return used\n')
     assert unused_imports(tree) == ["BLOCK (line 1)"]
+
+
+VERIFY = Path(__file__).parent.parent / "src" / "charpos" / "verify.py"
+CHECKER_NTCORE = {"jacobi", "is_prime", "PI4_HI", "PI4_LO"}
+BUILDER_MODULES = {"charsum", "fq", "liouville"}
+
+
+def checker_reads(tree: ast.Module, entry: str = "verify_certificate"):
+    """(helpers walked, names the checker reads that belong to the builder).
+
+    Starting from `entry`, follows every module-level function it names,
+    transitively, plus the module-level assignments of the constants they
+    read.  A read is flagged if the name was imported from a builder module
+    (charsum, fq, liouville), or from ntcore outside CHECKER_NTCORE, or is
+    an ntcore.<attr> access outside it.
+    """
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    consts = {t.id: n for n in tree.body if isinstance(n, ast.Assign)
+              for t in n.targets if isinstance(t, ast.Name)}
+    origin = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                origin[alias.asname or alias.name] = (node.module, alias.name)
+    seen, todo, bad = set(), [entry], []
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        body = defs.get(name) or consts[name]
+        allowed = set()
+        for node in ast.walk(body):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and origin.get(node.value.id) == (None, "ntcore")):
+                allowed.add(id(node.value))
+                if node.attr not in CHECKER_NTCORE:
+                    bad.append(f"ntcore.{node.attr}")
+        for node in ast.walk(body):
+            if not isinstance(node, ast.Name) or id(node) in allowed:
+                continue
+            if node.id in defs or node.id in consts:
+                todo.append(node.id)
+            module, real = origin.get(node.id, ("", ""))
+            if module in BUILDER_MODULES:
+                bad.append(f"{module}.{real}")
+            elif module == "ntcore" and real not in CHECKER_NTCORE:
+                bad.append(f"ntcore.{real}")
+            elif module is None and real == "ntcore":
+                bad.append("ntcore")
+    return seen, sorted(set(bad))
+
+
+def test_checker_shares_no_code_with_the_builder():
+    seen, bad = checker_reads(ast.parse(VERIFY.read_text()))
+    # the walk reaches the helpers, so the check is not vacuous
+    assert {"verify_certificate", "_is_int", "_checker_thresholds"} <= seen
+    assert bad == []
+
+
+def test_checker_reads_detector_flags_builder_names():
+    tree = ast.parse(
+        "from . import ntcore\n"
+        "from .charsum import class_number\n"
+        "from .ntcore import jacobi, quad_char\n"
+        "LIMIT = quad_char(7)\n"
+        "def helper(q):\n    return class_number(q).h + ntcore.BLOCK\n"
+        "def verify_certificate(c):\n"
+        "    return helper(c) + jacobi(2, 7) + ntcore.PI4_HI + LIMIT\n")
+    seen, bad = checker_reads(tree)
+    assert seen == {"verify_certificate", "helper", "LIMIT"}
+    assert bad == ["charsum.class_number", "ntcore.BLOCK", "ntcore.quad_char"]

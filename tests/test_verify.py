@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+import random
 import time
 from fractions import Fraction
 from importlib import resources
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charpos import charsum, errors, fq, liouville, ntcore, verify
-from oracles import prime_frac_core, simple_primes
+from oracles import factorize, prime_frac_core, simple_primes
 
 
 def load_schema(name):
@@ -397,6 +398,17 @@ class TestVerifyCertificate:
             ok, why = verify.verify_certificate(b)
             assert not ok, (i, why)
 
+    def test_jacobi_stops_at_the_last_cited_node(self, cert, monkeypatch):
+        calls = []
+        real = verify.jacobi
+        monkeypatch.setattr(verify, "jacobi",
+                            lambda m, q: calls.append(m) or real(m, q))
+        assert verify.verify_certificate(cert) == (True, "ok")
+        a_last = cert["margins"][-1]["a"]
+        # at most one call per node up to a_last, plus the agreement loop
+        assert len(calls) <= a_last + cert["agreement_N"] + 1
+        assert max(calls) == a_last
+
     @pytest.mark.parametrize("q", [verify.MAX_CERT_Q + 3, 2 ** 64 - 1, 2 ** 64 + 3])
     def test_oversized_modulus_rejected_fast(self, cert, q):
         c = copy.deepcopy(cert)
@@ -430,6 +442,143 @@ class TestVerifyCertificate:
         c["a0"] = 48
         ok, why = verify.verify_certificate(c)
         assert not ok
+
+
+def certifiable_runs(q):
+    """Maximal runs of nodes whose W clears the builder's margin threshold."""
+    ch = ntcore.quad_char(q)
+    n = liouville.agreement_length(ch).n_agree
+    _, w = charsum.margin_values(ch, (q - 1) // 2)
+    w_yes = ntcore.pi4_square_thresholds(n * n, q ** 3)[1]
+    runs, start = [], None
+    for a in range(1, (q - 1) // 2 + 2):
+        good = a <= (q - 1) // 2 and int(w[a]) >= w_yes
+        if good and start is None:
+            start = a
+        elif not good and start is not None:
+            runs.append((start, a - 1))
+            start = None
+    return runs
+
+
+def forged(q, a0, a1):
+    """True h, N and W over a0..a1, whether or not they clear the margin."""
+    h, w = charsum.margin_values(q, a1)
+    return {"version": "v1", "q": q, "h": h,
+            "agreement_N": liouville.agreement_length(q).n_agree,
+            "a0": a0, "xmax_num": a1, "xmax_den": q,
+            "margins": [{"a": a, "W": int(w[a])} for a in range(a0, a1 + 1)],
+            "verdict": "nonnegative"}
+
+
+def mutation_corpus_certificates():
+    """Labelled certificates: random certifiable windows at 19, 43, 163 and
+    4003, true but failing margins at 2647 (no window there clears its
+    2/1 margin) and at the composite moduli 115 and 2651, criterion 2's
+    window, and 991027 over [1/10, 1/4]."""
+    rng = random.Random(2404)
+    out = [("163:7/163..1/4", verify.certify_f_positive(
+        Fraction(7, 163), q=163, xmax=Fraction(1, 4)).certificate)]
+    for q in (19, 43, 163, 4003):
+        for lo, hi in certifiable_runs(q):
+            for _ in range(6):
+                a0 = rng.randrange(lo, hi)
+                a1 = rng.randrange(a0 + 1, hi + 1)
+                out.append((f"{q}:{a0}..{a1}", verify.certify_f_positive(
+                    Fraction(a0, q), q=q, xmax=Fraction(a1, q)).certificate))
+    for _ in range(2):
+        a0 = rng.randrange(1, 1200)
+        a1 = rng.randrange(a0 + 1, 1324)
+        out.append((f"2647:{a0}..{a1}:forged", forged(2647, a0, a1)))
+    # W < 0 around 1185 at 2647; squarefree composite moduli 115 and 2651
+    for q, a0, a1 in ((2647, 1180, 1190), (115, 3, 20), (2651, 10, 100)):
+        out.append((f"{q}:{a0}..{a1}:forged", forged(q, a0, a1)))
+    out.append(("991027:1/10..1/4", verify.certify_f_positive(
+        Fraction(1, 10), q=991027, xmax=Fraction(1, 4)).certificate))
+    return out
+
+
+def mutations(cert):
+    """(label, mutated copy) for every tampering the corpus applies."""
+    def clone():
+        # the rows are the only nested values
+        return {**cert, "margins": [dict(row) for row in cert["margins"]]}
+
+    def field(key, delta):
+        c = clone()
+        c[key] += delta
+        return c
+
+    def node(i, value):
+        c = clone()
+        c["margins"][i]["W"] = value(c["margins"][i]["W"])
+        return c
+
+    yield "genuine", clone()
+    for key in ("h", "agreement_N", "a0", "xmax_num", "xmax_den"):
+        for delta in (1, -1):
+            yield f"{key}{delta:+d}", field(key, delta)
+    for delta in (1, -1, 4):
+        yield f"q{delta:+d}", field("q", delta)
+    rows = len(cert["margins"])
+    for where, i in (("first", 0), ("middle", rows // 2), ("last", rows - 1)):
+        for name, value in (("+1", lambda w: w + 1), ("-1", lambda w: w - 1),
+                            ("=0", lambda w: 0), ("=-5", lambda w: -5)):
+            yield f"W[{where}]{name}", node(i, value)
+    c = clone()
+    c["margins"].pop()
+    yield "drop-last", c
+
+
+# test_wide_bracket_checker's (PI4_LO, PI4_HI) brackets
+WIDE_BRACKETS = [(Fraction(1), Fraction(98)), (Fraction(1), Fraction(2)),
+                 (Fraction(1), Fraction(43)), (Fraction(43), Fraction(98)),
+                 (Fraction(97), Fraction(98))]
+
+
+@pytest.fixture(scope="module")
+def corpus_certificates():
+    return mutation_corpus_certificates()
+
+
+class TestMutationCorpus:
+    def test_certificates_are_pinned(self, corpus_certificates):
+        text = json.dumps(corpus_certificates, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "c6f52ffa1f68724526433328a9f309ab6fcb14bcea2f7143b7169b552d31140f")
+
+    def test_verdicts_are_pinned(self, corpus_certificates):
+        # sha256 of every (label, ok, reason) in corpus order; the reasons
+        # are the checker's byte-for-byte output
+        verdicts = []
+        for label, cert in corpus_certificates:
+            for name, c in mutations(cert):
+                verdicts.append((label, name, *verify.verify_certificate(c)))
+            if not label.startswith("991027"):
+                for lo, hi in WIDE_BRACKETS:
+                    with pytest.MonkeyPatch.context() as mp:
+                        mp.setattr(ntcore, "PI4_LO", lo)
+                        mp.setattr(ntcore, "PI4_HI", hi)
+                        verdicts.append((label, f"pi4 in ({lo}, {hi})",
+                                         *verify.verify_certificate(cert)))
+        assert hashlib.sha256(repr(verdicts).encode()).hexdigest() == (
+            "1b7ff06472084767ae21f4d26533ca447aa9ed77e0f5fef3bac73fd7b34af1d9")
+
+
+class TestReducedFormCount:
+    def test_matches_class_number_below_ten_thousand(self):
+        qs = [q for q in range(7, 10 ** 4 + 1, 4)
+              if len(set(factorize(q))) == len(factorize(q))]
+        assert len(qs) == 2029
+        assert any(ntcore.is_prime(q) for q in qs)
+        assert not all(ntcore.is_prime(q) for q in qs)
+        for q in qs:
+            assert verify._reduced_form_count(q) == charsum.class_number(q).h, q
+
+    @pytest.mark.parametrize("q", [991027, 948187, 911227, 999983, 999863,
+                                   1000003])
+    def test_matches_class_number_near_a_million(self, q):
+        assert verify._reduced_form_count(q) == charsum.class_number(q).h
 
 
 class TestMerge:
