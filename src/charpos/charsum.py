@@ -186,7 +186,9 @@ def _margins(ch: QuadChar, a_max: int, buf: _MarginBuffers | None = None,
 def margin_values(q_or_chi, a_max: int):
     """(h, W) where W[a] = a*(h - A(a)) + B(a) for a = 0..a_max, exact.
 
-    Any a_max >= 1 is allowed, including ranges past the half period.
+    Any a_max >= 1 is allowed, including ranges past the half period.  The
+    cost is O(max(a_max, q/2)) time and memory even for a small a_max,
+    since h is read off the character sum over the whole half period.
     """
     h, _, W = _margins(_as_char(q_or_chi), a_max)
     return h, W

@@ -49,6 +49,19 @@ CHECKER_NTCORE = {"jacobi", "is_prime", "PI4_HI", "PI4_LO"}
 BUILDER_MODULES = {"charsum", "fq", "liouville"}
 
 
+def numpy_imports(node: ast.AST) -> list[tuple[str, str]]:
+    """(bound name, dotted origin) for each numpy name an import binds."""
+    if isinstance(node, ast.Import):
+        return [(alias.asname or alias.name.split(".")[0], alias.name)
+                for alias in node.names
+                if alias.name.split(".")[0] == "numpy"]
+    if (isinstance(node, ast.ImportFrom) and node.level == 0
+            and node.module.split(".")[0] == "numpy"):
+        return [(alias.asname or alias.name, f"{node.module}.{alias.name}")
+                for alias in node.names]
+    return []
+
+
 def checker_reads(tree: ast.Module, entry: str = "verify_certificate"):
     """(helpers walked, names the checker reads that belong to the builder).
 
@@ -56,7 +69,9 @@ def checker_reads(tree: ast.Module, entry: str = "verify_certificate"):
     transitively, plus the module-level assignments of the constants they
     read.  A read is flagged if the name was imported from a builder module
     (charsum, fq, liouville), or from ntcore outside CHECKER_NTCORE, or is
-    an ntcore.<attr> access outside it.
+    an ntcore.<attr> access outside it.  A read of a name bound by a numpy
+    import, and a numpy import inside the walked code, are flagged too, so
+    the checker stays free of sieves and floats.
     """
     defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
     consts = {t.id: n for n in tree.body if isinstance(n, ast.Assign)
@@ -66,6 +81,8 @@ def checker_reads(tree: ast.Module, entry: str = "verify_certificate"):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             for alias in node.names:
                 origin[alias.asname or alias.name] = (node.module, alias.name)
+        for name, real in numpy_imports(node):
+            origin[name] = ("numpy", real)
     seen, todo, bad = set(), [entry], []
     while todo:
         name = todo.pop()
@@ -82,6 +99,7 @@ def checker_reads(tree: ast.Module, entry: str = "verify_certificate"):
                 if node.attr not in CHECKER_NTCORE:
                     bad.append(f"ntcore.{node.attr}")
         for node in ast.walk(body):
+            bad.extend(real for _, real in numpy_imports(node))
             if not isinstance(node, ast.Name) or id(node) in allowed:
                 continue
             if node.id in defs or node.id in consts:
@@ -93,6 +111,8 @@ def checker_reads(tree: ast.Module, entry: str = "verify_certificate"):
                 bad.append(f"ntcore.{real}")
             elif module is None and real == "ntcore":
                 bad.append("ntcore")
+            elif module == "numpy":
+                bad.append(real)
     return seen, sorted(set(bad))
 
 
@@ -115,3 +135,17 @@ def test_checker_reads_detector_flags_builder_names():
     seen, bad = checker_reads(tree)
     assert seen == {"verify_certificate", "helper", "LIMIT"}
     assert bad == ["charsum.class_number", "ntcore.BLOCK", "ntcore.quad_char"]
+
+    tree = ast.parse(
+        "import math\n"
+        "import numpy as np\n"
+        "from numpy import zeros as z\n"
+        "from .ntcore import jacobi\n"
+        "def unused():\n    return np.ones(3)\n"
+        "def helper(n):\n    return z(n) + math.isqrt(n)\n"
+        "def verify_certificate(c):\n"
+        "    import numpy.linalg\n"
+        "    return np.sum(helper(c)) + jacobi(2, 7)\n")
+    seen, bad = checker_reads(tree)
+    assert seen == {"verify_certificate", "helper"}
+    assert bad == ["numpy", "numpy.linalg", "numpy.zeros"]

@@ -1,8 +1,10 @@
 import copy
 import hashlib
 import json
+import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from importlib import resources
 
@@ -12,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charpos import charsum, errors, fq, liouville, ntcore, verify
-from oracles import factorize, prime_frac_core, simple_primes
+from oracles import chi_factor, factorize, prime_frac_core, simple_primes
+from oracles import margins as oracle_margins
 
 
 def load_schema(name):
@@ -563,6 +566,80 @@ class TestMutationCorpus:
                                          *verify.verify_certificate(cert)))
         assert hashlib.sha256(repr(verdicts).encode()).hexdigest() == (
             "1b7ff06472084767ae21f4d26533ca447aa9ed77e0f5fef3bac73fd7b34af1d9")
+
+
+# squarefree q = 3 (mod 4) in (3, 1200]: among them 15, 35, 51, 91, 231 and
+# 1155 = 3*5*7*11, where chi vanishes at some of 3, 5 and 7
+AWKWARD_Q = [q for q in range(7, 1201, 4)
+             if len(set(factorize(q))) == len(factorize(q))]
+
+
+class TestMultiplicativeWalk:
+    """The node loop calls jacobi(m, q) only for m coprime to 210 and reads
+    every other chi(m) as chi(p) * chi(m // p)."""
+
+    def test_walk_matches_oracle_on_awkward_moduli(self, monkeypatch):
+        # a pi**4 bracket this high makes every positive W clear its margin,
+        # so the walk runs to the last node unless some W <= 0 stops it
+        monkeypatch.setattr(ntcore, "PI4_LO", Fraction(10 ** 12))
+        monkeypatch.setattr(ntcore, "PI4_HI", Fraction(10 ** 12))
+        assert {7, 15, 35, 51, 91, 231, 1155} <= set(AWKWARD_Q)
+        for q in AWKWARD_Q:
+            half = (q - 1) // 2
+            h, w = oracle_margins(q, half)
+            n = next(p for p in simple_primes(q) if chi_factor(p, q) != -1) - 1
+            for a_last in sorted({1, 2, 209, 210, 211, half}):
+                if a_last > half:
+                    continue
+                cert = {"version": "v1", "q": q, "h": h, "agreement_N": n,
+                        "a0": 1, "xmax_num": a_last, "xmax_den": q,
+                        "margins": [{"a": a, "W": w[a]}
+                                    for a in range(1, a_last + 1)],
+                        "verdict": "nonnegative"}
+                end = next((a for a in range(1, a_last + 1) if w[a] <= 0),
+                           None)
+                want = ((True, "ok") if end is None else
+                        (False, f"W({end}) = {w[end]} is not positive"))
+                assert verify.verify_certificate(cert) == want, (q, a_last)
+                # a wrong W at the node where the walk ends names the truth
+                end = end or a_last
+                cert["margins"][end - 1]["W"] += 1
+                assert verify.verify_certificate(cert) == (
+                    False, f"W({end}) is {w[end]}, certificate says "
+                           f"{w[end] + 1}"), (q, a_last)
+
+    @pytest.mark.parametrize("label, node_calls", [("163:7/163..1/4", 10),
+                                                   ("991027:1/10..1/4", 56630)])
+    def test_node_loop_calls_jacobi_only_coprime_to_210(
+            self, corpus_certificates, monkeypatch, label, node_calls):
+        cert = dict(corpus_certificates)[label]
+        calls = []
+        real = verify.jacobi
+        monkeypatch.setattr(verify, "jacobi",
+                            lambda m, q: calls.append(m) or real(m, q))
+        assert verify.verify_certificate(cert) == (True, "ok")
+        agreement = [p for p in range(2, cert["agreement_N"] + 2)
+                     if ntcore.is_prime(p)]
+        nodes = [m for m in range(1, cert["margins"][-1]["a"] + 1)
+                 if math.gcd(m, 210) == 1]
+        assert len(nodes) == node_calls
+        # the agreement loop, chi(2), chi(3), chi(5), chi(7), then the nodes
+        assert calls == agreement + [2, 3, 5, 7] + nodes
+
+    def test_memo_is_one_byte_per_node_up_to_half_the_last(
+            self, corpus_certificates):
+        cert = dict(corpus_certificates)["991027:1/10..1/4"]
+        tracemalloc.start()
+        try:
+            verdict = verify.verify_certificate(cert)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict == (True, "ok")
+        # Measured: 124 555 B, the 123 879-byte memo for a_last = 247 757
+        # plus a few hundred bytes.  A list memo would hold 991 kB of
+        # pointers, and a table of q entries would take at least 991 kB.
+        assert peak < 200_000
 
 
 class TestReducedFormCount:
