@@ -216,6 +216,19 @@ class PrimeFracEval:
     value: float
 
 
+# int64 ceiling for the census sums of _residue_totals and _prime_frac_cores.
+_CENSUS_INT64_GUARD = 1 << 62
+
+
+def _census_dtype(p, q: int):
+    """int64 when 10 * max(p)**2 * q**3 < _CENSUS_INT64_GUARD, else object.
+
+    _residue_totals proves every partial sum of a core below that bound.
+    """
+    p_top = int(np.max(p)) if len(p) else 0
+    return np.int64 if 10 * p_top ** 2 * q ** 3 < _CENSUS_INT64_GUARD else object
+
+
 def _residue_totals(chi: np.ndarray, p, r, s) -> np.ndarray:
     """T(r)/chi(p) for T(r) = sum of b**2 chi(b) over 0 < b <= pq, b = r (mod p).
 
@@ -238,10 +251,16 @@ def _residue_totals(chi: np.ndarray, p, r, s) -> np.ndarray:
     period serves every residue in O(1).  Per slab the cumulative sums
     run in int64 over the local index l < BLOCK (sum of l**2 below
     2**60); M0(s) and M1(s) (|M1| < q**2/2 < 2**61 for q < 2**31) stay
-    int64, while M2(q) and the recombination use Python integers, so no
-    width limit applies to p.
+    int64 and M2(q) is a Python integer.  The recombination runs in the
+    dtype _census_dtype picks.  From |M0| < q, |M1| < q**2/2, |M2| < q**3/3,
+    0 <= s < q and 0 <= r < p, every partial sum in evaluation order obeys
+    |s1| < q**2/2 + q**2 = 1.5 q**2 and
+    |s2| < q**3/3 + q**3 + q**3 + q**3 < 3.34 q**3, so
+    |T| < p (3.34 p q**3 + 3 p q**2) <= 4.34 p**2 q**3 for q >= 3, and a
+    core, the difference of two T, is below 10 p**2 q**3.
     """
     q = len(chi)
+    dtype = _census_dtype(p, q)
     s = np.asarray(s, dtype=np.int64)
     at0 = np.zeros(len(s), dtype=np.int64)
     at1 = np.zeros(len(s), dtype=np.int64)
@@ -261,12 +280,12 @@ def _residue_totals(chi: np.ndarray, p, r, s) -> np.ndarray:
         m2 += j0 * j0 * t0 + 2 * j0 * t1 + int(lv @ loc)
         m1 += j0 * t0 + t1
         m0 += t0
-    s = s.astype(object)
-    at0 = at0.astype(object)
+    s = s.astype(dtype, copy=False)
+    at0 = at0.astype(dtype, copy=False)
     s1 = m1 + q * at0
-    s2 = m2 - 2 * s * m1 + 2 * q * at1.astype(object) + q * (q - 2 * s) * at0
-    p = np.asarray(p, dtype=object)
-    return p * (p * s2 + 2 * np.asarray(r, dtype=object) * s1)
+    s2 = m2 - 2 * s * m1 + 2 * q * at1.astype(dtype, copy=False) + q * (q - 2 * s) * at0
+    p = np.asarray(p).astype(dtype, copy=False)
+    return p * (p * s2 + 2 * np.asarray(r).astype(dtype, copy=False) * s1)
 
 
 def _prime_frac_cores(ch: QuadChar, p, a) -> np.ndarray:
@@ -276,13 +295,17 @@ def _prime_frac_cores(ch: QuadChar, p, a) -> np.ndarray:
     -(T'(r+) - T'(r-)) with T' = T/chi(p), so chi(p) is never evaluated.
     With k = floor(aq/p) the residues are r+ = aq - kp and r- = p - r+
     (p divides neither a < p nor q), and r/p mod q is -k for r+ and k + 1
-    for r-.  p and a may be object arrays; int64 needs a*q < 2**63.
+    for r-.  p and a may be int64 or object arrays; the cores come back in
+    the dtype _census_dtype picks, int64 when |core| < 10 p**2 q**3 fits.
     """
     q = ch.q
     if q >= 1 << 31:
         # chi_values would build a q-byte table
         raise DomainError(f"q = {q} too large for the residue sums (need q < 2**31)")
     chi = chi_values(ch, q - 1)
+    dtype = _census_dtype(p, q)
+    p = np.asarray(p).astype(dtype, copy=False)
+    a = np.asarray(a).astype(dtype, copy=False)
     k = a * q // p
     r = a * q - k * p
     n = len(r)
@@ -335,9 +358,13 @@ def _lattice_core(ch: QuadChar, c: np.ndarray, a: int) -> int:
     return q * q * int(c[a % q]) - s
 
 
-# Above this modulus the q**3-sized intermediates in the int64 lattice paths
+# Above this modulus the q**3-sized partial sums of the int64 lattice paths
 # could overflow; fall back to object dtype.
 _LATTICE_INT64_MAX = 1_000_000
+
+# Entries per block of _lattice_blocks: 512 KB of int64, so a block's few
+# arrays stay in L2 and are reused from block to block.
+_LATTICE_BLOCK = 1 << 16
 
 
 def fq_lattice_quad(q_or_chi, a: int) -> LatticeQuadEval:
@@ -356,57 +383,95 @@ def fq_lattice_quad(q_or_chi, a: int) -> LatticeQuadEval:
 
 
 def lattice_quad_values(q_or_chi, a_max: int) -> np.ndarray:
-    """core values for a = 1..a_max at once, via two prefix-sum passes.
+    """core values for a = 1..a_max at once, via streamed prefix sums.
 
-    The shifted quadratic sums telescope: with prefix sums P0, P1 of chi
-    and m*chi over one period, each correction term is a linear combination
-    of window sums, so the whole batch costs O(q + a_max).  Above
-    _LATTICE_INT64_MAX the same formula runs on Python integers.
+    The shifted quadratic sums telescope: with prefix sums of chi and
+    m*chi, read forward from 0 and backward from q, each correction term
+    is a linear combination of window sums, so the whole batch costs
+    O(q + a_max).  Above _LATTICE_INT64_MAX the same formula runs on
+    Python integers.
     """
     ch = _as_char(q_or_chi)
     q = ch.q
     if not 1 <= a_max < q:
         raise DomainError(f"need 1 <= a_max < q, got {a_max}")
-    return _lattice_cores(chi_values(ch, q - 1), a_max)
+    out = np.empty(a_max, dtype=object if q > _LATTICE_INT64_MAX else np.int64)
+    for a1, cores in _lattice_blocks(chi_values(ch, q - 1), a_max):
+        out[a1 - 1 : a1 - 1 + len(cores)] = cores
+    return out
 
 
-def _lattice_cores(chi: np.ndarray, a_max: int) -> np.ndarray:
-    """lattice_quad_values from one prebuilt period chi of q entries."""
+def _lattice_blocks(chi: np.ndarray, a_max: int):
+    """Yield (a1, cores) with cores[i] = core(a1 + i), for a = 1..a_max in
+    blocks of at most _LATTICE_BLOCK, from one prebuilt period chi of q
+    entries.  Each int64 block is a buffer the next block overwrites.
+
+    Regrouped, with P0(q-1) = 0 as chi is not principal, and with
+    Pk(n) = sum_{j<=n} j**k chi(j), Rk(a) = sum_{j<=a} (q-j)**k chi(q-j):
+    core(a) = q**2 (chi(a) + w) + 2q t - 4a P1(q-1) with
+    w = P0(a-1) - R0(a) and t = R1(a) + P1(a-1) - a w.  w and
+    u = R1(a) + P1(a-1) are running sums carried across blocks; from a - 1
+    to a, w steps by chi(a-1) - chi(q-a) and u by
+    (a-1) chi(a-1) + (q-a) chi(q-a).  P1(q-1) takes one first pass.
+    int64 bounds at q = _LATTICE_INT64_MAX = 10**6, a < q, from |chi| <= 1:
+    |P0(n)| <= min(n + 1, q - 1 - n), so |w| <= min(2a, q) = 10**6;
+    |P1(a-1)| <= a**2/2 and |R1(a)| <= aq - a**2/2, so |u| <= aq and
+    |t| <= aq + a|w| <= 2q**2, so |2q t| <= 4q**3 = 4e18;
+    |q**2 (chi(a) + w)| <= q**2 (q + 1) < 1.01e18; |4a P1(q-1)| < 2q**3
+    = 2e18.  Every partial sum stays below 7.1e18 < 2**63 ~ 9.22e18.  w
+    and u are int64 on both paths (|u| < q**2 < 2**62 for q < 2**31); only
+    the final formula runs on Python integers above _LATTICE_INT64_MAX.
+    """
     q = len(chi)
-    dtype = object if q > _LATTICE_INT64_MAX else np.int64
-    c = chi.astype(dtype)
-    p0 = np.cumsum(c)
-    p1 = np.cumsum(np.arange(q).astype(dtype, copy=False) * c)
-    a = np.arange(1, a_max + 1).astype(dtype, copy=False)
-    # Regrouped, with P0(q-1) = 0 as chi is not principal:
-    # core(a) = q**2 (chi(a) + w) + 2q t - 4a P1(q-1) with
-    # w = P0(q-1-a) + P0(a-1) and t = P1(q-1) - P1(q-1-a) + P1(a-1) - a w;
-    # the P(q-1-a) are a reversed slice and the P(a-1) a forward one.
-    # int64 bounds at q = _LATTICE_INT64_MAX = 10**6, a < q, from
-    # |chi| <= 1: |P0(q-1-a)| <= a and |P0(a-1)| <= a, so
-    # |w| <= min(2a, q) = 10**6; |P1| < q**2/2 = 5e11;
-    # |t| <= aq + a**2/2 + a|w| <= 2.5 q**2 = 2.5e12, so |2q t| <= 5e18;
-    # |q**2 (chi(a) + w)| <= q**2 (q + 1) < 1.01e18; |4a P1(q-1)| < 2q**3
-    # = 2e18.  Every partial sum stays below 8.1e18 < 2**63 ~ 9.22e18.
-    w = p0[q - a_max - 1 : q - 1][::-1] + p0[:a_max]
-    t = p1[-1] - p1[q - a_max - 1 : q - 1][::-1]
-    t += p1[:a_max]
-    t -= a * w
-    t *= 2 * q
-    w += c[1 : a_max + 1]
-    w *= q * q
-    w += t
-    a *= 4 * p1[-1]
-    w -= a
-    return w
+    wide = q > _LATTICE_INT64_MAX
+    block = _LATTICE_BLOCK
+    p1_q = 0
+    for j0 in range(0, q, block):
+        v = chi[j0:j0 + block]
+        p1_q += int(np.arange(j0, j0 + len(v), dtype=np.int64) @ v)
+    m = min(block, a_max)
+    step = np.arange(m, dtype=np.int64)
+    a, fwd, bwd, w, u, t = (np.empty(m, dtype=np.int64) for _ in range(6))
+    w_c = u_c = 0
+    for a1 in range(1, a_max + 1, block):
+        m = min(block, a_max + 1 - a1)
+        ab, fb, bb, wb, ub, tb = (x[:m] for x in (a, fwd, bwd, w, u, t))
+        np.add(step[:m], a1, out=ab)
+        fb[:] = chi[a1 - 1 : a1 - 1 + m]
+        bb[:] = chi[q - a1 - m + 1 : q - a1 + 1][::-1]
+        # steps of w and u, (a-1) chi(a-1) + (q-a) chi(q-a) written as
+        # a (chi(a-1) - chi(q-a)) + q chi(q-a) - chi(a-1)
+        np.subtract(fb, bb, out=wb)
+        np.multiply(ab, wb, out=ub)
+        bb *= q
+        ub += bb
+        ub -= fb
+        wb[0] += w_c
+        ub[0] += u_c
+        np.cumsum(wb, out=wb)
+        np.cumsum(ub, out=ub)
+        w_c, u_c = int(wb[-1]), int(ub[-1])
+        if wide:
+            ab, wb, ub = (x.astype(object) for x in (ab, wb, ub))
+            tb = ab * wb
+        else:
+            np.multiply(ab, wb, out=tb)
+        np.subtract(ub, tb, out=tb)
+        tb *= 2 * q
+        wb += chi[a1 : a1 + m]
+        wb *= q * q
+        wb += tb
+        ab *= 4 * p1_q
+        wb -= ab
+        yield a1, wb
 
 
 def identity_check(q_or_chi, a: int | None = None) -> bool:
     """Confirm core(a) == 4*q*W(a), for one a or the whole half range.
 
-    Both sides read one chi table.  The half range is compared as
-    core % 4q == 0 and core // 4q == W, which is exact and never forms
-    4q*W, so int64 cannot overflow.
+    Both sides read one chi table.  The half range is compared block by
+    block as quo == W and quo * 4q == core with quo = core // 4q, which is
+    exact and never forms 4q*W from W, so int64 cannot overflow.
     """
     ch = _as_char(q_or_chi)
     q = ch.q
@@ -416,10 +481,13 @@ def identity_check(q_or_chi, a: int | None = None) -> bool:
         _, _, w = _margins(ch, a, chi=chi)
         return core == 4 * q * int(w[a])
     a_max = (q - 1) // 2
-    cores = _lattice_cores(chi, a_max)
     _, _, w = _margins(ch, a_max, chi=chi)
-    return bool((cores % (4 * q) == 0).all()) and np.array_equal(
-        cores // (4 * q), w[1:])
+    for a1, cores in _lattice_blocks(chi, a_max):
+        quo = cores // (4 * q)
+        if not (np.array_equal(quo, w[a1 : a1 + len(cores)])
+                and np.array_equal(quo * (4 * q), cores)):
+            return False
+    return True
 
 
 # Weight patterns for the auxiliary L-style tails: value at n depends on

@@ -524,12 +524,17 @@ def scan_prime_fracs(p_max: int, q_max: int, a_max: int | None = None,
     the reduced value is divisible by q, and the minimum reduced value
     (first occurrence in (q, p, a) order).  Each q takes one chi table and
     one O(q) moment pass that serves every (p, a) in O(1); the cores are
-    formed in Python integers.
+    formed in int64 where fq._census_dtype proves they fit, else in
+    Python integers, and every record holds Python integers.  An a_max of
+    at least (p_max - 1)/2 caps nothing.
     """
     if q_mod8 % 4 != 3:
         raise DomainError("q_mod8 must be 3 or 7")
     if a_max is not None and a_max < 1:
         raise DomainError(f"need a_max >= 1, got {a_max}")
+    p_all = primes_in_range(3, min(p_max, q_max - 1), residue=3, modulus=4)
+    if a_max is not None and a_max >= (min(p_max, q_max) - 1) // 2:
+        a_max = None
     count = 0
     nonpos = []
     nonint = []
@@ -538,17 +543,17 @@ def scan_prime_fracs(p_max: int, q_max: int, a_max: int | None = None,
     argmin = None
     for q in primes_in_range(5, q_max, residue=q_mod8, modulus=8):
         q = int(q)
-        ps = primes_in_range(3, min(p_max, q - 1), residue=3, modulus=4)
+        ps = p_all[:np.searchsorted(p_all, q)]
         tops = (ps - 1) // 2 if a_max is None else np.minimum(a_max, (ps - 1) // 2)
         p = np.repeat(ps, tops)
         a = np.arange(1, len(p) + 1) - np.repeat(np.cumsum(tops) - tops, tops)
         cores = _prime_frac_cores(quad_char(q, assume_prime=True), p, a)
-        pq = (p * q).astype(object)
+        pq = (p * q).astype(cores.dtype)
         stat = cores // pq
-        whole = cores % pq == 0
-        nonpos += [(int(a[i]), int(p[i]), q, cores[i])
+        whole = stat * pq == cores
+        nonpos += [(int(a[i]), int(p[i]), q, int(cores[i]))
                    for i in np.flatnonzero(cores <= 0)]
-        nonint += [(int(a[i]), int(p[i]), q, cores[i])
+        nonint += [(int(a[i]), int(p[i]), q, int(cores[i]))
                    for i in np.flatnonzero(~whole)]
         count += len(cores)
         hits = np.flatnonzero(whole)
@@ -556,7 +561,7 @@ def scan_prime_fracs(p_max: int, q_max: int, a_max: int | None = None,
             qdiv += int(np.count_nonzero(stat[hits] % q == 0))
             best = hits[np.argmin(stat[hits])]
             if min_stat is None or stat[best] < min_stat:
-                min_stat = stat[best]
+                min_stat = int(stat[best])
                 argmin = (int(a[best]), int(p[best]), q)
     return PrimeFracScan(p_max, q_max, q_mod8, count, tuple(nonpos),
                          tuple(nonint), qdiv, min_stat, argmin)

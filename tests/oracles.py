@@ -155,3 +155,9 @@ def prime_frac_core(a: int, p: int, q: int) -> int:
         return sum(b * b * chi_factor(b, q) for b in range(r, p * q + 1, p))
 
     return -chi_factor(p, q) * (t_sum(a * q % p) - t_sum(-a * q % p))
+
+
+def lattice_core(q: int, a: int) -> int:
+    """q**2 chi(a) - sum_{c<q} c**2 (chi(c-a) - chi(c+a)), by a plain loop."""
+    return q * q * chi_factor(a, q) - sum(
+        c * c * (chi_factor(c - a, q) - chi_factor(c + a, q)) for c in range(1, q))

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from charpos import charsum, errors, fq, ntcore
-from oracles import chi_factor, fq_shape, prime_frac_core
+from oracles import chi_factor, fq_shape, lattice_core, prime_frac_core
 
 MODULI = [7, 11, 19, 23, 43, 163, 35]
 PRIMES_3_MOD_4 = [int(p) for p in
@@ -320,16 +321,26 @@ class TestLatticeQuad:
     @pytest.mark.parametrize("shift", [1, 4 * 163])
     def test_identity_detects_one_corrupt_core(self, monkeypatch, shift):
         # shift 1 breaks divisibility by 4q, shift 4q only the quotient;
-        # identity_check reads the cores from the private batch formula
-        real = fq._lattice_cores
+        # identity_check reads the cores from the private block generator.
+        # At block size 7 the half range 1..81 spans 12 blocks, so index 0
+        # sits in the first block and index 80 in the last, which is short.
+        real = fq._lattice_blocks
+        a_max = 81
+        for block, index in [(fq._LATTICE_BLOCK, a_max // 2), (7, 0),
+                             (7, a_max - 1)]:
+            def corrupt(chi, a_max, index=index):
+                for a1, cores in real(chi, a_max):
+                    cores = cores.copy()
+                    if a1 - 1 <= index < a1 - 1 + len(cores):
+                        cores[index - (a1 - 1)] += shift
+                    yield a1, cores
 
-        def corrupt(chi, a_max):
-            cores = real(chi, a_max).copy()
-            cores[a_max // 2] += shift
-            return cores
-
-        monkeypatch.setattr(fq, "_lattice_cores", corrupt)
-        assert fq.identity_check(ntcore.quad_char(163)) is False
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(fq, "_LATTICE_BLOCK", block)
+                assert fq.identity_check(ntcore.quad_char(163)) is True
+                mp.setattr(fq, "_lattice_blocks", corrupt)
+                assert fq.identity_check(ntcore.quad_char(163)) is False, (
+                    block, index)
 
     # 999983 is the largest prime the int64 path takes, with a up to 499991
     @pytest.mark.parametrize("q", [163, 35, 999983])
@@ -341,6 +352,36 @@ class TestLatticeQuad:
         assert fast.dtype == np.int64 and slow.dtype == object
         assert slow.tolist() == fast.tolist()
         assert fq.identity_check(q) is True
+
+    @pytest.mark.parametrize("q", [11, 35, 91, 163, 2971])
+    def test_blocks_match_loop_oracle(self, monkeypatch, q):
+        # a_max from q/2 up makes the forward range 0..a-1 and the mirrored
+        # range q-a..q-1 overlap; block sizes 1 and 7 put every carry on a
+        # block edge, and the default block holds the whole range
+        half = (q - 1) // 2
+        a_maxes = sorted({1, q // 3, half, q - 1})
+        want = {a: lattice_core(q, a) for a in range(1, q)} if q < 200 else {
+            a: lattice_core(q, a) for a in
+            {1, 2, 3, 63, 64, 65, q // 3, half, half + 1, q - 2, q - 1}}
+        for block in (1, 7, 64, fq._LATTICE_BLOCK):
+            monkeypatch.setattr(fq, "_LATTICE_BLOCK", block)
+            for a_max in a_maxes:
+                cores = fq.lattice_quad_values(q, a_max)
+                assert cores.dtype == np.int64 and len(cores) == a_max
+                for a, core in want.items():
+                    if a <= a_max:
+                        assert int(cores[a - 1]) == core, (block, a_max, a)
+
+    def test_identity_peak_memory(self):
+        # one chi table, the W kernel's arrays over the half range and a
+        # few block buffers: about 16 MiB at q = 999983
+        tracemalloc.start()
+        try:
+            assert fq.identity_check(999983) is True
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 2 ** 20, peak / 2 ** 20
 
     @pytest.mark.parametrize("a", [None, 40, 100])
     def test_identity_builds_one_table(self, monkeypatch, a):

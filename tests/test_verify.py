@@ -9,6 +9,7 @@ from fractions import Fraction
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -694,6 +695,16 @@ class TestMerge:
             verify.merge_certificates(left, other)
 
 
+CENSUS_DIGESTS = [
+    (30, 100, 3, "1f2e17d1f2adfb0da0eb53059515a0b4ec43e5cd2941efa1d277b188baedeab3"),
+    (150, 1000, 3, "46f9be9eb885090e42b8056302594d8fc2ba36ac27a61ef397cd0ea7c421f021"),
+    (200, 200, 3, "76355c1082ae1d5a61b8d13de84130b51be15d8d9a38834057213c538eefa2d5"),
+    (200, 200, 7, "d32e7bc5937d6b0f5c97a6d3c6cd24f833c88cf957a0adfdbea141b3a42d2022"),
+    (60, 3000, 3, "cf47d9e05ab004a579d6a2958acaff19689cc904ef851e650135228b5cee6370"),
+    (60, 300, 7, "ec98813fd8db4e46ee9a4c91d79ce72ce263903ea578e1c442b8c1f021b85ded"),
+]
+
+
 class TestPrimeFracScan:
     def test_census_3_mod_8(self):
         sc = verify.scan_prime_fracs(200, 200)
@@ -772,16 +783,43 @@ class TestPrimeFracScan:
             monkeypatch.setattr(fq, "BLOCK", block)
             assert verify.scan_prime_fracs(60, 200, q_mod8=7) == want, block
 
-    @pytest.mark.parametrize("p_max,q_max,q_mod8,digest", [
-        (30, 100, 3, "1f2e17d1f2adfb0da0eb53059515a0b4ec43e5cd2941efa1d277b188baedeab3"),
-        (150, 1000, 3, "46f9be9eb885090e42b8056302594d8fc2ba36ac27a61ef397cd0ea7c421f021"),
-        (200, 200, 3, "76355c1082ae1d5a61b8d13de84130b51be15d8d9a38834057213c538eefa2d5"),
-        (200, 200, 7, "d32e7bc5937d6b0f5c97a6d3c6cd24f833c88cf957a0adfdbea141b3a42d2022"),
-        (60, 3000, 3, "cf47d9e05ab004a579d6a2958acaff19689cc904ef851e650135228b5cee6370"),
-        (60, 300, 7, "ec98813fd8db4e46ee9a4c91d79ce72ce263903ea578e1c442b8c1f021b85ded"),
-    ])
+    @pytest.mark.parametrize("p_max,q_max,q_mod8,digest", CENSUS_DIGESTS)
     def test_census_records_are_pinned(self, p_max, q_max, q_mod8, digest):
         # sha256 of the repr of the whole PrimeFracScan: every record, in
         # (q, p, a) order, with the first-occurrence argmin
         sc = verify.scan_prime_fracs(p_max, q_max, q_mod8=q_mod8)
         assert hashlib.sha256(repr(sc).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("p_max,q_max,q_mod8,digest", CENSUS_DIGESTS)
+    def test_census_digests_on_object_path(self, monkeypatch, p_max, q_max,
+                                           q_mod8, digest):
+        # a guard of 0 sends every census through Python integers
+        monkeypatch.setattr(fq, "_CENSUS_INT64_GUARD", 0)
+        sc = verify.scan_prime_fracs(p_max, q_max, q_mod8=q_mod8)
+        assert hashlib.sha256(repr(sc).encode()).hexdigest() == digest
+
+    def test_census_straddling_the_guard(self, monkeypatch):
+        # 10 * 59**2 * q**3 < guard exactly for q < 150, so the moduli
+        # below 150 take int64 and the rest object dtype
+        monkeypatch.setattr(fq, "_CENSUS_INT64_GUARD", 0)
+        want = verify.scan_prime_fracs(60, 300)
+        dtypes = {}
+        real = fq._residue_totals
+
+        def spy(chi, p, r, s):
+            out = real(chi, p, r, s)
+            dtypes[len(chi)] = out.dtype
+            return out
+
+        monkeypatch.setattr(fq, "_residue_totals", spy)
+        monkeypatch.setattr(fq, "_CENSUS_INT64_GUARD", 10 * 59 ** 2 * 150 ** 3)
+        assert verify.scan_prime_fracs(60, 300) == want
+        assert {q for q, d in dtypes.items() if d == np.int64} == {
+            q for q in dtypes if q < 150}
+        assert object in dtypes.values() and np.int64 in dtypes.values()
+
+    def test_huge_a_cap_means_no_cap(self):
+        want = verify.scan_prime_fracs(20, 60)
+        assert verify.scan_prime_fracs(20, 60, a_max=10 ** 30) == want
+        assert verify.scan_prime_fracs(20, 60, a_max=9) == want
+        assert verify.scan_prime_fracs(20, 60, a_max=8) != want
