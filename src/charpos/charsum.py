@@ -29,6 +29,10 @@ from .ntcore import QuadChar, chi_sieve, chi_values, is_prime, jacobi, quad_char
 # force the exact object-dtype path on small inputs.
 _INT64_GUARD = 1 << 62
 
+# _margin_min cuts a = 1..a_max into blocks of this many steps; a named
+# constant, read at call time, so tests can shrink it.
+_MIN_BLOCK = 1 << 12
+
 
 def _as_char(q_or_chi) -> QuadChar:
     if isinstance(q_or_chi, QuadChar):
@@ -118,68 +122,75 @@ def class_number(q_or_chi) -> ClassNumber:
     return _class_number_cached(ch.q)
 
 
-class _KernelArrays:
-    """The int64 arrays _margins writes over a = 0..n: A, h - A and W."""
-
-    def __init__(self, n: int):
-        self.tmp = np.empty(n, dtype=np.int64)
-        self.a = np.empty(n + 1, dtype=np.int64)
-        self.w = np.empty(n + 1, dtype=np.int64)
-
-
-class _MarginBuffers(_KernelArrays):
-    """Scratch arrays for _margins over a = 0..n, n <= (q_max-1)/2, plus the
-    int8 table and the squares chi_values scatters a prime period with.
+class _MarginBuffers:
+    """Scratch arrays for _margin_min over a = 0..n, n <= (q_max-1)/2: the
+    int8 table and the squares chi_values scatters a prime period with,
+    and the int64 prefix sums A.
 
     One instance serves every modulus <= q_max.  A scan reuses it across a
     block of moduli, so each modulus writes into pages already mapped
-    instead of allocating ~4 MB temporaries afresh near q = 10**6.
+    instead of allocating ~4 MB temporaries afresh near q = 10**6.  No W
+    array is kept: _margin_min forms W only inside the few blocks it
+    evaluates.
     """
 
     def __init__(self, q_max: int):
         half = (q_max - 1) // 2
-        super().__init__(half)
         self.table = np.empty(q_max, dtype=np.int8)
         k = np.arange(1, half + 1, dtype=np.int64)
         self.squares = np.multiply(k, k, out=k)
+        self.a = np.empty(half + 1, dtype=np.int64)
 
 
-def _margins(ch: QuadChar, a_max: int, buf: _MarginBuffers | None = None,
-             chi: np.ndarray | None = None):
+def _checked_prefix(ch: QuadChar, n: int, buf: _MarginBuffers | None = None,
+                    chi: np.ndarray | None = None):
+    """(h, A) with A(a) = chi(1) + ... + chi(a) over a = 0..n, n >= half.
+
+    chi, a prebuilt table of at least n + 1 entries, defaults to
+    chi_values(ch, n, buf).  A is int64 (|A(a)| <= a), in buf.a when buf
+    is given, and is summed in place, so no int64 copy of the table is
+    made.  h is read off A(half) = (2 - chi(2))*h, and Abel summation gives
+    B(half) = half*A(half) - sum(A[0:half]), so every class number check
+    runs here, once, before any W is formed.  |sum(A[0:half])| <=
+    half**2/2, so it is summed in int64 while half**2 < _INT64_GUARD, else
+    in Python integers.
+    """
+    q = ch.q
+    half = (q - 1) // 2
+    if chi is None:
+        chi = chi_values(ch, n, buf)
+    A = np.empty(n + 1, dtype=np.int64) if buf is None else buf.a[:n + 1]
+    np.copyto(A, chi[:n + 1])
+    np.cumsum(A, out=A)
+    a_half = int(A[half])
+    wide = half * half >= _INT64_GUARD
+    tail = int(A[:half].sum(dtype=object if wide else np.int64))
+    return _checked_class_number(q, a_half, half * a_half - tail), A
+
+
+def _margins(ch: QuadChar, a_max: int, chi: np.ndarray | None = None):
     """(h, A, W) over a = 0..a_max, with W(a) = a*(h - A(a)) + B(a), exact.
 
     W(0) = 0 and W(a+1) - W(a) = h - A(a), so W is one cumulative sum of
     h - A, with no linear sum B and no index array.  It runs over
-    n = max(a_max, half): h is read off A(half) = (2 - chi(2))*h, and
-    B(half) = W(half) - half*(h - A(half)) then lets _checked_class_number
-    confirm h.  |W| <= n*(|h| + n): below _INT64_GUARD W is int64, else
-    object dtype holding Python integers.  buf defaults to fresh buffers
-    for n, only the int64 arrays when chi is given; A and an int64 W are
-    views of it.  chi, a prebuilt table of at least n + 1 entries, defaults
-    to chi_values(ch, n, buf).
+    n = max(a_max, half), since _checked_prefix reads h and its checks off
+    the half range.  |W| <= n*(|h| + n): below _INT64_GUARD W is int64,
+    else object dtype holding Python integers.  chi, a prebuilt table of
+    at least n + 1 entries, defaults to chi_values(ch, n); A and W are
+    fresh arrays either way.
     """
     if a_max < 1:
         raise DomainError("need a_max >= 1")
-    q = ch.q
-    half = (q - 1) // 2
-    n = max(a_max, half)
-    if buf is None:
-        buf = _MarginBuffers(2 * n + 1) if chi is None else _KernelArrays(n)
-    if chi is None:
-        chi = chi_values(ch, n, buf)
-    A = buf.a[:n + 1]
-    np.cumsum(chi[:n + 1], dtype=np.int64, out=A)
-    a_half = int(A[half])
-    h = a_half // (2 - jacobi(2, q))
-    steps = np.subtract(h, A[:n], out=buf.tmp[:n])
+    n = max(a_max, (ch.q - 1) // 2)
+    h, A = _checked_prefix(ch, n, None, chi)
+    steps = np.subtract(h, A[:n])
     if n * (abs(h) + n) < _INT64_GUARD:
-        W = buf.w[:n + 1]
+        W = np.empty(n + 1, dtype=np.int64)
     else:
         W = np.empty(n + 1, dtype=object)
         steps = steps.astype(object)
     W[0] = 0
     np.cumsum(steps, out=W[1:])
-    _checked_class_number(q, a_half, int(W[half]) - half * (h - a_half))
     return h, A[:a_max + 1], W[:a_max + 1]
 
 
@@ -194,14 +205,66 @@ def margin_values(q_or_chi, a_max: int):
     return h, W
 
 
+def _block_bounds(h: int, A: np.ndarray, a_max: int):
+    """(starts, spans, bounds) of the blocks a in [s, s + span] of _margin_min.
+
+    Block k starts at s = 1 + k*L, L = _MIN_BLOCK, and spans min(L,
+    a_max - s) steps, so neighbours share an end and a last block with
+    a_max on its start has no steps.  The starts are exact: W(1) = h and
+    W(s + L) = W(s) + L*h - sum(A[s:s+L]).  W(s + t) - W(s) =
+    sum(h - A[s:s+t]), so bound = W(s) + span*min(0, h - max(A[s:e]))
+    is at most every W on the block, with e = min(s + L, a_max + 1) taking
+    in every step A[s:s+span] the block uses.  starts and bounds are
+    int64 while half*(|h| + half) < _INT64_GUARD (|W| stays below it, and
+    so does every bound), else Python integers in object arrays.
+    """
+    L = _MIN_BLOCK
+    half = len(A) - 1
+    s = np.arange(1, a_max + 1, L)
+    seg = A[:a_max + 1]
+    rises = np.empty(len(s), dtype=np.int64 if half * (abs(h) + half)
+                     < _INT64_GUARD else object)
+    rises[0] = h
+    rises[1:] = L * h - np.add.reduceat(seg, s)[:-1]
+    starts = np.cumsum(rises)
+    spans = np.minimum(L, a_max - s)
+    return starts, spans, starts + spans * np.minimum(
+        h - np.maximum.reduceat(seg, s), 0)
+
+
 def _margin_min(ch: QuadChar, a_max: int, buf: _MarginBuffers):
-    """(h, min W(a), first argmin a) over 1 <= a <= a_max <= (q-1)/2."""
+    """(h, min W(a), first argmin a) over 1 <= a <= a_max <= (q-1)/2.
+
+    No W array over the range is formed.  _block_bounds gives every block
+    start W(s), which is an attained value, and a lower bound on W over
+    the block; only blocks whose bound is at most the least start can hold
+    the minimum or a tie of it, and each of those (near q = 10**6, 2 or 3
+    of about 120, at the two ends) gets a local cumulative sum of h - A.
+    Blocks are read in order of a with a strict comparison, so the first
+    argmin is kept.  A block's local offsets W(s + t) - W(s), t <= span,
+    are bounded by L*(|h| + n), n = half, L = _MIN_BLOCK, and since
+    span < n also by n*(|h| + n), the bound on W itself; they take the
+    starts' dtype, so on the object path every start, offset and the
+    minimum are Python integers.
+    """
     half = (ch.q - 1) // 2
     if not 1 <= a_max <= half:
         raise DomainError(f"need 1 <= a_max <= {half}, got {a_max}")
-    h, _, W = _margins(ch, half, buf)
-    k = int(np.argmin(W[1:a_max + 1]))
-    return h, int(W[k + 1]), k + 1
+    h, A = _checked_prefix(ch, half, buf)
+    starts, spans, bounds = _block_bounds(h, A, a_max)
+    best = arg = None
+    for k in np.flatnonzero(bounds <= starts.min()):
+        s = 1 + int(k) * _MIN_BLOCK
+        v, t = starts[k], 0
+        if spans[k]:
+            off = np.cumsum(np.subtract(h, A[s:s + spans[k]],
+                                        dtype=starts.dtype))
+            j = int(np.argmin(off))
+            if off[j] < 0:
+                v, t = v + off[j], j + 1
+        if best is None or v < best:
+            best, arg = v, s + t
+    return h, int(best), arg
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,9 @@ from .errors import DomainError, ExactnessError, InvalidModulus
 # Streaming block size (entries, not bytes); keeps big sieves cache-resident.
 BLOCK = 1 << 20
 
+# Squares _qr_period reduces mod p per pass (128 KiB of int64 scratch).
+_QR_CHUNK = 1 << 14
+
 # Rational bounds PI_LO < pi < PI_HI, 37 correct digits.  Sharp enough for
 # certificates: for every prime q = 3 (mod 8) below 10**6, at its own
 # agreement length N, pi4_square_thresholds(N**2, q**3) returns two equal
@@ -224,23 +227,34 @@ def quad_char(q: int, *, assume_prime: bool = False) -> QuadChar:
 def _qr_period(p: int, buf=None) -> np.ndarray:
     """One period of the Legendre symbol mod an odd prime p < 2**32, as int8.
 
-    Scatters k*k mod p, k <= (p-1)/2, into a table of nonresidues; the
-    bound on p keeps every k*k below 2**62.  Only chi_values calls it.
-    buf, if given, is scratch reused across moduli: an int8 `table` of
-    >= p entries (the result is a view of it), and int64 `squares` (k*k
-    for k = 1, 2, ...) and `tmp`, each at least (p-1)/2 long.
+    Scatters k*k mod p, k <= (p-1)/2, into a table of nonresidues, with
+    k*k mod p formed as k*k - p*(k*k // p): numpy divides an int64 array
+    by one scalar much faster than it takes its remainder.  The bound on p
+    keeps every k*k, and so p*(k*k // p) <= k*k, below 2**62.  The squares
+    are reduced and scattered _QR_CHUNK at a time, so the quotient scratch
+    stays cache-sized whatever p is.  Only chi_values calls it.  buf, if
+    given, is scratch reused across moduli: an int8 `table` of >= p
+    entries (the result is a view of it), and int64 `squares` (k*k for
+    k = 1, 2, ...) at least (p-1)/2 long, which are only read.
     """
     half = (p - 1) // 2
     if buf is None:
         k = np.arange(1, half + 1, dtype=np.int64)
-        sq = np.remainder(np.multiply(k, k, out=k), p, out=k)
+        sq = np.multiply(k, k, out=k)
         t = np.empty(p, dtype=np.int8)
     else:
-        sq = np.remainder(buf.squares[:half], p, out=buf.tmp[:half])
+        sq = buf.squares[:half]
         t = buf.table[:p]
     t.fill(-1)
     t[0] = 0
-    t[sq] = 1
+    scratch = np.empty(min(half, _QR_CHUNK), dtype=np.int64)
+    for lo in range(0, half, _QR_CHUNK):
+        s = sq[lo:lo + _QR_CHUNK]
+        r = scratch[:len(s)]
+        np.floor_divide(s, p, out=r)
+        r *= p
+        np.subtract(s, r, out=r)
+        t[r] = 1
     return t
 
 # A prime factor's period table is only built when it is not grossly larger

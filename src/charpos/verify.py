@@ -100,8 +100,10 @@ class ScanResult:
 def _scan_chunk(qs):
     """Worker: min W over the half range for each modulus of a block.
 
-    One set of kernel buffers, sized for the largest modulus, serves the
-    whole block and is dropped with it.
+    _margin_min takes each minimum from exact block bounds without
+    forming W.  One set of its buffers (the table, the squares and A),
+    sized for the largest modulus, serves the whole block and is dropped
+    with it.
     """
     buf = _MarginBuffers(qs[-1])
     return [_margin_min(quad_char(q, assume_prime=True), (q - 1) // 2, buf)[1]

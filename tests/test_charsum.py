@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -205,6 +206,91 @@ class TestMarginKernel:
     def test_a_max_outside_half_range_rejected(self, a_max):
         with pytest.raises(errors.DomainError):
             fresh_margin_min(163, a_max)
+
+
+SQUAREFREE_3MOD4_1500 = [q for q in range(7, 1500, 4)
+                         if all(q % (p * p) for p in range(2, 39))]
+oracle_min = functools.lru_cache(maxsize=None)(margin_min)
+
+
+def edge_a_maxes(q):
+    half = (q - 1) // 2
+    return sorted({a for a in (1, 2, 3, q // 4, half) if 1 <= a <= half})
+
+
+class TestBlockedMarginMin:
+    """_margin_min reads W only in blocks whose exact lower bound reaches
+    the least block start; small blocks put block edges everywhere."""
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
+    def test_matches_plain_oracle_at_small_blocks(self, monkeypatch, block):
+        monkeypatch.setattr(charsum, "_MIN_BLOCK", block)
+        for q in SQUAREFREE_3MOD4_1500:
+            for a_max in edge_a_maxes(q):
+                assert fresh_margin_min(q, a_max) == oracle_min(q, a_max), (q, a_max)
+
+    @pytest.mark.parametrize("object_path", [False, True])
+    def test_block_starts_are_exact_and_bounds_hold(self, monkeypatch,
+                                                    object_path):
+        block = 7
+        monkeypatch.setattr(charsum, "_MIN_BLOCK", block)
+        if object_path:
+            monkeypatch.setattr(charsum, "_INT64_GUARD", 1)
+        for q in (7, 11, 23, 35, 163, 1019, 2647):
+            half = (q - 1) // 2
+            h, w = margins(q, half)
+            got_h, A = charsum._checked_prefix(ntcore.quad_char(q), half,
+                                               charsum._MarginBuffers(q))
+            assert got_h == h
+            for a_max in edge_a_maxes(q) + [1 + block, 2 + block]:
+                if a_max > half:
+                    continue
+                starts, spans, bounds = charsum._block_bounds(h, A, a_max)
+                assert len(starts) == (a_max - 1) // block + 1
+                for k, (start, span, bound) in enumerate(zip(starts, spans,
+                                                             bounds)):
+                    s = 1 + k * block
+                    assert start == w[s] and span == min(block, a_max - s)
+                    assert bound <= min(w[s:s + span + 1]), (q, a_max, k)
+                if object_path:
+                    assert starts.dtype == bounds.dtype == object
+                    assert {type(v) for v in [*starts, *bounds]} == {int}
+                else:
+                    assert starts.dtype == bounds.dtype == np.int64
+
+    def test_minimum_is_a_python_int_on_object_path(self, monkeypatch):
+        monkeypatch.setattr(charsum, "_INT64_GUARD", 1)
+        monkeypatch.setattr(charsum, "_MIN_BLOCK", 3)
+        for q in (163, 2647):
+            got = fresh_margin_min(q, (q - 1) // 2)
+            assert got == margin_min(q, (q - 1) // 2)
+            assert [type(v) for v in got] == [int, int, int]
+
+    def test_forms_no_w_over_the_range(self):
+        q = int(ntcore.primes_in_range(999_000, 10**6, residue=3, modulus=8)[-1])
+        buf = charsum._MarginBuffers(q)
+        ch = ntcore.quad_char(q)
+        tracemalloc.start()
+        try:
+            got = charsum._margin_min(ch, (q - 1) // 2, buf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        h, w = charsum.margin_values(q, (q - 1) // 2)
+        k = int(np.argmin(w[1:]))
+        assert got == (h, int(w[k + 1]), k + 1) == (h, h, 1)
+        # one int64 W over the half range alone would be 4 MB
+        assert peak < 2**20, peak
+
+    def test_scan_minimum_is_the_class_number_at_a_1(self):
+        # For prime q = 3 (mod 8), W(1) = h and W(half) = h(1 - chi(2))/2 = h,
+        # so the first-argmin rule must settle a tie at the two ends; an
+        # interior dip below h would be a finding about the inequality.
+        qs = ntcore.primes_in_range(11, 2 * 10**4, residue=3, modulus=8)
+        for q in map(int, qs):
+            prof = charsum.margin_profile(q)
+            assert prof.min_w == prof.h == verify._reduced_form_count(q), q
+            assert prof.argmin_a == 1, q
 
 
 def corrupt_table(monkeypatch, edit):

@@ -215,6 +215,36 @@ class TestChiSieve:
             assert np.array_equal(slow, ntcore.chi_values(ch, 500)), q
 
 
+class TestQrPeriod:
+    @pytest.mark.parametrize("chunk", [None, 7])
+    def test_reused_buffers_across_descending_and_mixed_primes(self, monkeypatch,
+                                                               chunk):
+        big = int(ntcore.primes_in_range(999_900, 10**6)[-1])
+        primes = [big, 20011, 2647, 163, 11, 7, 3, 1019, big, 3, 4003]
+        if chunk is not None:
+            # many short passes with a short last one, at the small primes
+            monkeypatch.setattr(ntcore, "_QR_CHUNK", chunk)
+            primes = [p for p in primes if p != big]
+        buf = charsum._MarginBuffers(big)
+        squares = buf.squares.copy()
+        for p in primes:
+            if p < 30000:
+                idx = range(p)
+            else:
+                idx = [*range(3000), *range(3000, p - 3000, 97),
+                       *range(p - 3000, p)]
+            want = [ntcore.jacobi(n, p) for n in idx]
+            for b in (buf, None):
+                t = ntcore._qr_period(p, b)
+                assert t.dtype == np.int8 and len(t) == p, (p, b)
+                assert [int(t[n]) for n in idx] == want, (p, b)
+                ones = int(np.count_nonzero(t == 1))
+                assert (t[0], ones, int(np.count_nonzero(t == -1))) == (
+                    0, (p - 1) // 2, (p - 1) // 2), (p, b)
+            assert np.shares_memory(ntcore._qr_period(p, buf), buf.table)
+        assert np.array_equal(buf.squares, squares)
+
+
 def machin_pi(digits):
     """Rational (lo, hi) with lo < pi < hi and hi - lo < 10**-digits.
 
