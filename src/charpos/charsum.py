@@ -107,16 +107,20 @@ def _checked_class_number(q: int, a_half: int, b_half: int) -> int:
 
 @functools.lru_cache(maxsize=512)
 def _class_number_cached(q: int) -> ClassNumber:
-    ps = prefix_sums(quad_char(q), (q - 1) // 2)
-    return ClassNumber(q, _checked_class_number(q, ps.plain, ps.linear),
-                       ps.plain, ps.linear)
+    half = (q - 1) // 2
+    h, A = _checked_prefix(quad_char(q), half)
+    a_half = int(A[half])
+    # exact: _checked_class_number has checked q*A(half) - 2*B(half) = q*h
+    return ClassNumber(q, h, a_half, q * (a_half - h) // 2)
 
 
 def class_number(q_or_chi) -> ClassNumber:
     """Class number of Q(sqrt(-q)) via the finite character sum formula.
 
-    The half-range prefix sums read one chi table of (q + 1)/2 entries,
-    so memory grows linearly with q.
+    h, A(half) and B(half) come from _checked_prefix, the kernel and the
+    checks the margins and the scan share.  It reads one chi table and
+    one int64 prefix array of (q + 1)/2 entries each, so memory grows
+    linearly with q.
     """
     ch = _as_char(q_or_chi)
     return _class_number_cached(ch.q)
@@ -172,7 +176,8 @@ def _margins(ch: QuadChar, a_max: int, chi: np.ndarray | None = None):
     """(h, A, W) over a = 0..a_max, with W(a) = a*(h - A(a)) + B(a), exact.
 
     W(0) = 0 and W(a+1) - W(a) = h - A(a), so W is one cumulative sum of
-    h - A, with no linear sum B and no index array.  It runs over
+    h - A, written into W[1:] and summed in place there, with no linear
+    sum B, no index array and no separate steps array.  It runs over
     n = max(a_max, half), since _checked_prefix reads h and its checks off
     the half range.  |W| <= n*(|h| + n): below _INT64_GUARD W is int64,
     else object dtype holding Python integers.  chi, a prebuilt table of
@@ -183,14 +188,11 @@ def _margins(ch: QuadChar, a_max: int, chi: np.ndarray | None = None):
         raise DomainError("need a_max >= 1")
     n = max(a_max, (ch.q - 1) // 2)
     h, A = _checked_prefix(ch, n, None, chi)
-    steps = np.subtract(h, A[:n])
-    if n * (abs(h) + n) < _INT64_GUARD:
-        W = np.empty(n + 1, dtype=np.int64)
-    else:
-        W = np.empty(n + 1, dtype=object)
-        steps = steps.astype(object)
+    W = np.empty(n + 1, dtype=np.int64 if n * (abs(h) + n) < _INT64_GUARD
+                 else object)
     W[0] = 0
-    np.cumsum(steps, out=W[1:])
+    np.subtract(h, A[:n], out=W[1:])
+    np.cumsum(W[1:], out=W[1:])
     return h, A[:a_max + 1], W[:a_max + 1]
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 import time
@@ -34,7 +35,7 @@ def _exact_rational(text: str) -> Fraction:
     if not _RATIONAL.match(text):
         raise argparse.ArgumentTypeError(
             f"{text!r} is not an exact rational; write it as a/b")
-    return Fraction(text)
+    return _loose_rational(text)
 
 
 def _loose_rational(text: str) -> Fraction:
@@ -130,34 +131,34 @@ def cmd_check_cert(args) -> int:
 
 
 def _plot_grid(xmax: Fraction, step: Fraction):
+    """The points k*step <= xmax, k >= 0; the bounds are checked at the
+    call, before anything is printed."""
     if step <= 0:
         raise CharposError("step must be positive")
     if xmax < 0:
         raise CharposError("xmax must be nonnegative")
-    k = 0
-    while k * step <= xmax:
-        yield k * step
-        k += 1
+    return (k * step for k in range(math.floor(xmax / step) + 1))
 
 
 def cmd_plot(args) -> int:
     if args.curve in ("fq", "diff") and args.q is None:
         raise UsageError(f"plot {args.curve} needs --q")
+    grid = _plot_grid(args.xmax, args.step)
+    ch = None if args.curve == "f" else quad_char(args.q)
     print("x,value,error_bound")
     if args.curve == "f":
-        for x in _plot_grid(args.xmax, args.step):
+        for x in grid:
             sv = f_series(x, args.terms)
             print(f"{_rat(x)},{_float(sv.value)},{_float(sv.tail_bound)}")
         return 0
-    ch = quad_char(args.q)
     if args.curve == "fq":
-        for x in _plot_grid(args.xmax, args.step):
+        for x in grid:
             ev = fq_exact(ch, x)
             print(f"{_rat(x)},{_float(ev.value)},0")
         return 0
     rec = agreement_length(ch)
     bound = 2.0 / rec.n_agree + 1.0 / args.terms
-    for x in _plot_grid(args.xmax, args.step):
+    for x in grid:
         diff = f_series(x, args.terms).value - fq_exact(ch, x).value
         print(f"{_rat(x)},{_float(diff)},{_float(bound)}")
     return 0

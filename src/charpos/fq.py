@@ -344,18 +344,24 @@ class LatticeQuadEval:
     value: float
 
 
-def _lattice_core(ch: QuadChar, c: np.ndarray, a: int) -> int:
-    """core(a) from one period c of chi, for 1 <= a < q coprime to q."""
+def _lattice_core(ch: QuadChar, chi: np.ndarray, a: int) -> int:
+    """core(a) from one period chi of q entries, for 1 <= a < q coprime to q.
+
+    It is the last core of _lattice_blocks(chi, b) with b = min(a, q - a),
+    negated when b != a: chi is odd, so core(q - a) = -core(a).  The cost
+    is one pass over the period and b steps, O(q) time and O(1) blocks of
+    memory on either dtype path.
+    """
     q = ch.q
     if not 1 <= a < q:
         raise DomainError(f"need 1 <= a < q, got a={a}")
     if math.gcd(a, q) != 1:
         raise DomainError(f"a = {a} shares a factor with q = {q}")
-    c = c.astype(object if q > _LATTICE_INT64_MAX else np.int64)
-    cc = np.arange(q, dtype=c.dtype)
-    cc = cc * cc
-    s = int(np.sum(cc * (np.roll(c, a) - np.roll(c, -a))))
-    return q * q * int(c[a % q]) - s
+    b = min(a, q - a)
+    for _, cores in _lattice_blocks(chi, b):
+        pass
+    core = int(cores[-1])
+    return core if b == a else -core
 
 
 # Above this modulus the q**3-sized partial sums of the int64 lattice paths
@@ -373,7 +379,9 @@ def fq_lattice_quad(q_or_chi, a: int) -> LatticeQuadEval:
         core = q**2 chi(a) - sum_{c=1}^{q-1} c**2 (chi(c-a) - chi(c+a)).
 
     core always equals 4*q*W(a); the identity is checked in the tests and
-    exposed through identity_check.
+    exposed through identity_check.  The single core is read from the
+    block kernel of lattice_quad_values (see _lattice_core), so one node
+    costs no more than the batch up to min(a, q - a).
     """
     ch = _as_char(q_or_chi)
     q = ch.q
@@ -481,7 +489,7 @@ def identity_check(q_or_chi, a: int | None = None) -> bool:
         _, _, w = _margins(ch, a, chi=chi)
         return core == 4 * q * int(w[a])
     a_max = (q - 1) // 2
-    _, _, w = _margins(ch, a_max, chi=chi)
+    w = _margins(ch, a_max, chi=chi)[2]  # A is freed before the blocks run
     for a1, cores in _lattice_blocks(chi, a_max):
         quo = cores // (4 * q)
         if not (np.array_equal(quo, w[a1 : a1 + len(cores)])

@@ -198,8 +198,8 @@ def scan_positivity(q_min: int, q_max: int, *, jobs: int = 1,
     with contextlib.ExitStack() as stack:
         parts = map(_scan_chunk, chunks)
         if jobs > 1 and len(chunks) > 1:
-            pool = stack.enter_context(
-                multiprocessing.get_context("fork").Pool(jobs))
+            pool = stack.enter_context(multiprocessing.get_context(
+                "fork").Pool(min(jobs, len(chunks))))
             parts = pool.imap(_scan_chunk, chunks)
         for chunk, minima in zip(chunks, parts):
             for q, m in zip(chunk, minima):

@@ -86,6 +86,23 @@ class TestClassNumber:
             if ntcore.is_prime(q):
                 assert charsum.class_number(q).h % 2 == 1, q
 
+    def test_half_range_sums_match_direct_sums(self):
+        for q in SQUAREFREE_3MOD4:
+            cn = charsum.class_number(q)
+            assert (cn.a_half, cn.b_half) == direct_sums(q, (q - 1) // 2), q
+
+    def test_peak_memory_near_a_million(self):
+        # the int8 chi table and the int64 prefix array A over the half
+        # range, about 4.9 MiB
+        tracemalloc.start()
+        try:
+            cn = charsum._class_number_cached.__wrapped__(999983)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cn == charsum.class_number(999983)
+        assert peak <= 6 * 2**20, peak / 2**20
+
     def test_accepts_char_argument(self):
         ch = ntcore.quad_char(163)
         assert charsum.class_number(ch).h == 1
@@ -158,6 +175,18 @@ class TestMargins:
     def test_a_max_zero_rejected(self):
         with pytest.raises(errors.DomainError):
             charsum.margin_values(163, 0)
+
+    def test_peak_memory_near_a_million(self):
+        # the chi table, A and W over the half range, about 7.6 MiB; the
+        # steps h - A are summed in place inside W
+        tracemalloc.start()
+        try:
+            h, w = charsum.margin_values(991027, 247756)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (h, int(w[1])) == (charsum.class_number(991027).h, h)
+        assert peak <= 9 * 2**20, peak / 2**20
 
 
 PRIMES_3_MOD_8 = [q for q in SQUAREFREE_3MOD4 if q % 8 == 3 and ntcore.is_prime(q)]

@@ -184,6 +184,16 @@ class TestPlotCommand:
         code, _, err = run_cli(capsys, "plot", "f", "--step", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["f", "--step=0"], ["f", "--step=-1/10"], ["f", "--xmax=-1"],
+        ["fq", "--q", "163", "--step=0"], ["fq", "--q", "163", "--xmax=-1"],
+        ["fq", "--q", "8"], ["diff", "--q", "9"],
+    ])
+    def test_bad_input_prints_no_header(self, capsys, argv):
+        code, out, err = run_cli(capsys, "plot", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
 
 class TestMiscCommands:
     def test_class_number(self, capsys):
@@ -238,6 +248,20 @@ class TestMiscCommands:
                                "--x", "7/163")
         assert code == 0
         assert out.startswith("8/163 0.075")
+
+    @pytest.mark.parametrize("argv", [
+        ["fq-eval", "--q", "163", "--x", "1/0"],
+        ["fq-margin", "--q", "163", "--x=-1/0"],
+        ["certify", "--eps", "1/0", "--q", "163"],
+        ["certify", "--eps", "7/163", "--q", "163", "--xmax", "1/0"],
+        ["plot", "f", "--step", "1/0"],
+    ])
+    def test_zero_denominator_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "Traceback" not in err
 
     def test_fq_margin(self, capsys):
         code, out, _ = run_cli(capsys, "fq-margin", "--q", "19",

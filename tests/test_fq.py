@@ -418,12 +418,23 @@ class TestLatticeQuad:
         with pytest.raises(errors.DomainError):
             fq.fq_lattice_quad(ntcore.quad_char(35), 0)
 
-    def test_batch_matches_single_rolls(self):
-        ch = ntcore.quad_char(163)
-        cores = fq.lattice_quad_values(ch, 81)
-        c = ntcore.chi_values(ch, 162).astype(np.int64)
-        for a in (1, 7, 40, 81):
-            assert int(cores[a - 1]) == fq._lattice_core(ch, c, a), a
+    def test_single_cores_match_loop_oracle(self, monkeypatch):
+        # every coprime a on both sides of q/2: a single core is read off
+        # the block kernel at min(a, q - a), negated above q/2
+        for q in (11, 35, 91, 163):
+            ch = ntcore.quad_char(q)
+            for a in range(1, q):
+                if math.gcd(a, q) == 1:
+                    assert fq.fq_lattice_quad(ch, a).core == lattice_core(
+                        q, a), (q, a)
+        q = 2971
+        half = (q - 1) // 2
+        want = {a: lattice_core(q, a) for a in (1, half, half + 1, q - 1)}
+        for int64_max in (fq._LATTICE_INT64_MAX, 10):
+            monkeypatch.setattr(fq, "_LATTICE_INT64_MAX", int64_max)
+            for a, core in want.items():
+                got = fq.fq_lattice_quad(q, a).core
+                assert type(got) is int and got == core, (int64_max, a)
 
     def test_value_matches_exact(self):
         ev = fq.fq_lattice_quad(ntcore.quad_char(163), 7)

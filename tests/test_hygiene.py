@@ -1,6 +1,7 @@
 """Static checks on the package source that need no linter."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -149,3 +150,29 @@ def test_checker_reads_detector_flags_builder_names():
     seen, bad = checker_reads(tree)
     assert seen == {"verify_certificate", "helper"}
     assert bad == ["numpy", "numpy.linalg", "numpy.zeros"]
+
+
+INSTRUMENT = Path(__file__).parent.parent / "perfbench" / "instrument.py"
+
+
+def trace_targets(tree: ast.Module) -> list[tuple[str, str]]:
+    """(module, function) of each entry of the module-level TARGETS tuple."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "TARGETS"
+                        for t in node.targets)):
+            return [(mod, fn) for mod, fn, _ in ast.literal_eval(node.value)]
+    raise AssertionError("no TARGETS tuple")
+
+
+def test_perfbench_trace_targets_exist():
+    # perfbench --trace 1 wraps each charpos.<module>.<function> in TARGETS
+    # by name and reads the class number cache's counters, so removing or
+    # renaming one in src breaks the traced run
+    from charpos import charsum
+
+    targets = trace_targets(ast.parse(INSTRUMENT.read_text()))
+    missing = [f"{mod}.{fn}" for mod, fn in targets if not callable(
+        getattr(importlib.import_module(f"charpos.{mod}"), fn, None))]
+    assert missing == []
+    assert callable(charsum._class_number_cached.cache_info)

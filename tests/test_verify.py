@@ -7,6 +7,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from importlib import resources
+from types import SimpleNamespace
 
 import jsonschema
 import numpy as np
@@ -70,6 +71,38 @@ class TestScan:
         a = verify.scan_positivity(5, 50_000, jobs=1)
         b = verify.scan_positivity(5, 50_000, jobs=3)
         assert a.to_json() == b.to_json()
+
+    def test_pool_has_at_most_one_worker_per_chunk(self, monkeypatch):
+        # a fake pool records its size and maps in process, so no worker
+        # is ever started
+        monkeypatch.setattr(verify, "_CHUNK_WEIGHT", 25_000)
+        sizes = []
+
+        class FakePool:
+            def __init__(self, n):
+                sizes.append(n)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, items):
+                return map(fn, items)
+
+        fake = SimpleNamespace(Pool=FakePool)
+        monkeypatch.setattr(verify, "multiprocessing", SimpleNamespace(
+            get_context=lambda method: fake))
+        n_chunks = len(verify._chunked(
+            ntcore.primes_in_range(5, 2000, residue=3, modulus=8)))
+        assert n_chunks == 3
+        wide = verify.scan_positivity(5, 2000, jobs=64)
+        assert sizes == [3]
+        assert verify.scan_positivity(5, 2000, jobs=2).to_json() == wide.to_json()
+        assert sizes == [3, 2]
+        assert verify.scan_positivity(5, 2000).to_json() == wide.to_json()
+        assert sizes == [3, 2]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_json_is_pinned(self, jobs):
