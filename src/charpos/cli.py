@@ -143,6 +143,8 @@ def _plot_grid(xmax: Fraction, step: Fraction):
 def cmd_plot(args) -> int:
     if args.curve in ("fq", "diff") and args.q is None:
         raise UsageError(f"plot {args.curve} needs --q")
+    if args.curve in ("f", "diff") and args.terms < 1:
+        raise UsageError(f"plot {args.curve} needs --terms >= 1")
     grid = _plot_grid(args.xmax, args.step)
     ch = None if args.curve == "f" else quad_char(args.q)
     print("x,value,error_bound")

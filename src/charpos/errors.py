@@ -18,7 +18,10 @@ class ExactnessError(CharposError):
 
     Raised instead of silently falling back to floating point when a
     certificate-grade comparison lands inside the gap between the rational
-    lower and upper bounds used for pi.
+    lower and upper bounds used for pi, and when an exact identity a
+    kernel rests on fails for its input (a table whose sum of j*chi(j)
+    over one period is not a multiple of q, against the class number
+    formula).
     """
 
 

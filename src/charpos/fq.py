@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .charsum import _as_char, _margins, class_number, weighted_prefix_sum
-from .errors import DomainError
+from .errors import DomainError, ExactnessError
 from .ntcore import BLOCK, PI2_HI, QuadChar, chi_values, is_prime
 
 _HALF = Fraction(1, 2)
@@ -38,13 +38,15 @@ def _sin_sum(weights: np.ndarray, x: Fraction, n_terms: int) -> float:
     The angle is reduced exactly: n*x mod 1 is computed in integers before
     any float is formed, so the sine argument is always in [0, 2 pi) and
     catastrophic argument loss cannot occur even for huge numerators.
+    numpy takes the products n*num and the modulus den only in int64;
+    past that the reduction runs on Python integers.
     """
     num = x.numerator % x.denominator
     den = x.denominator
     if num == 0 or 2 * num == den:
         return 0.0
     n_terms = int(n_terms)
-    if n_terms * num < 1 << 62:
+    if n_terms * num < 1 << 62 and den < 1 << 63:
         r = (np.arange(1, n_terms + 1, dtype=np.int64) * num) % den
         frac = r.astype(np.float64) / den
     else:
@@ -344,29 +346,45 @@ class LatticeQuadEval:
     value: float
 
 
-def _lattice_core(ch: QuadChar, chi: np.ndarray, a: int) -> int:
-    """core(a) from one period chi of q entries, for 1 <= a < q coprime to q.
-
-    It is the last core of _lattice_blocks(chi, b) with b = min(a, q - a),
-    negated when b != a: chi is odd, so core(q - a) = -core(a).  The cost
-    is one pass over the period and b steps, O(q) time and O(1) blocks of
-    memory on either dtype path.
-    """
+def _lattice_char(q_or_chi, a: int | None = None) -> QuadChar:
+    """The character of a lattice entry point, once q and the node a (when
+    given) are checked, so rejected input never builds a chi table."""
+    ch = _as_char(q_or_chi)
     q = ch.q
-    if not 1 <= a < q:
-        raise DomainError(f"need 1 <= a < q, got a={a}")
-    if math.gcd(a, q) != 1:
-        raise DomainError(f"a = {a} shares a factor with q = {q}")
+    if q > _LATTICE_Q_MAX:
+        raise DomainError(f"q = {q} too large for the lattice sums (need q <= 10**9)")
+    if a is not None:
+        if not 1 <= a < q:
+            raise DomainError(f"need 1 <= a < q, got a={a}")
+        if math.gcd(a, q) != 1:
+            raise DomainError(f"a = {a} shares a factor with q = {q}")
+    return ch
+
+
+def _lattice_core(chi: np.ndarray, a: int) -> int:
+    """core(a) from one period chi of q entries, for a node checked by
+    _lattice_char.
+
+    It is q times the last entry of _lattice_blocks(chi, b) with
+    b = min(a, q - a), negated when b != a: chi is odd, so
+    core(q - a) = -core(a).  The cost is one pass over the period and b
+    steps, O(q) time and O(1) blocks of memory.
+    """
+    q = len(chi)
     b = min(a, q - a)
-    for _, cores in _lattice_blocks(chi, b):
+    for _, y in _lattice_blocks(chi, b):
         pass
-    core = int(cores[-1])
+    core = q * int(y[-1])
     return core if b == a else -core
 
 
-# Above this modulus the q**3-sized partial sums of the int64 lattice paths
-# could overflow; fall back to object dtype.
+# Up to this modulus |core| <= 7q**3 + q**2 < 2**63, so lattice_quad_values
+# returns int64 cores; above it, Python integers in an object array.
 _LATTICE_INT64_MAX = 1_000_000
+
+# Largest modulus of _lattice_blocks, whose int64 sums stay below
+# 7q**2 + q < 2**63 up to here.
+_LATTICE_Q_MAX = 10 ** 9
 
 # Entries per block of _lattice_blocks: 512 KB of int64, so a block's few
 # arrays stay in L2 and are reused from block to block.
@@ -381,11 +399,12 @@ def fq_lattice_quad(q_or_chi, a: int) -> LatticeQuadEval:
     core always equals 4*q*W(a); the identity is checked in the tests and
     exposed through identity_check.  The single core is read from the
     block kernel of lattice_quad_values (see _lattice_core), so one node
-    costs no more than the batch up to min(a, q - a).
+    costs no more than the batch up to min(a, q - a); it is a Python
+    integer for every q <= 10**9.
     """
-    ch = _as_char(q_or_chi)
+    ch = _lattice_char(q_or_chi, a)
     q = ch.q
-    core = _lattice_core(ch, chi_values(ch, q - 1), a)
+    core = _lattice_core(chi_values(ch, q - 1), a)
     value = math.pi ** 2 * core / (2.0 * q * q * math.sqrt(q))
     return LatticeQuadEval(q, a, core, value)
 
@@ -396,47 +415,55 @@ def lattice_quad_values(q_or_chi, a_max: int) -> np.ndarray:
     The shifted quadratic sums telescope: with prefix sums of chi and
     m*chi, read forward from 0 and backward from q, each correction term
     is a linear combination of window sums, so the whole batch costs
-    O(q + a_max).  Above _LATTICE_INT64_MAX the same formula runs on
-    Python integers.
+    O(q + a_max) for q <= 10**9.  The kernel yields core/q in int64 and
+    the batch is multiplied by q once: int64 cores up to
+    _LATTICE_INT64_MAX, Python integers in an object array above it.
     """
-    ch = _as_char(q_or_chi)
+    ch = _lattice_char(q_or_chi)
     q = ch.q
     if not 1 <= a_max < q:
         raise DomainError(f"need 1 <= a_max < q, got {a_max}")
     out = np.empty(a_max, dtype=object if q > _LATTICE_INT64_MAX else np.int64)
-    for a1, cores in _lattice_blocks(chi_values(ch, q - 1), a_max):
-        out[a1 - 1 : a1 - 1 + len(cores)] = cores
+    for a1, y in _lattice_blocks(chi_values(ch, q - 1), a_max):
+        out[a1 - 1 : a1 - 1 + len(y)] = y
+    out *= q
     return out
 
 
 def _lattice_blocks(chi: np.ndarray, a_max: int):
-    """Yield (a1, cores) with cores[i] = core(a1 + i), for a = 1..a_max in
+    """Yield (a1, y) with q*y[i] = core(a1 + i), for a = 1..a_max in int64
     blocks of at most _LATTICE_BLOCK, from one prebuilt period chi of q
-    entries.  Each int64 block is a buffer the next block overwrites.
+    entries.  Each block is a buffer the next block overwrites.
 
     Regrouped, with P0(q-1) = 0 as chi is not principal, and with
     Pk(n) = sum_{j<=n} j**k chi(j), Rk(a) = sum_{j<=a} (q-j)**k chi(q-j):
-    core(a) = q**2 (chi(a) + w) + 2q t - 4a P1(q-1) with
-    w = P0(a-1) - R0(a) and t = R1(a) + P1(a-1) - a w.  w and
-    u = R1(a) + P1(a-1) are running sums carried across blocks; from a - 1
-    to a, w steps by chi(a-1) - chi(q-a) and u by
-    (a-1) chi(a-1) + (q-a) chi(q-a).  P1(q-1) takes one first pass.
-    int64 bounds at q = _LATTICE_INT64_MAX = 10**6, a < q, from |chi| <= 1:
-    |P0(n)| <= min(n + 1, q - 1 - n), so |w| <= min(2a, q) = 10**6;
-    |P1(a-1)| <= a**2/2 and |R1(a)| <= aq - a**2/2, so |u| <= aq and
-    |t| <= aq + a|w| <= 2q**2, so |2q t| <= 4q**3 = 4e18;
-    |q**2 (chi(a) + w)| <= q**2 (q + 1) < 1.01e18; |4a P1(q-1)| < 2q**3
-    = 2e18.  Every partial sum stays below 7.1e18 < 2**63 ~ 9.22e18.  w
-    and u are int64 on both paths (|u| < q**2 < 2**62 for q < 2**31); only
-    the final formula runs on Python integers above _LATTICE_INT64_MAX.
+    core(a) = q**2 (chi(a) + w) + 2q (u - a w) - 4a P1(q-1) with
+    w = P0(a-1) - R0(a) and u = R1(a) + P1(a-1), running sums carried
+    across blocks; from a - 1 to a, w steps by chi(a-1) - chi(q-a) and u
+    by (a-1) chi(a-1) + (q-a) chi(q-a).  P1(q-1) takes one first pass.
+    By the class number formula P1(q-1) = -q h(-q), so q divides every
+    core: core(a) = q Y(a) with c = P1(q-1)/q and
+    Y = q (chi(a) + w) + 2(u - a w) - 4a c.  A table whose P1(q-1) is not
+    a multiple of q is no quadratic character mod q: ExactnessError.
+    int64 bounds for q <= _LATTICE_Q_MAX = 10**9, a < q, from |chi| <= 1:
+    |P0(n)| <= min(n + 1, q - 1 - n), so |w| <= min(2a, q);
+    |P1(a-1)| <= a**2/2 and |R1(a)| <= aq - a**2/2, so |u| <= aq < q**2;
+    |a w| < q**2 and |c| <= (q - 1)/2.  In evaluation order the partial
+    sums are the steps (|.| <= 3q), w, u, a w, u - a w and 2(u - a w)
+    (<= 4q**2), q (chi(a) + w) (<= q**2 + q), their sum (<= 5q**2 + q),
+    4a c (< 2q**2) and Y: all below 7q**2 + q <= 7.000000001e18 <
+    2**63 ~ 9.22e18.
     """
     q = len(chi)
-    wide = q > _LATTICE_INT64_MAX
     block = _LATTICE_BLOCK
     p1_q = 0
     for j0 in range(0, q, block):
         v = chi[j0:j0 + block]
         p1_q += int(np.arange(j0, j0 + len(v), dtype=np.int64) @ v)
+    c, rem = divmod(p1_q, q)
+    if rem:
+        raise ExactnessError(f"sum of j chi(j) over one period, {p1_q}, "
+                             f"is not a multiple of q = {q}")
     m = min(block, a_max)
     step = np.arange(m, dtype=np.int64)
     a, fwd, bwd, w, u, t = (np.empty(m, dtype=np.int64) for _ in range(6))
@@ -459,17 +486,13 @@ def _lattice_blocks(chi: np.ndarray, a_max: int):
         np.cumsum(wb, out=wb)
         np.cumsum(ub, out=ub)
         w_c, u_c = int(wb[-1]), int(ub[-1])
-        if wide:
-            ab, wb, ub = (x.astype(object) for x in (ab, wb, ub))
-            tb = ab * wb
-        else:
-            np.multiply(ab, wb, out=tb)
+        np.multiply(ab, wb, out=tb)
         np.subtract(ub, tb, out=tb)
-        tb *= 2 * q
+        tb *= 2
         wb += chi[a1 : a1 + m]
-        wb *= q * q
+        wb *= q
         wb += tb
-        ab *= 4 * p1_q
+        ab *= 4 * c
         wb -= ab
         yield a1, wb
 
@@ -478,24 +501,20 @@ def identity_check(q_or_chi, a: int | None = None) -> bool:
     """Confirm core(a) == 4*q*W(a), for one a or the whole half range.
 
     Both sides read one chi table.  The half range is compared block by
-    block as quo == W and quo * 4q == core with quo = core // 4q, which is
-    exact and never forms 4q*W from W, so int64 cannot overflow.
+    block as Y == 4W, with Y = core/q from _lattice_blocks; 4W stays in
+    int64, as |W| <= n (|h| + n) < 7.5e17 for n = (q - 1)/2 and
+    q <= 10**9.
     """
-    ch = _as_char(q_or_chi)
+    ch = _lattice_char(q_or_chi, a)
     q = ch.q
     chi = chi_values(ch, q - 1)
     if a is not None:
-        core = _lattice_core(ch, chi, a)
         _, _, w = _margins(ch, a, chi=chi)
-        return core == 4 * q * int(w[a])
+        return _lattice_core(chi, a) == 4 * q * int(w[a])
     a_max = (q - 1) // 2
     w = _margins(ch, a_max, chi=chi)[2]  # A is freed before the blocks run
-    for a1, cores in _lattice_blocks(chi, a_max):
-        quo = cores // (4 * q)
-        if not (np.array_equal(quo, w[a1 : a1 + len(cores)])
-                and np.array_equal(quo * (4 * q), cores)):
-            return False
-    return True
+    return all(np.array_equal(y, 4 * w[a1 : a1 + len(y)])
+               for a1, y in _lattice_blocks(chi, a_max))
 
 
 # Weight patterns for the auxiliary L-style tails: value at n depends on

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from charpos import cli, verify
+from charpos import cli, fq, verify
 
 
 def run_cli(capsys, *argv):
@@ -187,12 +187,21 @@ class TestPlotCommand:
     @pytest.mark.parametrize("argv", [
         ["f", "--step=0"], ["f", "--step=-1/10"], ["f", "--xmax=-1"],
         ["fq", "--q", "163", "--step=0"], ["fq", "--q", "163", "--xmax=-1"],
-        ["fq", "--q", "8"], ["diff", "--q", "9"],
+        ["fq", "--q", "8"], ["diff", "--q", "9"], ["f", "--terms=0"],
+        ["diff", "--q", "163", "--terms=0"],
+        ["diff", "--q", "163", "--terms=-3"],
     ])
     def test_bad_input_prints_no_header(self, capsys, argv):
         code, out, err = run_cli(capsys, "plot", *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
+
+    def test_denominator_past_int64(self, capsys):
+        x = "1/12157665459056928801"  # 3**40 > 2**63
+        code, out, _ = run_cli(capsys, "plot", "f", "--xmax", x, "--step", x)
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 3
+        assert lines[1] == "0,0,0.001" and lines[2].startswith(x + ",")
 
 
 class TestMiscCommands:
@@ -288,6 +297,19 @@ class TestMiscCommands:
         assert code == 0 and out.strip() == "ok"
         code, out, _ = run_cli(capsys, "identity", "--q", "163", "--a", "40")
         assert code == 0 and out.strip() == "ok"
+
+    @pytest.mark.parametrize("argv", [["--q", "1000000007", "--a", "0"],
+                                      ["--q", "1000000007"],
+                                      ["--q", "163", "--a", "0"]])
+    def test_identity_rejects_before_building_tables(self, capsys,
+                                                     monkeypatch, argv):
+        def no_table(ch, n):
+            raise AssertionError(f"chi table built for q = {ch.q}")
+
+        monkeypatch.setattr(fq, "chi_values", no_table)
+        code, out, err = run_cli(capsys, "identity", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
 
     def test_identity_stdout_is_pinned(self, capsys):
         code, out, _ = run_cli(capsys, "identity", "--q", "127")

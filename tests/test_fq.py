@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from charpos import charsum, errors, fq, ntcore
+from charpos import charsum, errors, fq, liouville, ntcore
 from oracles import chi_factor, fq_shape, lattice_core, prime_frac_core
 
 MODULI = [7, 11, 19, 23, 43, 163, 35]
@@ -51,6 +51,21 @@ class TestFqSeries:
             direct += (ntcore.jacobi(n, 11)
                        * math.sin(2 * math.pi * (r / x.denominator)) / n ** 2)
         assert sv.value == pytest.approx(direct, abs=1e-12)
+
+    def test_denominator_past_int64(self):
+        # 3**40 > 2**63: the reduction must not hand den to int64 numpy
+        x = Fraction(1, 3 ** 40)
+        direct = sum(ntcore.jacobi(n, 163)
+                     * math.sin(2 * math.pi * (n / x.denominator)) / n ** 2
+                     for n in range(1, 101))
+        assert fq.fq_series(163, x, 100).value == pytest.approx(direct,
+                                                                rel=1e-12)
+
+    def test_largest_int64_denominators_unchanged(self):
+        # den = 2**63 - 25 fits int64, so it keeps the vectorised reduction
+        x = Fraction(123456789, 2 ** 63 - 25)
+        assert fq.fq_series(163, x, 100).value == 2.6929074367683817e-11
+        assert liouville.f_series(x, 100).value == 9.071801407463431e-12
 
     @pytest.mark.parametrize("q", [11, 19, 43])
     def test_grid_stays_positive_for_small_class_number_one(self, q):
@@ -435,6 +450,93 @@ class TestLatticeQuad:
             for a, core in want.items():
                 got = fq.fq_lattice_quad(q, a).core
                 assert type(got) is int and got == core, (int64_max, a)
+
+    def test_identity_past_int64_cores(self):
+        # cores above _LATTICE_INT64_MAX leave int64, core/q does not: the
+        # half range at 1000003 runs the same blocks as at 999983
+        tracemalloc.start()
+        try:
+            assert fq.identity_check(1000003) is True
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 2 ** 20, peak / 2 ** 20
+
+    @pytest.mark.parametrize("a_max", [1, 500001, 1000002])
+    def test_object_cores_are_4qw(self, a_max):
+        q = 1000003
+        cores = fq.lattice_quad_values(q, a_max)
+        _, w = charsum.margin_values(q, a_max)
+        assert cores.dtype == object and len(cores) == a_max
+        assert all(type(c) is int for c in cores[:: max(1, a_max // 97)])
+        assert cores.tolist() == [4 * q * x for x in w[1:].tolist()]
+
+    @pytest.mark.parametrize("q", [35, 163, 2971])
+    def test_short_blocks_on_both_dtypes(self, monkeypatch, q):
+        # with _LATTICE_INT64_MAX patched below q the same int64 blocks are
+        # scaled by q into Python integers; blocks of 1 and 7 put every
+        # carry on a block edge
+        half = (q - 1) // 2
+        want = {a: lattice_core(q, a) for a in
+                sorted({1, 2, 7, 8, q // 3, half, half + 1, q - 1})}
+        for int64_max, dtype in ((fq._LATTICE_INT64_MAX, np.int64),
+                                 (q - 1, object)):
+            monkeypatch.setattr(fq, "_LATTICE_INT64_MAX", int64_max)
+            for block in (1, 7):
+                monkeypatch.setattr(fq, "_LATTICE_BLOCK", block)
+                for a_max in sorted({1, half, q - 1}):
+                    cores = fq.lattice_quad_values(q, a_max)
+                    assert cores.dtype == dtype and len(cores) == a_max
+                    for a, core in want.items():
+                        if a <= a_max:
+                            assert cores[a - 1] == core, (dtype, block, a)
+                    if dtype is object:
+                        assert all(type(c) is int for c in cores)
+
+    def test_table_not_of_a_character_rejected(self, monkeypatch):
+        # flipping chi(1) moves sum j chi(j) by 2, off the multiples of q
+        # that the class number formula guarantees
+        chi = ntcore.chi_values(ntcore.quad_char(163), 162).copy()
+        chi[1] = -chi[1]
+        with pytest.raises(errors.ExactnessError):
+            next(fq._lattice_blocks(chi, 81))
+        monkeypatch.setattr(fq, "chi_values", lambda ch, n: chi)
+        with pytest.raises(errors.ExactnessError):
+            fq.lattice_quad_values(163, 81)
+        with pytest.raises(errors.ExactnessError):
+            fq.fq_lattice_quad(163, 5)
+
+    def test_bad_input_builds_no_table(self, monkeypatch):
+        def no_table(ch, n):
+            raise AssertionError(f"chi table built for q = {ch.q}")
+
+        monkeypatch.setattr(fq, "chi_values", no_table)
+        big = 1_000_000_007  # prime, 3 (mod 4), above the lattice domain
+        calls = [
+            lambda: fq.fq_lattice_quad(big, 1),
+            lambda: fq.lattice_quad_values(big, 1),
+            lambda: fq.identity_check(big),
+            lambda: fq.identity_check(big, 0),
+            lambda: fq.fq_lattice_quad(163, 0),
+            lambda: fq.fq_lattice_quad(163, 163),
+            lambda: fq.fq_lattice_quad(35, 5),
+            lambda: fq.lattice_quad_values(163, 0),
+            lambda: fq.lattice_quad_values(163, 163),
+            lambda: fq.identity_check(163, 0),
+            lambda: fq.identity_check(35, 14),
+        ]
+        for call in calls:
+            with pytest.raises(errors.DomainError):
+                call()
+
+    def test_single_core_past_int64_is_odd(self):
+        q = 1000003
+        lo = fq.fq_lattice_quad(q, 500001).core
+        hi = fq.fq_lattice_quad(q, 500002).core
+        assert type(lo) is int and type(hi) is int
+        assert lo == -hi
+        _, w = charsum.margin_values(q, 500001)
+        assert lo == 4 * q * int(w[500001])
 
     def test_value_matches_exact(self):
         ev = fq.fq_lattice_quad(ntcore.quad_char(163), 7)

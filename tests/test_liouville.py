@@ -17,6 +17,14 @@ class TestFSeries:
                      for n in range(1, 501))
         assert sv.value == pytest.approx(direct, abs=1e-9)
 
+    def test_denominator_past_int64(self):
+        x = Fraction(1, 3 ** 40)
+        direct = sum(liouville_factor(n)
+                     * math.sin(2 * math.pi * (n / x.denominator)) / n ** 2
+                     for n in range(1, 101))
+        assert liouville.f_series(x, 100).value == pytest.approx(direct,
+                                                                 rel=1e-12)
+
     def test_zero_at_half(self):
         assert liouville.f_series(Fraction(1, 2), 2000).value == 0.0
 
