@@ -24,14 +24,28 @@ import numpy as np
 from .errors import DomainError, ExactnessError
 from .ntcore import QuadChar, chi_sieve, chi_values, is_prime, jacobi, quad_char
 
-# W over a = 0..n is formed in int64 while its bound n*(|h| + n) stays below
-# this, else in Python integers; a named constant so tests can shrink it and
-# force the exact object-dtype path on small inputs.
+# Sums of the margin kernels are formed in int64 while a proven bound on
+# their magnitude stays below this, else in Python integers (_int_dtype); a
+# named constant so tests can shrink it and force the exact object-dtype
+# path on small inputs.
 _INT64_GUARD = 1 << 62
 
 # _margin_min cuts a = 1..a_max into blocks of this many steps; a named
-# constant, read at call time, so tests can shrink it.
-_MIN_BLOCK = 1 << 12
+# constant, read at call time, so tests can shrink it.  It stays below
+# 2**16, so the moments of a block fit int32 (_block_moments).  Its bound
+# leaves a block a slack of about L**2/2 below its start, so a short L
+# keeps the candidate blocks few.
+_MIN_BLOCK = 1 << 8
+
+# A half range of fewer than this many blocks is not cut into rows: it is
+# summed whole, and _margin_min walks it as one block, which costs less
+# there than the per-row reductions and bounds.
+_MIN_ROWS = 64
+
+
+def _int_dtype(bound: int):
+    """int64 for values of magnitude at most bound < _INT64_GUARD, else object."""
+    return np.int64 if bound < _INT64_GUARD else object
 
 
 def _as_char(q_or_chi) -> QuadChar:
@@ -54,23 +68,21 @@ def prefix_sums(q_or_chi, upto: int) -> PrefixSums:
     """Exact character prefix sums through `upto`, streamed in blocks.
 
     The blocks are views of one chi table of at most q + BLOCK entries
-    (chi_sieve), so memory is O(q + BLOCK) whatever upto is.  Per
-    block the index n = lo + j is expanded so every numpy intermediate is
-    a sum of at most BLOCK terms of magnitude < 2**40; the cross terms are
-    recombined in Python integers, so no width limit applies overall.
+    (chi_sieve), so memory is O(q + BLOCK) whatever upto is.  Per block
+    the index n = lo + j is expanded: sum chi(lo + j) and sum j*chi(lo + j)
+    are int64 reductions of the int8 slab itself, with no wider copy, each
+    a sum of at most BLOCK terms of magnitude < 2**20; the cross term
+    lo*sum chi is recombined in Python integers, so no width limit applies
+    overall.
     """
     ch = _as_char(q_or_chi)
     if upto < 0:
         raise DomainError("prefix_sums needs upto >= 0")
-    a_tot = 0
-    b_tot = 0
+    a_tot = b_tot = 0
     for lo, arr in chi_sieve(ch, upto):
-        v = arr.astype(np.int64)
-        j = np.arange(len(v), dtype=np.int64)
-        s0 = int(v.sum())
-        s1 = int((j * v).sum())
+        s0 = int(arr.sum())
         a_tot += s0
-        b_tot += lo * s0 + s1
+        b_tot += lo * s0 + int(np.dot(arr, np.arange(len(arr))))
     return PrefixSums(ch.q, upto, a_tot, b_tot)
 
 
@@ -107,90 +119,94 @@ def _checked_class_number(q: int, a_half: int, b_half: int) -> int:
 
 @functools.lru_cache(maxsize=512)
 def _class_number_cached(q: int) -> ClassNumber:
-    half = (q - 1) // 2
-    h, A = _checked_prefix(quad_char(q), half)
-    a_half = int(A[half])
-    # exact: _checked_class_number has checked q*A(half) - 2*B(half) = q*h
-    return ClassNumber(q, h, a_half, q * (a_half - h) // 2)
+    chi = chi_values(quad_char(q), (q - 1) // 2, None)
+    return ClassNumber(q, *_block_moments(q, chi)[:3])
 
 
 def class_number(q_or_chi) -> ClassNumber:
     """Class number of Q(sqrt(-q)) via the finite character sum formula.
 
-    h, A(half) and B(half) come from _checked_prefix, the kernel and the
-    checks the margins and the scan share.  It reads one chi table and
-    one int64 prefix array of (q + 1)/2 entries each, so memory grows
-    linearly with q.
+    h, A(half) and B(half) come from _block_moments, the reductions and
+    checks the margins and the scan share.  Besides the int8 chi table
+    (one period of q entries for prime q) it holds a few arrays of one
+    entry per block of _MIN_BLOCK, so memory is about one byte per unit of
+    q.
     """
-    ch = _as_char(q_or_chi)
-    return _class_number_cached(ch.q)
+    return _class_number_cached(_as_char(q_or_chi).q)
 
 
 class _MarginBuffers:
-    """Scratch arrays for _margin_min over a = 0..n, n <= (q_max-1)/2: the
-    int8 table and the squares chi_values scatters a prime period with,
-    and the int64 prefix sums A.
+    """Scratch arrays for _margin_min over moduli q <= q_max: the int8
+    table and the squares k*k, k <= (q_max-1)/2, that chi_values scatters
+    a prime period with.
 
     One instance serves every modulus <= q_max.  A scan reuses it across a
-    block of moduli, so each modulus writes into pages already mapped
-    instead of allocating ~4 MB temporaries afresh near q = 10**6.  No W
-    array is kept: _margin_min forms W only inside the few blocks it
-    evaluates.
+    block of moduli, so each modulus writes its table into pages already
+    mapped and reads squares made once.  Nothing wider than the table is
+    kept per entry: _margin_min reads block moments straight off it.
     """
 
     def __init__(self, q_max: int):
-        half = (q_max - 1) // 2
         self.table = np.empty(q_max, dtype=np.int8)
-        k = np.arange(1, half + 1, dtype=np.int64)
+        k = np.arange(1, (q_max - 1) // 2 + 1, dtype=np.int64)
         self.squares = np.multiply(k, k, out=k)
-        self.a = np.empty(half + 1, dtype=np.int64)
 
 
-def _checked_prefix(ch: QuadChar, n: int, buf: _MarginBuffers | None = None,
-                    chi: np.ndarray | None = None):
-    """(h, A) with A(a) = chi(1) + ... + chi(a) over a = 0..n, n >= half.
+def _block_moments(q: int, chi: np.ndarray):
+    """(h, A(half), B(half), A, B) from the table chi of chi(0..half).
 
-    chi, a prebuilt table of at least n + 1 entries, defaults to
-    chi_values(ch, n, buf).  A is int64 (|A(a)| <= a), in buf.a when buf
-    is given, and is summed in place, so no int64 copy of the table is
-    made.  h is read off A(half) = (2 - chi(2))*h, and Abel summation gives
-    B(half) = half*A(half) - sum(A[0:half]), so every class number check
-    runs here, once, before any W is formed.  |sum(A[0:half])| <=
-    half**2/2, so it is summed in int64 while half**2 < _INT64_GUARD, else
-    in Python integers.
+    Row k of the (half//L, L) view of chi[1:], L = _MIN_BLOCK, holds
+    chi(s + i), s = 1 + k*L, i < L.  Its moments S0 = sum chi(s + i) and
+    S1 = sum i*chi(s + i) are integer reductions of the int8 table in
+    int32 (|S1| < L**2/2 < 2**31, as L < 2**16), so no wider copy of the
+    table is made.  A[k] = A(k*L) and B[k] = B(k*L), k = 0..half//L, are
+    cumulative sums of S0 and s*S0 + S1; |B| <= half**2/2 picks B's dtype
+    (_int_dtype).  The fewer than L entries past the last row enter only
+    the totals A(half) and B(half), Python integers.  A table of fewer
+    than _MIN_ROWS rows is not cut at all: A and B are then [0] and the
+    totals come from the whole table.  h is read off the totals by
+    _checked_class_number, so every class number check runs here, once,
+    for the scan, the margins and class_number alike.
     """
-    q = ch.q
-    half = (q - 1) // 2
-    if chi is None:
-        chi = chi_values(ch, n, buf)
-    A = np.empty(n + 1, dtype=np.int64) if buf is None else buf.a[:n + 1]
-    np.copyto(A, chi[:n + 1])
-    np.cumsum(A, out=A)
-    a_half = int(A[half])
-    wide = half * half >= _INT64_GUARD
-    tail = int(A[:half].sum(dtype=object if wide else np.int64))
-    return _checked_class_number(q, a_half, half * a_half - tail), A
+    n, L = len(chi) - 1, _MIN_BLOCK
+    nb = n // L if n >= _MIN_ROWS * L else 0
+    A = np.zeros(nb + 1, dtype=np.int64)
+    B = np.zeros(nb + 1, dtype=_int_dtype(n * n))
+    if nb:
+        rows = chi[1:nb * L + 1].reshape(nb, L)
+        s0 = rows.sum(axis=1, dtype=np.int32)
+        np.cumsum(s0, out=A[1:])
+        s1 = np.einsum("ij,j", rows, np.arange(L, dtype=np.int32), dtype=np.int32)
+        np.cumsum(s1 + s0 * np.arange(1, nb * L + 1, L), dtype=B.dtype,
+                  out=B[1:])
+    tail = chi[nb * L + 1:]
+    a_n = int(A[-1]) + int(tail.sum())
+    b_n = int(B[-1]) + int(np.dot(tail, np.arange(nb * L + 1, n + 1)))
+    return _checked_class_number(q, a_n, b_n), a_n, b_n, A, B
 
 
 def _margins(ch: QuadChar, a_max: int, chi: np.ndarray | None = None):
     """(h, A, W) over a = 0..a_max, with W(a) = a*(h - A(a)) + B(a), exact.
 
-    W(0) = 0 and W(a+1) - W(a) = h - A(a), so W is one cumulative sum of
-    h - A, written into W[1:] and summed in place there, with no linear
-    sum B, no index array and no separate steps array.  It runs over
-    n = max(a_max, half), since _checked_prefix reads h and its checks off
-    the half range.  |W| <= n*(|h| + n): below _INT64_GUARD W is int64,
-    else object dtype holding Python integers.  chi, a prebuilt table of
-    at least n + 1 entries, defaults to chi_values(ch, n); A and W are
-    fresh arrays either way.
+    h and its checks come from _block_moments over the half range.  A(a)
+    = chi(1) + ... + chi(a) is one int64 array (|A(a)| <= a), summed in
+    place.  W(0) = 0 and W(a+1) - W(a) = h - A(a), so W is one cumulative
+    sum of h - A, written into W[1:] and summed in place there, with no
+    linear sum B, no index array and no separate steps array.  It runs
+    over n = max(a_max, half).  By Abel summation W(a) = a*h -
+    sum(A[0:a]), so |W| <= n*(|h| + n), which picks W's dtype
+    (_int_dtype).  chi, a prebuilt table of at least n + 1 entries,
+    defaults to chi_values(ch, n); A and W are fresh arrays either way.
     """
     if a_max < 1:
         raise DomainError("need a_max >= 1")
-    n = max(a_max, (ch.q - 1) // 2)
-    h, A = _checked_prefix(ch, n, None, chi)
-    W = np.empty(n + 1, dtype=np.int64 if n * (abs(h) + n) < _INT64_GUARD
-                 else object)
-    W[0] = 0
+    half = (ch.q - 1) // 2
+    n = max(a_max, half)
+    chi = chi_values(ch, n, None) if chi is None else chi
+    h = _block_moments(ch.q, chi[:half + 1])[0]
+    A = chi[:n + 1].astype(np.int64)
+    np.cumsum(A, out=A)
+    W = np.zeros(n + 1, dtype=_int_dtype(n * (abs(h) + n)))
     np.subtract(h, A[:n], out=W[1:])
     np.cumsum(W[1:], out=W[1:])
     return h, A[:a_max + 1], W[:a_max + 1]
@@ -207,65 +223,74 @@ def margin_values(q_or_chi, a_max: int):
     return h, W
 
 
-def _block_bounds(h: int, A: np.ndarray, a_max: int):
+def _block_starts(h: int, A: np.ndarray, B: np.ndarray, chi: np.ndarray, a_max: int):
     """(starts, spans, bounds) of the blocks a in [s, s + span] of _margin_min.
 
     Block k starts at s = 1 + k*L, L = _MIN_BLOCK, and spans min(L,
     a_max - s) steps, so neighbours share an end and a last block with
-    a_max on its start has no steps.  The starts are exact: W(1) = h and
-    W(s + L) = W(s) + L*h - sum(A[s:s+L]).  W(s + t) - W(s) =
-    sum(h - A[s:s+t]), so bound = W(s) + span*min(0, h - max(A[s:e]))
-    is at most every W on the block, with e = min(s + L, a_max + 1) taking
-    in every step A[s:s+span] the block uses.  starts and bounds are
-    int64 while half*(|h| + half) < _INT64_GUARD (|W| stays below it, and
-    so does every bound), else Python integers in object arrays.
+    a_max on its start has no steps.  A and B are _block_moments' sums at
+    the block edges, A[k] = A(s - 1) and B[k] = B(s - 1), and the starts
+    are exact: chi(s) cancels in W(s) = s*(h - A(s)) + B(s) = s*(h -
+    A(s - 1)) + B(s - 1).  W(s + t) - W(s) = sum_{i<t} (h - A(s + i)) and
+    A(s + i) <= A(s) + i, so W(s + t) >= W(s) + t*(h - A(s)) - t*(t - 1)/2.
+    That bound is concave in t, so its least value on 0 <= t <= span is at
+    an end, and bound = W(s) + min(0, span*(h - A(s)) - span*(span - 1)/2)
+    is at most every W on the block: no max of A is needed.  With half =
+    len(chi) - 1 >= a_max, |W(a)| <= a*|h| + a**2/2, and every start,
+    bound and partial product stays within half*(|h| + half), which picks
+    their dtype (_int_dtype): on the object path they are Python integers.
     """
-    L = _MIN_BLOCK
-    half = len(A) - 1
+    L, half = _MIN_BLOCK, len(chi) - 1
     s = np.arange(1, a_max + 1, L)
-    seg = A[:a_max + 1]
-    rises = np.empty(len(s), dtype=np.int64 if half * (abs(h) + half)
-                     < _INT64_GUARD else object)
-    rises[0] = h
-    rises[1:] = L * h - np.add.reduceat(seg, s)[:-1]
-    starts = np.cumsum(rises)
+    heads = np.subtract(h, A[:len(s)], dtype=_int_dtype(half * (abs(h) + half)))
+    starts = s * heads + B[:len(s)]
     spans = np.minimum(L, a_max - s)
-    return starts, spans, starts + spans * np.minimum(
-        h - np.maximum.reduceat(seg, s), 0)
+    return starts, spans, starts + np.minimum(
+        spans * (heads - chi[1:a_max + 1:L]) - spans * (spans - 1) // 2, 0)
 
 
 def _margin_min(ch: QuadChar, a_max: int, buf: _MarginBuffers):
     """(h, min W(a), first argmin a) over 1 <= a <= a_max <= (q-1)/2.
 
-    No W array over the range is formed.  _block_bounds gives every block
-    start W(s), which is an attained value, and a lower bound on W over
-    the block; only blocks whose bound is at most the least start can hold
-    the minimum or a tie of it, and each of those (near q = 10**6, 2 or 3
-    of about 120, at the two ends) gets a local cumulative sum of h - A.
-    Blocks are read in order of a with a strict comparison, so the first
-    argmin is kept.  A block's local offsets W(s + t) - W(s), t <= span,
-    are bounded by L*(|h| + n), n = half, L = _MIN_BLOCK, and since
-    span < n also by n*(|h| + n), the bound on W itself; they take the
-    starts' dtype, so on the object path every start, offset and the
-    minimum are Python integers.
+    No W array, and no prefix array A over the range, is formed.
+    _block_moments reads the int8 table once, as row sums over blocks of
+    L = _MIN_BLOCK entries, and gives h and A, B at every block edge.
+    _block_starts turns them into every block start W(s), which is an
+    attained value, and a lower bound on W over the block.  Only blocks
+    whose bound is at most the least start can hold the minimum or a tie
+    of it (near q = 10**6, two to four of about 1940, at the two ends).
+    Consecutive ones form a run, and each run gets one local cumulative
+    sum of h - A(s + i) = h - A(s - 1) - (chi(s) + ... + chi(s + i)) from
+    its first start.  A half range too short to be cut into rows is one
+    run from W(1) = h, with no bounds.  Runs are read in order of a with a
+    strict comparison, and argmin keeps the first minimum inside a run, so
+    the first argmin is kept.  A run's local offsets W(s + t) - W(s),
+    t <= span < n, n = half, are bounded by n*(|h| + n), the bound on W
+    itself; they take the starts' dtype, so on the object path every
+    start, offset and the minimum are Python integers.
     """
     half = (ch.q - 1) // 2
     if not 1 <= a_max <= half:
         raise DomainError(f"need 1 <= a_max <= {half}, got {a_max}")
-    h, A = _checked_prefix(ch, half, buf)
-    starts, spans, bounds = _block_bounds(h, A, a_max)
+    chi = chi_values(ch, half, buf)
+    h, _, _, A, B = _block_moments(ch.q, chi)
+    L = _MIN_BLOCK
+    dtype, runs = _int_dtype(half * (abs(h) + half)), [(0, h, a_max - 1)]
+    if len(A) > 1:
+        starts, _, bounds = _block_starts(h, A, B, chi, a_max)
+        k = np.flatnonzero(bounds <= starts.min())
+        # (first block, its start, steps) of each run of consecutive blocks
+        runs = [(r[0], starts[r[0]], min(len(r) * L, a_max - 1 - r[0] * L))
+                for r in np.split(k, np.flatnonzero(np.diff(k) > 1) + 1)]
     best = arg = None
-    for k in np.flatnonzero(bounds <= starts.min()):
-        s = 1 + int(k) * _MIN_BLOCK
-        v, t = starts[k], 0
-        if spans[k]:
-            off = np.cumsum(np.subtract(h, A[s:s + spans[k]],
-                                        dtype=starts.dtype))
-            j = int(np.argmin(off))
-            if off[j] < 0:
-                v, t = v + off[j], j + 1
-        if best is None or v < best:
-            best, arg = v, s + t
+    for k, v, span in runs:
+        s = 1 + int(k) * L
+        off = np.zeros(span + 1, dtype=dtype)
+        np.subtract(h - int(A[k]), np.cumsum(chi[s:s + span], dtype=np.int64),
+                    out=off[1:], dtype=dtype)
+        t = int(np.argmin(np.cumsum(off, out=off)))
+        if best is None or v + off[t] < best:
+            best, arg = v + off[t], s + t
     return h, int(best), arg
 
 

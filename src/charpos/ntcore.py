@@ -38,6 +38,10 @@ PI4_HI = PI2_HI * PI2_HI
 # Deterministic Miller-Rabin witness set for all n < 2**64.
 _MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
+# quad_char divides out primes up to this bound only; a cofactor above its
+# square that is not prime cannot be factored there and is rejected.
+_TRIAL_LIMIT = 1 << 24
+
 
 def jacobi(n: int, m: int) -> int:
     """Jacobi symbol (n|m) for odd positive m.
@@ -198,6 +202,10 @@ def quad_char(q: int, *, assume_prime: bool = False) -> QuadChar:
     q = 3 is rejected: the class number formula used downstream needs q > 3.
     With assume_prime the caller vouches for primality (used by scans that
     already enumerated primes); validation of the residue class still runs.
+    A composite q is factored by trial division up to _TRIAL_LIMIT; a
+    cofactor left above _TRIAL_LIMIT**2 that is not prime has no factor
+    the division reached, and q is rejected at once with InvalidModulus
+    rather than sieving primes up to sqrt(q).
     """
     q = int(q)
     if q <= 3:
@@ -210,7 +218,7 @@ def quad_char(q: int, *, assume_prime: bool = False) -> QuadChar:
         return QuadChar(q, (q,))
     factors = []
     m = q
-    for p in _small_primes(math.isqrt(q)):
+    for p in _small_primes(min(math.isqrt(q), _TRIAL_LIMIT)):
         p = int(p)
         if p * p > m:
             break
@@ -219,6 +227,9 @@ def quad_char(q: int, *, assume_prime: bool = False) -> QuadChar:
             if m % p == 0:
                 raise InvalidModulus(f"{q} is not squarefree (divisible by {p}**2)")
             factors.append(p)
+    if m > _TRIAL_LIMIT ** 2 and not is_prime(m):
+        raise InvalidModulus(f"cannot factor {q}: cofactor {m} has no prime "
+                             f"factor up to the trial division limit {_TRIAL_LIMIT}")
     if m > 1:
         factors.append(m)
     return QuadChar(q, tuple(factors))
@@ -231,25 +242,26 @@ def _qr_period(p: int, buf=None) -> np.ndarray:
     k*k mod p formed as k*k - p*(k*k // p): numpy divides an int64 array
     by one scalar much faster than it takes its remainder.  The bound on p
     keeps every k*k, and so p*(k*k // p) <= k*k, below 2**62.  The squares
-    are reduced and scattered _QR_CHUNK at a time, so the quotient scratch
-    stays cache-sized whatever p is.  Only chi_values calls it.  buf, if
-    given, is scratch reused across moduli: an int8 `table` of >= p
-    entries (the result is a view of it), and int64 `squares` (k*k for
-    k = 1, 2, ...) at least (p-1)/2 long, which are only read.
+    are reduced and scattered _QR_CHUNK at a time, so the scratch stays
+    cache-sized whatever p is.  Only chi_values calls it.  buf, if given,
+    is scratch reused across moduli: an int8 `table` of >= p entries (the
+    result is a view of it), and int64 `squares` (k*k for k = 1, 2, ...)
+    at least (p-1)/2 long, which are only read.  Without buf the squares
+    of each pass are made in it, so the table of p bytes is the only
+    allocation that grows with p.
     """
     half = (p - 1) // 2
-    if buf is None:
-        k = np.arange(1, half + 1, dtype=np.int64)
-        sq = np.multiply(k, k, out=k)
-        t = np.empty(p, dtype=np.int8)
-    else:
-        sq = buf.squares[:half]
-        t = buf.table[:p]
+    t = np.empty(p, dtype=np.int8) if buf is None else buf.table[:p]
     t.fill(-1)
     t[0] = 0
     scratch = np.empty(min(half, _QR_CHUNK), dtype=np.int64)
     for lo in range(0, half, _QR_CHUNK):
-        s = sq[lo:lo + _QR_CHUNK]
+        hi = min(lo + _QR_CHUNK, half)
+        if buf is None:
+            s = np.arange(lo + 1, hi + 1, dtype=np.int64)
+            s *= s
+        else:
+            s = buf.squares[lo:hi]
         r = scratch[:len(s)]
         np.floor_divide(s, p, out=r)
         r *= p

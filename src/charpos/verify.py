@@ -100,10 +100,11 @@ class ScanResult:
 def _scan_chunk(qs):
     """Worker: min W over the half range for each modulus of a block.
 
-    _margin_min takes each minimum from exact block bounds without
-    forming W.  One set of its buffers (the table, the squares and A),
-    sized for the largest modulus, serves the whole block and is dropped
-    with it.
+    _margin_min takes each minimum from block moments of the int8 table,
+    exact block starts and lower bounds, without forming W or any int64
+    array over the range.  One set of its buffers (the table and the
+    squares), sized for the largest modulus, serves the whole block and
+    is dropped with it.
     """
     buf = _MarginBuffers(qs[-1])
     return [_margin_min(quad_char(q, assume_prime=True), (q - 1) // 2, buf)[1]

@@ -103,6 +103,19 @@ class TestClassNumber:
         assert cn == charsum.class_number(999983)
         assert peak <= 6 * 2**20, peak / 2**20
 
+    def test_peak_memory_near_ten_million(self):
+        # the int8 period of q bytes, about 9.5 MiB, and a few arrays of one
+        # entry per block: no (q-1)/2 int64 squares and no int64 prefix sums
+        tracemalloc.start()
+        try:
+            cn = charsum._class_number_cached.__wrapped__(9999991)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cn.h == verify._reduced_form_count(9999991) == 1715
+        assert (cn.a_half, cn.b_half) == (1715, 0)
+        assert peak <= 12 * 2**20, peak / 2**20
+
     def test_accepts_char_argument(self):
         ch = ntcore.quad_char(163)
         assert charsum.class_number(ch).h == 1
@@ -258,6 +271,18 @@ class TestBlockedMarginMin:
             for a_max in edge_a_maxes(q):
                 assert fresh_margin_min(q, a_max) == oracle_min(q, a_max), (q, a_max)
 
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_matches_plain_oracle_with_every_table_in_rows(self, monkeypatch,
+                                                           block):
+        # _MIN_ROWS = 1: tables too short for _MIN_ROWS rows, which the
+        # test above walks whole, go through the row moments and bounds
+        monkeypatch.setattr(charsum, "_MIN_BLOCK", block)
+        monkeypatch.setattr(charsum, "_MIN_ROWS", 1)
+        for q in SQUAREFREE_3MOD4_1500:
+            for a_max in edge_a_maxes(q):
+                assert fresh_margin_min(q, a_max) == oracle_min(q, a_max), (q, a_max)
+            assert charsum.class_number(q) == charsum._class_number_cached.__wrapped__(q)
+
     @pytest.mark.parametrize("object_path", [False, True])
     def test_block_starts_are_exact_and_bounds_hold(self, monkeypatch,
                                                     object_path):
@@ -268,13 +293,23 @@ class TestBlockedMarginMin:
         for q in (7, 11, 23, 35, 163, 1019, 2647):
             half = (q - 1) // 2
             h, w = margins(q, half)
-            got_h, A = charsum._checked_prefix(ntcore.quad_char(q), half,
-                                               charsum._MarginBuffers(q))
+            chi = ntcore.chi_values(ntcore.quad_char(q), half,
+                                    charsum._MarginBuffers(q))
+            got_h, a_half, b_half, A, B = charsum._block_moments(q, chi)
             assert got_h == h
+            assert (a_half, b_half) == direct_sums(q, half)
+            # the sums at every block edge; a table of fewer than _MIN_ROWS
+            # blocks is summed whole and has only the edge at 0
+            edges = [direct_sums(q, k * block) for k in range(half // block + 1)]
+            rows = half >= charsum._MIN_ROWS * block
+            assert [(int(a), int(b)) for a, b in zip(A, B)] == (
+                edges if rows else edges[:1]), q
+            A, B = (np.array(v, dtype=B.dtype) for v in zip(*edges))
             for a_max in edge_a_maxes(q) + [1 + block, 2 + block]:
                 if a_max > half:
                     continue
-                starts, spans, bounds = charsum._block_bounds(h, A, a_max)
+                starts, spans, bounds = charsum._block_starts(h, A, B, chi,
+                                                              a_max)
                 assert len(starts) == (a_max - 1) // block + 1
                 for k, (start, span, bound) in enumerate(zip(starts, spans,
                                                              bounds)):
@@ -286,6 +321,33 @@ class TestBlockedMarginMin:
                     assert {type(v) for v in [*starts, *bounds]} == {int}
                 else:
                     assert starts.dtype == bounds.dtype == np.int64
+
+    def test_matches_margin_values_near_a_million(self):
+        # at the default block size, where a dozen or more blocks at each
+        # end of the range pass the bound and get a local sum
+        L = charsum._MIN_BLOCK
+        qs = [int(q) for q in ntcore.primes_in_range(991_000, 10**6, residue=3,
+                                                     modulus=8)[:10]]
+        buf = charsum._MarginBuffers(qs[-1])
+        for q in qs:
+            half = (q - 1) // 2
+            h, w = charsum.margin_values(q, half)
+            for a_max in (1, 2, L, L + 1, 3 * L + 5, q // 4, half - 1, half):
+                k = int(np.argmin(w[1:a_max + 1])) + 1
+                got = charsum._margin_min(ntcore.quad_char(q), a_max, buf)
+                assert got == (h, int(w[k]), k), (q, a_max)
+
+    @pytest.mark.parametrize("q", [255255, 999919])
+    def test_composite_profile_matches_margin_values(self, q):
+        # 3*5*7*11*13*17 and 991*1009: many blocks, and W goes negative
+        L = charsum._MIN_BLOCK
+        half = (q - 1) // 2
+        h, w = charsum.margin_values(q, half)
+        assert h == charsum.class_number(q).h and int(w.min()) < 0
+        for a_max in (1, L, L + 1, q // 4, half):
+            k = int(np.argmin(w[1:a_max + 1])) + 1
+            assert charsum.margin_profile(q, a_max) == charsum.MarginProfile(
+                q, h, a_max, int(w[k]), k), a_max
 
     def test_minimum_is_a_python_int_on_object_path(self, monkeypatch):
         monkeypatch.setattr(charsum, "_INT64_GUARD", 1)

@@ -151,6 +151,32 @@ class TestQuadChar:
         ch = ntcore.quad_char(1019, assume_prime=True)
         assert ch.factors == (1019,)
 
+    def test_unfactorable_composite_fails_fast(self, monkeypatch):
+        # Two primes above the trial division limit: nothing divides out,
+        # and the cofactor is neither prime nor below the limit squared.
+        # Without the limit this would sieve primes up to 10**9 first.
+        real = ntcore._small_primes
+
+        def bounded(limit):
+            assert limit <= ntcore._TRIAL_LIMIT, limit
+            return real(limit)
+
+        monkeypatch.setattr(ntcore, "_small_primes", bounded)
+        q = 1_000_000_007 * 1_000_000_009
+        assert q % 4 == 3 and q > 10**18
+        with pytest.raises(errors.InvalidModulus,
+                           match=f"limit {ntcore._TRIAL_LIMIT}"):
+            ntcore.quad_char(q)
+        # a prime cofactor above the limit squared is still accepted, and
+        # so are factors below the limit
+        p = next(p for p in range(10**17 + 1, 10**17 + 10**4, 4)
+                 if ntcore.is_prime(p))
+        assert p > ntcore._TRIAL_LIMIT ** 2
+        assert ntcore.quad_char(3 * p).factors == (3, p)
+        assert ntcore.quad_char(10_000_019 * 10_000_121).factors == (
+            10_000_019, 10_000_121)
+        assert ntcore.quad_char(10**18 + 3).factors == (10**18 + 3,)
+
 
 class TestChiSieve:
     @pytest.mark.parametrize("q", [11, 19, 35, 15, 163, 91])
