@@ -185,42 +185,61 @@ def _block_moments(q: int, chi: np.ndarray):
     return _checked_class_number(q, a_n, b_n), a_n, b_n, A, B
 
 
-def _margins(ch: QuadChar, a_max: int, chi: np.ndarray | None = None):
-    """(h, A, W) over a = 0..a_max, with W(a) = a*(h - A(a)) + B(a), exact.
+def _w_span(h: int, A: np.ndarray, B: np.ndarray, chi: np.ndarray, lo: int,
+            hi: int, n: int) -> np.ndarray:
+    """W(lo..hi) exactly, walked from the last block edge e = k*L <= lo.
 
-    h and its checks come from _block_moments over the half range.  A(a)
-    = chi(1) + ... + chi(a) is one int64 array (|A(a)| <= a), summed in
-    place.  W(0) = 0 and W(a+1) - W(a) = h - A(a), so W is one cumulative
-    sum of h - A, written into W[1:] and summed in place there, with no
-    linear sum B, no index array and no separate steps array.  It runs
-    over n = max(a_max, half).  By Abel summation W(a) = a*h -
-    sum(A[0:a]), so |W| <= n*(|h| + n), which picks W's dtype
-    (_int_dtype).  chi, a prebuilt table of at least n + 1 entries,
-    defaults to chi_values(ch, n); A and W are fresh arrays either way.
+    A and B are _block_moments' sums at the block edges, L = _MIN_BLOCK
+    (only the edge 0 for a table it did not cut), so W(e) = e*(h - A[k]) +
+    B[k] is exact; chi is the table from chi(0), at least hi entries long.
+    W(a+1) - W(a) = h - A(a), so one array w of hi - e + 1 entries does
+    it all: w[1:] gets -chi(e..hi-1), negated as it is copied from the
+    int8 table, with its first entry replaced by h - A(e); one cumulative
+    sum in place turns it into the steps h - A(e..hi-1), and with w[0] =
+    W(e) a second one gives W(e..hi).  Both sums run on the wide array:
+    np.cumsum of int8 into int64 is much slower.  |W(a)| <= a*(|h| + a)
+    and every partial sum is a step or a value of W, so n >= hi picks the
+    dtype (_int_dtype): on the object path every entry is a Python
+    integer.
     """
-    if a_max < 1:
-        raise DomainError("need a_max >= 1")
+    k = min(lo // _MIN_BLOCK, len(A) - 1)
+    e, a_e = k * _MIN_BLOCK, int(A[k])
+    w = np.empty(hi - e + 1, dtype=_int_dtype(n * (abs(h) + n)))
+    steps = w[1:]
+    np.negative(chi[e:hi], out=steps)
+    steps[:1] = h - a_e  # no step when hi == e
+    np.cumsum(steps, out=steps)
+    w[0] = e * (h - a_e) + int(B[k])
+    return np.cumsum(w, out=w)[lo - e:]
+
+
+def _margins(ch: QuadChar, lo: int, hi: int, chi: np.ndarray | None = None):
+    """(h, W) with W[i] = W(lo + i) = a*(h - A(a)) + B(a), a = lo..hi, exact.
+
+    h and the block-edge sums come from _block_moments over the half
+    range, and W from one _w_span, so nothing past hi is formed and the
+    walk starts at the last block edge at or before lo.  Its dtype is
+    picked by n = max(hi, half).  chi, a prebuilt table of at least hi + 1 and half + 1
+    entries, defaults to chi_values(ch, n).
+    """
     half = (ch.q - 1) // 2
-    n = max(a_max, half)
+    n = max(hi, half)
     chi = chi_values(ch, n, None) if chi is None else chi
-    h = _block_moments(ch.q, chi[:half + 1])[0]
-    A = chi[:n + 1].astype(np.int64)
-    np.cumsum(A, out=A)
-    W = np.zeros(n + 1, dtype=_int_dtype(n * (abs(h) + n)))
-    np.subtract(h, A[:n], out=W[1:])
-    np.cumsum(W[1:], out=W[1:])
-    return h, A[:a_max + 1], W[:a_max + 1]
+    h, _, _, A, B = _block_moments(ch.q, chi[:half + 1])
+    return h, _w_span(h, A, B, chi, lo, hi, n)
 
 
 def margin_values(q_or_chi, a_max: int):
     """(h, W) where W[a] = a*(h - A(a)) + B(a) for a = 0..a_max, exact.
 
-    Any a_max >= 1 is allowed, including ranges past the half period.  The
-    cost is O(max(a_max, q/2)) time and memory even for a small a_max,
-    since h is read off the character sum over the whole half period.
+    Any a_max >= 1 is allowed, including ranges past the half period.  h
+    is read off the character sums over the half period, one int8 table
+    and a few block reductions, so a small a_max costs about one byte per
+    unit of q; W itself is one array of a_max + 1 entries.
     """
-    h, _, W = _margins(_as_char(q_or_chi), a_max)
-    return h, W
+    if a_max < 1:
+        raise DomainError("need a_max >= 1")
+    return _margins(_as_char(q_or_chi), 0, a_max)
 
 
 def _block_starts(h: int, A: np.ndarray, B: np.ndarray, chi: np.ndarray, a_max: int):
@@ -259,38 +278,31 @@ def _margin_min(ch: QuadChar, a_max: int, buf: _MarginBuffers):
     attained value, and a lower bound on W over the block.  Only blocks
     whose bound is at most the least start can hold the minimum or a tie
     of it (near q = 10**6, two to four of about 1940, at the two ends).
-    Consecutive ones form a run, and each run gets one local cumulative
-    sum of h - A(s + i) = h - A(s - 1) - (chi(s) + ... + chi(s + i)) from
-    its first start.  A half range too short to be cut into rows is one
-    run from W(1) = h, with no bounds.  Runs are read in order of a with a
-    strict comparison, and argmin keeps the first minimum inside a run, so
-    the first argmin is kept.  A run's local offsets W(s + t) - W(s),
-    t <= span < n, n = half, are bounded by n*(|h| + n), the bound on W
-    itself; they take the starts' dtype, so on the object path every
-    start, offset and the minimum are Python integers.
+    Consecutive ones form a run, and each run is one _w_span from the
+    block edge just before it.  A half range too short to be cut into rows
+    is one run over 1..a_max, with no bounds.  Runs are read in order of a
+    with a strict comparison, and argmin keeps the first minimum inside a
+    run, so the first argmin is kept.  _w_span takes its dtype from n =
+    half, so on the object path the minimum is a Python integer.
     """
     half = (ch.q - 1) // 2
     if not 1 <= a_max <= half:
         raise DomainError(f"need 1 <= a_max <= {half}, got {a_max}")
     chi = chi_values(ch, half, buf)
     h, _, _, A, B = _block_moments(ch.q, chi)
-    L = _MIN_BLOCK
-    dtype, runs = _int_dtype(half * (abs(h) + half)), [(0, h, a_max - 1)]
+    L, runs = _MIN_BLOCK, [(1, a_max)]
     if len(A) > 1:
         starts, _, bounds = _block_starts(h, A, B, chi, a_max)
         k = np.flatnonzero(bounds <= starts.min())
-        # (first block, its start, steps) of each run of consecutive blocks
-        runs = [(r[0], starts[r[0]], min(len(r) * L, a_max - 1 - r[0] * L))
+        # (first a, last a) of each run of consecutive blocks
+        runs = [(1 + int(r[0]) * L, min(1 + (int(r[-1]) + 1) * L, a_max))
                 for r in np.split(k, np.flatnonzero(np.diff(k) > 1) + 1)]
     best = arg = None
-    for k, v, span in runs:
-        s = 1 + int(k) * L
-        off = np.zeros(span + 1, dtype=dtype)
-        np.subtract(h - int(A[k]), np.cumsum(chi[s:s + span], dtype=np.int64),
-                    out=off[1:], dtype=dtype)
-        t = int(np.argmin(np.cumsum(off, out=off)))
-        if best is None or v + off[t] < best:
-            best, arg = v + off[t], s + t
+    for lo, hi in runs:
+        w = _w_span(h, A, B, chi, lo, hi, half)
+        t = int(np.argmin(w))
+        if best is None or w[t] < best:
+            best, arg = w[t], lo + t
     return h, int(best), arg
 
 

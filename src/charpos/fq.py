@@ -25,7 +25,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .charsum import _as_char, _margins, class_number, weighted_prefix_sum
+from .charsum import (_as_char, _block_moments, _margins, _w_span, class_number,
+                      weighted_prefix_sum)
 from .errors import DomainError, ExactnessError
 from .ntcore import BLOCK, PI2_HI, QuadChar, chi_values, is_prime
 
@@ -134,11 +135,18 @@ class PiecewiseFq:
 
 
 def piecewise_fq(q_or_chi, a_max: int | None = None) -> PiecewiseFq:
+    """The pieces a = 0..a_max (default (q-1)/2) of x*(h - S(qx)).
+
+    One walk gives W over 0..a_max + 1; the slope of piece a is
+    W(a + 1) - W(a) = h - A(a) and its intercept W(a) - a*slope.
+    """
     ch = _as_char(q_or_chi)
     if a_max is None:
         a_max = (ch.q - 1) // 2
-    h, A, W = _margins(ch, a_max)
-    slopes = h - A
+    if a_max < 1:
+        raise DomainError("need a_max >= 1")
+    h, W = _margins(ch, 0, a_max + 1)
+    slopes, W = np.diff(W), W[:-1]
     a = np.arange(a_max + 1).astype(W.dtype, copy=False)
     return PiecewiseFq(ch.q, h, a_max, slopes, W - a * slopes, W)
 
@@ -500,8 +508,10 @@ def _lattice_blocks(chi: np.ndarray, a_max: int):
 def identity_check(q_or_chi, a: int | None = None) -> bool:
     """Confirm core(a) == 4*q*W(a), for one a or the whole half range.
 
-    Both sides read one chi table.  The half range is compared block by
-    block as Y == 4W, with Y = core/q from _lattice_blocks; 4W stays in
+    Both sides read one chi table, and h with the block-edge sums comes
+    from _block_moments once.  The half range is compared block by block
+    as Y == 4W, with Y = core/q from _lattice_blocks and W over the same
+    span from _w_span, so no W over the whole range is held; 4W stays in
     int64, as |W| <= n (|h| + n) < 7.5e17 for n = (q - 1)/2 and
     q <= 10**9.
     """
@@ -509,12 +519,12 @@ def identity_check(q_or_chi, a: int | None = None) -> bool:
     q = ch.q
     chi = chi_values(ch, q - 1)
     if a is not None:
-        _, _, w = _margins(ch, a, chi=chi)
-        return _lattice_core(chi, a) == 4 * q * int(w[a])
-    a_max = (q - 1) // 2
-    w = _margins(ch, a_max, chi=chi)[2]  # A is freed before the blocks run
-    return all(np.array_equal(y, 4 * w[a1 : a1 + len(y)])
-               for a1, y in _lattice_blocks(chi, a_max))
+        return _lattice_core(chi, a) == 4 * q * int(_margins(ch, a, a, chi)[1][0])
+    half = (q - 1) // 2
+    h, _, _, A, B = _block_moments(q, chi[:half + 1])
+    return all(np.array_equal(y, 4 * _w_span(h, A, B, chi, a1, a1 + len(y) - 1,
+                                             half))
+               for a1, y in _lattice_blocks(chi, half))
 
 
 # Weight patterns for the auxiliary L-style tails: value at n depends on

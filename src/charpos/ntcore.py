@@ -202,7 +202,10 @@ def quad_char(q: int, *, assume_prime: bool = False) -> QuadChar:
     q = 3 is rejected: the class number formula used downstream needs q > 3.
     With assume_prime the caller vouches for primality (used by scans that
     already enumerated primes); validation of the residue class still runs.
-    A composite q is factored by trial division up to _TRIAL_LIMIT; a
+    A composite q is factored by trial division up to _TRIAL_LIMIT: one
+    vectorised remainder of q by every prime up to min(isqrt(q),
+    _TRIAL_LIMIT) finds the divisors, which are divided out in increasing
+    order, so the least prime whose square divides q is the one named.  A
     cofactor left above _TRIAL_LIMIT**2 that is not prime has no factor
     the division reached, and q is rejected at once with InvalidModulus
     rather than sieving primes up to sqrt(q).
@@ -216,17 +219,14 @@ def quad_char(q: int, *, assume_prime: bool = False) -> QuadChar:
         return QuadChar(q, (q,))
     if is_prime(q):
         return QuadChar(q, (q,))
-    factors = []
-    m = q
-    for p in _small_primes(min(math.isqrt(q), _TRIAL_LIMIT)):
-        p = int(p)
-        if p * p > m:
-            break
+    # q < 2**64 past is_prime, so one uint64 remainder per prime is exact
+    primes = _small_primes(min(math.isqrt(q), _TRIAL_LIMIT)).astype(np.uint64)
+    factors, m = [], q
+    for p in primes[np.uint64(q) % primes == 0].tolist():
+        m //= p
         if m % p == 0:
-            m //= p
-            if m % p == 0:
-                raise InvalidModulus(f"{q} is not squarefree (divisible by {p}**2)")
-            factors.append(p)
+            raise InvalidModulus(f"{q} is not squarefree (divisible by {p}**2)")
+        factors.append(p)
     if m > _TRIAL_LIMIT ** 2 and not is_prime(m):
         raise InvalidModulus(f"cannot factor {q}: cofactor {m} has no prime "
                              f"factor up to the trial division limit {_TRIAL_LIMIT}")

@@ -25,8 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import ntcore
-from .charsum import (_MarginBuffers, _as_char, _margin_min, margin_profile,
-                      margin_values)
+from .charsum import _MarginBuffers, _as_char, _margin_min, _margins, margin_profile
 from .errors import (CertificateError, DomainError, ExactnessError,
                      InsufficientBound)
 from .fq import _prime_frac_cores
@@ -259,9 +258,8 @@ def certify_f_positive(eps, q: int | None = None, xmax=Fraction(1, 4), *,
     half = (q - 1) // 2
     a_lo = math.floor(eps * q)
     a_hi = min(math.ceil(xmax * q), half)
-    h, w = margin_values(ch, a_hi)
+    h, seg = _margins(ch, a_lo, a_hi)
     w_lo, w_yes = pi4_square_thresholds(n * n, q ** 3)
-    seg = w[a_lo : a_hi + 1]
     bad = np.flatnonzero(seg < w_yes)
     undecided = np.flatnonzero(seg[bad] >= w_lo)
     if undecided.size:
@@ -279,7 +277,7 @@ def certify_f_positive(eps, q: int | None = None, xmax=Fraction(1, 4), *,
             f"cannot certify down to eps={eps}", best_eps=best)
     full = k == a_hi and Fraction(a_hi, q) >= xmax
     achieved = xmax if full else Fraction(k, q)
-    rows = zip(range(a_lo, k + 1), w[a_lo:k + 1].tolist())
+    rows = zip(range(a_lo, k + 1), seg[:k + 1 - a_lo].tolist())
     cert = {
         "version": "v1",
         "q": q,

@@ -202,6 +202,22 @@ class TestMargins:
         assert peak <= 9 * 2**20, peak / 2**20
 
 
+    @pytest.mark.parametrize("q,a_max,mib", [(999983, 499991, 6),
+                                             (994067, 10, 2)])
+    def test_forms_w_only_up_to_a_max(self, q, a_max, mib):
+        # the chi period of q bytes, a few block sums and W over 0..a_max:
+        # 4.8 MiB and 1.3 MiB; W or A over the whole half range would add
+        # 3.8 MiB each
+        tracemalloc.start()
+        try:
+            h, w = charsum.margin_values(q, a_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(w) == a_max + 1 and int(w[1]) == h
+        assert peak <= mib * 2**20, peak / 2**20
+
+
 PRIMES_3_MOD_8 = [q for q in SQUAREFREE_3MOD4 if q % 8 == 3 and ntcore.is_prime(q)]
 PRIMES_7_MOD_8 = [q for q in SQUAREFREE_3MOD4 if q % 8 == 7 and ntcore.is_prime(q)]
 COMPOSITES = [q for q in SQUAREFREE_3MOD4 if not ntcore.is_prime(q)]
@@ -236,10 +252,10 @@ class TestMarginKernel:
         q = 4003
         ch = ntcore.quad_char(q)
         chi = ntcore.chi_values(ch, q - 1)
-        want = charsum._margins(ch, q - 2)
+        want = charsum._margins(ch, 0, q - 2)
         monkeypatch.setattr(charsum, "_MarginBuffers", None)
         for a_max in (1, (q - 1) // 2, q - 2):
-            got = charsum._margins(ch, a_max, chi=chi)
+            got = charsum._margins(ch, 0, a_max, chi=chi)
             assert got[0] == want[0]
             for have, full in zip(got[1:], want[1:]):
                 assert np.array_equal(have, full[:a_max + 1]), a_max
@@ -435,6 +451,52 @@ class TestMarginKernelCrossChecks:
         monkeypatch.setattr(charsum, "jacobi", lambda n, m: 1)
         with pytest.raises(errors.ExactnessError, match="class number formula"):
             path()
+
+
+oracle_margins = functools.lru_cache(maxsize=None)(margins)
+
+
+class TestWalk:
+    """_w_span and _margins against the running-sum oracle, walked from
+    every kind of block edge: spans that start on an edge, just past one,
+    just before one, past the half range (where the walk starts at the
+    last edge), and spans of no step at all."""
+
+    @pytest.mark.parametrize("object_path", [False, True])
+    @pytest.mark.parametrize("rows", [1, None])
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, None])
+    def test_spans_match_oracle(self, monkeypatch, block, rows, object_path):
+        if block is not None:
+            monkeypatch.setattr(charsum, "_MIN_BLOCK", block)
+        if rows is not None:
+            monkeypatch.setattr(charsum, "_MIN_ROWS", rows)
+        if object_path:
+            monkeypatch.setattr(charsum, "_INT64_GUARD", 1)
+        L = charsum._MIN_BLOCK
+        qs = [7, 11, 35, 91, 163, 1019, 2647] + ([32771] if block is None else [])
+        for q in qs:
+            ch = ntcore.quad_char(q)
+            half = (q - 1) // 2
+            h, want = oracle_margins(q, 2 * q)
+            chi = ntcore.chi_values(ch, 2 * q)
+            got_h, _, _, A, B = charsum._block_moments(q, chi[:half + 1])
+            assert got_h == h
+            for lo in sorted({0, 1, L - 1, L, L + 1, half - 1, half}):
+                for hi in sorted({lo, lo + 1, lo + L, half, half + 1, q, 2 * q}):
+                    if not (1 <= hi <= 2 * q and lo <= hi):
+                        continue
+                    w = charsum._w_span(h, A, B, chi, lo, hi, max(hi, half))
+                    assert w.dtype == (object if object_path else np.int64)
+                    assert [int(v) for v in w] == want[lo:hi + 1], (q, lo, hi)
+                    if object_path:
+                        assert {type(v) for v in w} == {int}
+                    got = charsum._margins(ch, lo, hi)
+                    assert got[0] == h and np.array_equal(got[1], w), (q, lo, hi)
+            # a span of no step from an edge: at L = 1 with rows every
+            # a <= half is one
+            e = min(half // L, len(A) - 1) * L
+            w = charsum._w_span(h, A, B, chi, e, e, half)
+            assert [int(v) for v in w] == [want[e]]
 
 
 WIDE_MODULI = [11, 163, 1019, 7, 23, 2647, 15, 35, 51, 91]

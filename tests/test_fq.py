@@ -398,6 +398,18 @@ class TestLatticeQuad:
             tracemalloc.stop()
         assert peak <= 20 * 2 ** 20, peak / 2 ** 20
 
+    def test_identity_holds_no_w_over_the_range(self):
+        # the chi period of q bytes, the lattice kernel's six int64 block
+        # buffers and one W span per block: about 5.5 MiB at q = 999983,
+        # where a whole W over the half range alone would be 3.8 MiB more
+        tracemalloc.start()
+        try:
+            assert fq.identity_check(999983) is True
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.5 * 2 ** 20, peak / 2 ** 20
+
     @pytest.mark.parametrize("a", [None, 40, 100])
     def test_identity_builds_one_table(self, monkeypatch, a):
         # count the scatter under every module binding it could have

@@ -178,6 +178,58 @@ class TestQuadChar:
         assert ntcore.quad_char(10**18 + 3).factors == (10**18 + 3,)
 
 
+def loop_factors(q):
+    """quad_char's trial division as a plain loop over the same primes,
+    stopping once p*p passes the cofactor: the factors, or the message of
+    the InvalidModulus it raises."""
+    m, factors = q, []
+    for p in ntcore._small_primes(min(math.isqrt(q), ntcore._TRIAL_LIMIT)).tolist():
+        if p * p > m:
+            break
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return f"{q} is not squarefree (divisible by {p}**2)"
+            factors.append(p)
+    if m > ntcore._TRIAL_LIMIT ** 2 and not ntcore.is_prime(m):
+        return (f"cannot factor {q}: cofactor {m} has no prime factor up to "
+                f"the trial division limit {ntcore._TRIAL_LIMIT}")
+    return tuple(factors) + ((m,) if m > 1 else ())
+
+
+def quad_char_factors(q):
+    try:
+        return ntcore.quad_char(q).factors
+    except errors.InvalidModulus as exc:
+        return str(exc)
+
+
+class TestTrialDivision:
+    """One vectorised remainder finds the same factors and rejects the
+    same moduli, with the same messages, as the loop it replaced."""
+
+    def test_matches_loop_on_every_small_modulus(self):
+        for q in range(7, 20_000, 4):
+            if not ntcore.is_prime(q):
+                assert quad_char_factors(q) == loop_factors(q), q
+
+    @pytest.mark.parametrize("q", [
+        100001400002299,                 # 10000019 * 10000121
+        16777213 * 16777259,             # a factor just below 2**24
+        3 * 10007**2,                    # not squarefree
+        7 * 11**2 * 13**2,               # the least square prime is named
+        255255, 999919,
+        16777213 * 549755912239,         # in [2**63, 2**64)
+        9223372036854775811,             # 2**63 + 3, small factors
+        9 * 1024819115206086203,         # >= 2**63, not squarefree
+        3100000027 * 3100000061,         # >= 2**63, no factor below 2**24
+        1_000_000_007 * 1_000_000_009,
+    ])
+    def test_matches_loop_on_large_composites(self, q):
+        assert q % 4 == 3 and not ntcore.is_prime(q)
+        assert quad_char_factors(q) == loop_factors(q)
+
+
 class TestChiSieve:
     @pytest.mark.parametrize("q", [11, 19, 35, 15, 163, 91])
     def test_matches_jacobi(self, monkeypatch, q):
