@@ -136,20 +136,18 @@ def class_number(q_or_chi) -> ClassNumber:
 
 
 class _MarginBuffers:
-    """Scratch arrays for _margin_min over moduli q <= q_max: the int8
-    table and the squares k*k, k <= (q_max-1)/2, that chi_values scatters
-    a prime period with.
+    """Scratch for _margin_min over moduli q <= q_max: the int8 table of
+    q_max entries that chi_values scatters a prime period into.
 
     One instance serves every modulus <= q_max.  A scan reuses it across a
     block of moduli, so each modulus writes its table into pages already
-    mapped and reads squares made once.  Nothing wider than the table is
-    kept per entry: _margin_min reads block moments straight off it.
+    mapped.  Nothing wider than the table is kept per entry: _qr_period
+    forms k*k mod p a pass at a time, and _margin_min reads block
+    moments straight off the table.
     """
 
     def __init__(self, q_max: int):
         self.table = np.empty(q_max, dtype=np.int8)
-        k = np.arange(1, (q_max - 1) // 2 + 1, dtype=np.int64)
-        self.squares = np.multiply(k, k, out=k)
 
 
 def _block_moments(q: int, chi: np.ndarray):

@@ -19,8 +19,16 @@ from .errors import DomainError, ExactnessError, InvalidModulus
 # Streaming block size (entries, not bytes); keeps big sieves cache-resident.
 BLOCK = 1 << 20
 
-# Squares _qr_period reduces mod p per pass (128 KiB of int64 scratch).
+# Values k*k mod p that _qr_period advances and scatters per pass: its
+# scratch is four uint32 arrays and one intp index of this many entries
+# (384 KiB), cache-sized whatever p is.  3 * _QR_CHUNK**2 < 2**32 keeps
+# its first pass in uint32.
 _QR_CHUNK = 1 << 14
+
+# chi_values builds no table of more entries than this.  Every modulus up
+# to 10**9 + 7 keeps its table, and every period _qr_period scatters stays
+# below 2**31, which its uint32 sums need.
+_TABLE_MAX = 1 << 30
 
 # Rational bounds PI_LO < pi < PI_HI, 37 correct digits.  Sharp enough for
 # certificates: for every prime q = 3 (mod 8) below 10**6, at its own
@@ -236,37 +244,55 @@ def quad_char(q: int, *, assume_prime: bool = False) -> QuadChar:
 
 
 def _qr_period(p: int, buf=None) -> np.ndarray:
-    """One period of the Legendre symbol mod an odd prime p < 2**32, as int8.
+    """One period of the Legendre symbol mod an odd prime p < 2**31, as int8.
 
-    Scatters k*k mod p, k <= (p-1)/2, into a table of nonresidues, with
-    k*k mod p formed as k*k - p*(k*k // p): numpy divides an int64 array
-    by one scalar much faster than it takes its remainder.  The bound on p
-    keeps every k*k, and so p*(k*k // p) <= k*k, below 2**62.  The squares
-    are reduced and scattered _QR_CHUNK at a time, so the scratch stays
-    cache-sized whatever p is.  Only chi_values calls it.  buf, if given,
-    is scratch reused across moduli: an int8 `table` of >= p entries (the
-    result is a view of it), and int64 `squares` (k*k for k = 1, 2, ...)
-    at least (p-1)/2 long, which are only read.  Without buf the squares
-    of each pass are made in it, so the table of p bytes is the only
-    allocation that grows with p.
+    Scatters k*k mod p, k <= (p-1)/2, into a table of nonresidues, _QR_CHUNK
+    = C values per pass, with no array of k*k and no division past the
+    first pass.  Entry i of a pass holds r = k*k mod p for k = lo + i + 1;
+    the next pass needs (k + C)**2 = k*k + d with d = 2*C*k + C**2, and d
+    itself grows by 2*C**2 from pass to pass, so r <- r + d and d <- d +
+    2*C**2, both mod p.  Only the first pass's C entries of r and d are
+    reduced by division, as x - p*(x // p) in uint32 (there k*k and d are
+    at most 3*C**2 < 2**32): numpy divides a uint32 array by one scalar
+    much faster than it takes its remainder, or divides int64.  Later
+    passes read only the first min(C, half - C) entries, and a half range
+    of at most C needs no d at all.  Each later sum is of two residues
+    below p, so x < 2p < 2**32 holds in uint32 with no wrap, and min(x,
+    x - p) is x mod p: for x >= p, x - p is the smaller; for x < p, x - p
+    wraps to x - p + 2**32 > 2**31 > p > x.  r is copied into the first
+    pass's intp index before each later scatter, which numpy would
+    otherwise convert on every pass.  Only chi_values calls it, and its
+    gate keeps p <= _TABLE_MAX.  buf, if given, is scratch reused across
+    moduli: an int8 `table` of >= p entries, of which the result is a
+    view; either way the table of p bytes is the only allocation that
+    grows with p.
     """
-    half = (p - 1) // 2
+    half, c = (p - 1) // 2, _QR_CHUNK
     t = np.empty(p, dtype=np.int8) if buf is None else buf.table[:p]
     t.fill(-1)
     t[0] = 0
-    scratch = np.empty(min(half, _QR_CHUNK), dtype=np.int64)
-    for lo in range(0, half, _QR_CHUNK):
-        hi = min(lo + _QR_CHUNK, half)
-        if buf is None:
-            s = np.arange(lo + 1, hi + 1, dtype=np.int64)
-            s *= s
-        else:
-            s = buf.squares[lo:hi]
-        r = scratch[:len(s)]
-        np.floor_divide(s, p, out=r)
-        r *= p
-        np.subtract(s, r, out=r)
-        t[r] = 1
+    p32 = np.uint32(p)
+    k = np.arange(1, min(half, c) + 1, dtype=np.uint32)
+    r = k * k
+    r -= r // p32 * p32
+    idx = r.astype(np.intp)
+    t[idx] = 1
+    n = min(c, half - c)  # entries a later pass reads
+    if n <= 0:
+        return t
+    r, d = r[:n], k[:n] * np.uint32(2 * c) + np.uint32(c * c)
+    d -= d // p32 * p32
+    dd = np.uint32(2 * c * c % p)
+    x = np.empty_like(r)
+    for lo in range(c, half, c):
+        m = min(c, half - lo)
+        r, d, x = r[:m], d[:m], x[:m]
+        np.add(r, d, out=r)
+        np.minimum(r, np.subtract(r, p32, out=x), out=r)
+        np.add(d, dd, out=d)
+        np.minimum(d, np.subtract(d, p32, out=x), out=d)
+        idx[:m] = r
+        t[idx[:m]] = 1
     return t
 
 # A prime factor's period table is only built when it is not grossly larger
@@ -323,20 +349,28 @@ def chi_values(chi: QuadChar, n_max: int, buf=None) -> np.ndarray:
     when buf is given, see _qr_period).  Otherwise each prime factor's
     period is tiled to n_max + 1 entries and the tiles are multiplied.  A
     factor above _PERIOD_CAP, or far longer than the range, switches to
-    _chi_multiplicative instead; with buf, whose squares are already
-    allocated, a prime modulus below 2**32 always scatters.
+    _chi_multiplicative instead; with buf, whose table already holds q
+    bytes, a prime modulus always scatters.  The table built is the period
+    of q entries or the n_max + 1 of the result (a tiled factor period is
+    at most _PERIOD_CAP); above _TABLE_MAX entries DomainError is raised
+    before anything is allocated.
     """
     if n_max < 0:
         raise DomainError("chi_values needs n_max >= 0")
     q = chi.q
     prime = chi.factors == (q,)
-    if buf is not None and prime and q < 1 << 32:
+    if buf is not None and prime:
         cap = q
     else:
         cap = min(_PERIOD_CAP, max(2 * (n_max + 1), 1 << 21))
+    period = prime and n_max < q <= cap
+    size = q if period else n_max + 1
+    if size > _TABLE_MAX:
+        raise DomainError(f"the chi table for q={q} would have {size} entries, "
+                          f"above the limit of {_TABLE_MAX}")
     if max(chi.factors) > cap:
         return _chi_multiplicative(chi, n_max)
-    if prime and n_max < q:
+    if period:
         return _qr_period(q, buf)[:n_max + 1]
     out = np.ones(n_max + 1, dtype=np.int8)
     for p in chi.factors:

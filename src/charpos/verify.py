@@ -101,9 +101,9 @@ def _scan_chunk(qs):
 
     _margin_min takes each minimum from block moments of the int8 table,
     exact block starts and lower bounds, without forming W or any int64
-    array over the range.  One set of its buffers (the table and the
-    squares), sized for the largest modulus, serves the whole block and
-    is dropped with it.
+    array over the range.  Its one buffer, the int8 table sized for the
+    largest modulus, serves the whole block and is dropped with it, so a
+    worker holds about q_max bytes.
     """
     buf = _MarginBuffers(qs[-1])
     return [_margin_min(quad_char(q, assume_prime=True), (q - 1) // 2, buf)[1]

@@ -2,9 +2,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from charpos import cli, fq, verify
+from charpos import cli, fq, ntcore, verify
 
 
 def run_cli(capsys, *argv):
@@ -319,6 +320,57 @@ class TestMiscCommands:
     def test_invalid_modulus_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "class-number", "12")
         assert code == 2
+
+
+class _NoBigArrays:
+    """numpy as ntcore sees it, with any array of more than 2**27 entries
+    failing at once instead of being allocated."""
+
+    def __getattr__(self, name):
+        real = getattr(np, name)
+        if name not in ("empty", "ones", "zeros", "resize"):
+            return real
+
+        def alloc(*args, **kwargs):
+            shape = args[-1] if name == "resize" else args[0]
+            if int(np.prod(shape, dtype=object)) > 1 << 27:
+                raise AssertionError(f"np.{name} of shape {shape}")
+            return real(*args, **kwargs)
+        return alloc
+
+
+class TestTableGate:
+    Q = "1000000000000000003"
+
+    @pytest.mark.parametrize("argv", [
+        ["class-number", "100001400002299"],
+        ["class-number", Q],
+        ["fq-eval", "--q", Q, "--x", "1/3"],
+        ["fq-margin", "--q", Q, "--x", "1/3"],
+        ["certify", "--q", Q, "--eps", "1/10", "--xmax", "1/4"],
+        ["fq-zeros", "--q", Q],
+    ])
+    def test_oversized_table_is_usage_error(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(ntcore, "np", _NoBigArrays())
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(ntcore._TABLE_MAX) in err
+
+    def test_plot_stops_at_its_first_table(self, capsys, monkeypatch):
+        # the header and the row at x = 0 need no table and are printed
+        monkeypatch.setattr(ntcore, "np", _NoBigArrays())
+        code, out, err = run_cli(capsys, "plot", "diff", "--q", self.Q,
+                                 "--terms", "10")
+        assert code == 2
+        assert out.splitlines()[0] == "x,value,error_bound"
+        assert len(out.splitlines()) == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_agreement_needs_no_table(self, capsys, monkeypatch):
+        monkeypatch.setattr(ntcore, "np", _NoBigArrays())
+        code, out, _ = run_cli(capsys, "agreement", "--q", self.Q)
+        assert (code, out) == (0, "12 13\n")
 
 
 class TestEntryPoint:

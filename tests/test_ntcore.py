@@ -293,6 +293,48 @@ class TestChiSieve:
             assert np.array_equal(slow, ntcore.chi_values(ch, 500)), q
 
 
+class TestTableGate:
+    def test_limit_keeps_a_billion_and_the_uint32_sums(self, monkeypatch):
+        assert 10**9 + 7 <= ntcore._TABLE_MAX < 1 << 31
+        built = []
+        monkeypatch.setattr(ntcore, "_qr_period",
+                            lambda p, buf: built.append(p) or np.zeros(0))
+        monkeypatch.setattr(ntcore, "_chi_multiplicative",
+                            lambda ch, n: built.append(n + 1))
+        ch = ntcore.quad_char(10**9 + 7)
+        ntcore.chi_values(ch, ch.q - 1)  # fq's full period, sieved
+        ntcore.chi_values(ch, ch.q // 2, buf=object())  # a scan's period
+        assert built == [ch.q, ch.q]
+
+    def test_rejects_before_allocating(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated")
+
+        for name in ("_qr_period", "_chi_multiplicative"):
+            monkeypatch.setattr(ntcore, name, refuse)
+        monkeypatch.setattr(ntcore, "_TABLE_MAX", 1000)
+        # a prime period, a tiled composite and a prime past its period
+        for q, n_max, size in ((1019, 509, 1019), (35, 1000, 1001),
+                               (11, 1000, 1001)):
+            with pytest.raises(errors.DomainError,
+                               match=f"would have {size} entries, above "
+                                     f"the limit of 1000"):
+                ntcore.chi_values(ntcore.quad_char(q), n_max)
+
+    def test_size_is_the_table_built(self, monkeypatch):
+        # a prime modulus past the period cap is sieved over n_max + 1
+        # entries only, and a gate at its own size lets it through
+        monkeypatch.setattr(ntcore, "_TABLE_MAX", 1019)
+        ch = ntcore.quad_char(1019)
+        assert len(ntcore.chi_values(ch, 1018)) == 1019
+        monkeypatch.setattr(ntcore, "_TABLE_MAX", 60)
+        monkeypatch.setattr(ntcore, "_PERIOD_CAP", 100)
+        vals = ntcore.chi_values(ch, 59)
+        assert vals.tolist() == [ntcore.jacobi(n, 1019) for n in range(60)]
+        with pytest.raises(errors.DomainError):
+            ntcore.chi_values(ch, 60)
+
+
 class TestQrPeriod:
     @pytest.mark.parametrize("chunk", [None, 7])
     def test_reused_buffers_across_descending_and_mixed_primes(self, monkeypatch,
@@ -304,7 +346,6 @@ class TestQrPeriod:
             monkeypatch.setattr(ntcore, "_QR_CHUNK", chunk)
             primes = [p for p in primes if p != big]
         buf = charsum._MarginBuffers(big)
-        squares = buf.squares.copy()
         for p in primes:
             if p < 30000:
                 idx = range(p)
@@ -320,7 +361,53 @@ class TestQrPeriod:
                 assert (t[0], ones, int(np.count_nonzero(t == -1))) == (
                     0, (p - 1) // 2, (p - 1) // 2), (p, b)
             assert np.shares_memory(ntcore._qr_period(p, buf), buf.table)
-        assert np.array_equal(buf.squares, squares)
+
+    # 43 and 65537 have half ranges of exact multiples of 7 and of the
+    # default chunk; 3, 7 and 11 have half ranges shorter than 7 and than
+    # the default chunk
+    @pytest.mark.parametrize("chunk", [1, 2, 7, None])
+    @pytest.mark.parametrize("p", [3, 7, 11, 43, 163, 2971, 32771, 65537])
+    def test_recurrence_matches_jacobi(self, monkeypatch, chunk, p):
+        if chunk is not None:
+            monkeypatch.setattr(ntcore, "_QR_CHUNK", chunk)
+        want = [ntcore.jacobi(n, p) for n in range(p)]
+        t = ntcore._qr_period(p)
+        assert t.dtype == np.int8 and t.tolist() == want
+        buf = charsum._MarginBuffers(p + 5)
+        assert np.array_equal(ntcore._qr_period(p, buf), t)
+
+    @pytest.mark.parametrize("chunk", [7, None])
+    def test_recurrence_near_a_million(self, monkeypatch, chunk):
+        # many passes, the last one short; residues past 2**16 and sums of
+        # two residues near 2p
+        p = int(ntcore.primes_in_range(999_000, 10**6)[-1])
+        if chunk is not None:
+            monkeypatch.setattr(ntcore, "_QR_CHUNK", chunk)
+        t = ntcore._qr_period(p)
+        rng = np.random.default_rng(19)
+        idx = [*range(1, 2000), *rng.integers(1, p, 3000).tolist(),
+               *range(p - 2000, p)]
+        assert [int(t[n]) for n in idx] == [ntcore.jacobi(n, p) for n in idx]
+        assert int(t.sum(dtype=np.int64)) == 0
+        buf = charsum._MarginBuffers(p)
+        assert np.array_equal(ntcore._qr_period(p, buf), t)
+
+    def test_scatter_indexes_with_intp(self):
+        # a uint32 index would be converted by numpy on every pass
+        keys = []
+
+        class Recording(np.ndarray):
+            def __setitem__(self, key, value):
+                keys.append(key)
+                super().__setitem__(key, value)
+
+        buf = charsum._MarginBuffers(70001)
+        buf.table = buf.table.view(Recording)
+        t = ntcore._qr_period(70001, buf)
+        arrays = [k for k in keys if isinstance(k, np.ndarray)]
+        assert len(arrays) == -(-35000 // ntcore._QR_CHUNK)
+        assert all(k.dtype == np.intp for k in arrays)
+        assert t.tolist() == [ntcore.jacobi(n, 70001) for n in range(70001)]
 
 
 def machin_pi(digits):

@@ -126,6 +126,26 @@ class TestScan:
         with pytest.raises(errors.DomainError):
             verify.scan_positivity(5, 100, jobs=0)
 
+    def test_chunk_peak_memory_near_a_million(self):
+        # the shared int8 table of q_max bytes, a few arrays of one entry
+        # per block and _qr_period's pass scratch: no int64 squares
+        qs = [int(q) for q in ntcore.primes_in_range(999_000, 10**6,
+                                                     residue=3, modulus=8)[-4:]]
+        tracemalloc.start()
+        try:
+            got = verify._scan_chunk(qs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == [charsum.class_number(q).h for q in qs]
+        assert peak <= 2 * 2**20, peak / 2**20
+
+    def test_buffers_are_one_byte_per_unit_of_q(self):
+        q = 999_983
+        buf = charsum._MarginBuffers(q)
+        arrays = [v for v in vars(buf).values() if isinstance(v, np.ndarray)]
+        assert sum(a.nbytes for a in arrays) == q
+
 
 class TestCheckpoints:
     @pytest.fixture(autouse=True)
