@@ -22,13 +22,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, ExactnessError
-from .ntcore import QuadChar, chi_sieve, chi_values, is_prime, jacobi, quad_char
-
-# Sums of the margin kernels are formed in int64 while a proven bound on
-# their magnitude stays below this, else in Python integers (_int_dtype); a
-# named constant so tests can shrink it and force the exact object-dtype
-# path on small inputs.
-_INT64_GUARD = 1 << 62
+from .ntcore import (QuadChar, _check_table, chi_sieve, chi_values, is_prime,
+                     jacobi, quad_char)
 
 # _margin_min cuts a = 1..a_max into blocks of this many steps; a named
 # constant, read at call time, so tests can shrink it.  It stays below
@@ -41,11 +36,6 @@ _MIN_BLOCK = 1 << 8
 # summed whole, and _margin_min walks it as one block, which costs less
 # there than the per-row reductions and bounds.
 _MIN_ROWS = 64
-
-
-def _int_dtype(bound: int):
-    """int64 for values of magnitude at most bound < _INT64_GUARD, else object."""
-    return np.int64 if bound < _INT64_GUARD else object
 
 
 def _as_char(q_or_chi) -> QuadChar:
@@ -147,6 +137,7 @@ class _MarginBuffers:
     """
 
     def __init__(self, q_max: int):
+        _check_table(q_max, q_max)
         self.table = np.empty(q_max, dtype=np.int8)
 
 
@@ -158,18 +149,28 @@ def _block_moments(q: int, chi: np.ndarray):
     S1 = sum i*chi(s + i) are integer reductions of the int8 table in
     int32 (|S1| < L**2/2 < 2**31, as L < 2**16), so no wider copy of the
     table is made.  A[k] = A(k*L) and B[k] = B(k*L), k = 0..half//L, are
-    cumulative sums of S0 and s*S0 + S1; |B| <= half**2/2 picks B's dtype
-    (_int_dtype).  The fewer than L entries past the last row enter only
-    the totals A(half) and B(half), Python integers.  A table of fewer
-    than _MIN_ROWS rows is not cut at all: A and B are then [0] and the
-    totals come from the whole table.  h is read off the totals by
-    _checked_class_number, so every class number check runs here, once,
-    for the scan, the margins and class_number alike.
+    cumulative sums of S0 and s*S0 + S1, in int64.  The fewer than L
+    entries past the last row enter only the totals A(half) and B(half),
+    Python integers.  A table of fewer than _MIN_ROWS rows is not cut at
+    all: A and B are then [0] and the totals come from the whole table.
+    h is read off the totals by _checked_class_number, so every class
+    number check runs here, once, for the scan, the margins and
+    class_number alike.
+
+    Every W array of this module is int64 too, and the table gate makes
+    that exact.  W(a) is read only where the table holds chi(a), and
+    chi_values builds no table of more than N = _TABLE_MAX = 2**30
+    entries, so a, half < N.  There |A(a)| <= a, |B(a)| <= a**2/2 and
+    |h| <= |A(half)| <= half, as h = A(half)/(2 - chi(2)); so |W(a)| =
+    |a*h - sum_{m<=a} (a - m)*chi(m)| <= N*(|h| + N) <= 2*N**2 = 2**61.
+    The steps h - A (at most 2*N), the block starts (values of W) and
+    their bounds (a start less at most L*(2*N + 1) + L**2/2) of _w_span
+    and _block_starts stay below 2**62.
     """
     n, L = len(chi) - 1, _MIN_BLOCK
     nb = n // L if n >= _MIN_ROWS * L else 0
     A = np.zeros(nb + 1, dtype=np.int64)
-    B = np.zeros(nb + 1, dtype=_int_dtype(n * n))
+    B = np.zeros(nb + 1, dtype=np.int64)
     if nb:
         rows = chi[1:nb * L + 1].reshape(nb, L)
         s0 = rows.sum(axis=1, dtype=np.int32)
@@ -184,7 +185,7 @@ def _block_moments(q: int, chi: np.ndarray):
 
 
 def _w_span(h: int, A: np.ndarray, B: np.ndarray, chi: np.ndarray, lo: int,
-            hi: int, n: int) -> np.ndarray:
+            hi: int) -> np.ndarray:
     """W(lo..hi) exactly, walked from the last block edge e = k*L <= lo.
 
     A and B are _block_moments' sums at the block edges, L = _MIN_BLOCK
@@ -194,15 +195,13 @@ def _w_span(h: int, A: np.ndarray, B: np.ndarray, chi: np.ndarray, lo: int,
     it all: w[1:] gets -chi(e..hi-1), negated as it is copied from the
     int8 table, with its first entry replaced by h - A(e); one cumulative
     sum in place turns it into the steps h - A(e..hi-1), and with w[0] =
-    W(e) a second one gives W(e..hi).  Both sums run on the wide array:
-    np.cumsum of int8 into int64 is much slower.  |W(a)| <= a*(|h| + a)
-    and every partial sum is a step or a value of W, so n >= hi picks the
-    dtype (_int_dtype): on the object path every entry is a Python
-    integer.
+    W(e) a second one gives W(e..hi).  Both sums run on the int64 array
+    (every partial sum is a step or a value of W, see _block_moments):
+    np.cumsum of int8 into int64 is much slower.
     """
     k = min(lo // _MIN_BLOCK, len(A) - 1)
     e, a_e = k * _MIN_BLOCK, int(A[k])
-    w = np.empty(hi - e + 1, dtype=_int_dtype(n * (abs(h) + n)))
+    w = np.empty(hi - e + 1, dtype=np.int64)
     steps = w[1:]
     np.negative(chi[e:hi], out=steps)
     steps[:1] = h - a_e  # no step when hi == e
@@ -216,15 +215,15 @@ def _margins(ch: QuadChar, lo: int, hi: int, chi: np.ndarray | None = None):
 
     h and the block-edge sums come from _block_moments over the half
     range, and W from one _w_span, so nothing past hi is formed and the
-    walk starts at the last block edge at or before lo.  Its dtype is
-    picked by n = max(hi, half).  chi, a prebuilt table of at least hi + 1 and half + 1
-    entries, defaults to chi_values(ch, n).
+    walk starts at the last block edge at or before lo.  chi, a prebuilt
+    table of at least hi + 1 and half + 1 entries, defaults to
+    chi_values(ch, max(hi, half)).
     """
     half = (ch.q - 1) // 2
-    n = max(hi, half)
-    chi = chi_values(ch, n, None) if chi is None else chi
+    if chi is None:
+        chi = chi_values(ch, max(hi, half), None)
     h, _, _, A, B = _block_moments(ch.q, chi[:half + 1])
-    return h, _w_span(h, A, B, chi, lo, hi, n)
+    return h, _w_span(h, A, B, chi, lo, hi)
 
 
 def margin_values(q_or_chi, a_max: int):
@@ -252,14 +251,12 @@ def _block_starts(h: int, A: np.ndarray, B: np.ndarray, chi: np.ndarray, a_max: 
     A(s + i) <= A(s) + i, so W(s + t) >= W(s) + t*(h - A(s)) - t*(t - 1)/2.
     That bound is concave in t, so its least value on 0 <= t <= span is at
     an end, and bound = W(s) + min(0, span*(h - A(s)) - span*(span - 1)/2)
-    is at most every W on the block: no max of A is needed.  With half =
-    len(chi) - 1 >= a_max, |W(a)| <= a*|h| + a**2/2, and every start,
-    bound and partial product stays within half*(|h| + half), which picks
-    their dtype (_int_dtype): on the object path they are Python integers.
+    is at most every W on the block: no max of A is needed.  All of it is
+    int64 (the bound is in _block_moments).
     """
-    L, half = _MIN_BLOCK, len(chi) - 1
+    L = _MIN_BLOCK
     s = np.arange(1, a_max + 1, L)
-    heads = np.subtract(h, A[:len(s)], dtype=_int_dtype(half * (abs(h) + half)))
+    heads = h - A[:len(s)]
     starts = s * heads + B[:len(s)]
     spans = np.minimum(L, a_max - s)
     return starts, spans, starts + np.minimum(
@@ -280,8 +277,7 @@ def _margin_min(ch: QuadChar, a_max: int, buf: _MarginBuffers):
     block edge just before it.  A half range too short to be cut into rows
     is one run over 1..a_max, with no bounds.  Runs are read in order of a
     with a strict comparison, and argmin keeps the first minimum inside a
-    run, so the first argmin is kept.  _w_span takes its dtype from n =
-    half, so on the object path the minimum is a Python integer.
+    run, so the first argmin is kept.
     """
     half = (ch.q - 1) // 2
     if not 1 <= a_max <= half:
@@ -297,7 +293,7 @@ def _margin_min(ch: QuadChar, a_max: int, buf: _MarginBuffers):
                 for r in np.split(k, np.flatnonzero(np.diff(k) > 1) + 1)]
     best = arg = None
     for lo, hi in runs:
-        w = _w_span(h, A, B, chi, lo, hi, half)
+        w = _w_span(h, A, B, chi, lo, hi)
         t = int(np.argmin(w))
         if best is None or w[t] < best:
             best, arg = w[t], lo + t

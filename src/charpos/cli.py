@@ -147,6 +147,8 @@ def cmd_plot(args) -> int:
         raise UsageError(f"plot {args.curve} needs --terms >= 1")
     grid = _plot_grid(args.xmax, args.step)
     ch = None if args.curve == "f" else quad_char(args.q)
+    if ch is not None:
+        class_number(ch)  # the first table, built (or refused) before the header
     print("x,value,error_bound")
     if args.curve == "f":
         for x in grid:

@@ -147,8 +147,7 @@ def piecewise_fq(q_or_chi, a_max: int | None = None) -> PiecewiseFq:
         raise DomainError("need a_max >= 1")
     h, W = _margins(ch, 0, a_max + 1)
     slopes, W = np.diff(W), W[:-1]
-    a = np.arange(a_max + 1).astype(W.dtype, copy=False)
-    return PiecewiseFq(ch.q, h, a_max, slopes, W - a * slopes, W)
+    return PiecewiseFq(ch.q, h, a_max, slopes, W - np.arange(a_max + 1) * slopes, W)
 
 
 @dataclass(frozen=True)
@@ -522,8 +521,7 @@ def identity_check(q_or_chi, a: int | None = None) -> bool:
         return _lattice_core(chi, a) == 4 * q * int(_margins(ch, a, a, chi)[1][0])
     half = (q - 1) // 2
     h, _, _, A, B = _block_moments(q, chi[:half + 1])
-    return all(np.array_equal(y, 4 * _w_span(h, A, B, chi, a1, a1 + len(y) - 1,
-                                             half))
+    return all(np.array_equal(y, 4 * _w_span(h, A, B, chi, a1, a1 + len(y) - 1))
                for a1, y in _lattice_blocks(chi, half))
 
 

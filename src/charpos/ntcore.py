@@ -25,9 +25,10 @@ BLOCK = 1 << 20
 # its first pass in uint32.
 _QR_CHUNK = 1 << 14
 
-# chi_values builds no table of more entries than this.  Every modulus up
-# to 10**9 + 7 keeps its table, and every period _qr_period scatters stays
-# below 2**31, which its uint32 sums need.
+# chi_values builds no table of more entries than this (_check_table).
+# Every modulus up to 10**9 + 7 keeps its table, every period _qr_period
+# scatters stays below 2**31, which its uint32 sums need, and every W over
+# a table fits charsum's int64 arrays (_block_moments).
 _TABLE_MAX = 1 << 30
 
 # Rational bounds PI_LO < pi < PI_HI, 37 correct digits.  Sharp enough for
@@ -295,11 +296,6 @@ def _qr_period(p: int, buf=None) -> np.ndarray:
         t[idx[:m]] = 1
     return t
 
-# A prime factor's period table is only built when it is not grossly larger
-# than the range being sieved (and never above the hard cap); otherwise the
-# multiplicative fallback sieve is used.
-_PERIOD_CAP = 1 << 27
-
 
 def chi_sieve(chi: QuadChar, n_max: int, block: int = BLOCK):
     """Yield (lo, values) covering chi(n) for n = 0..n_max in consecutive slabs.
@@ -341,33 +337,39 @@ def _chi_multiplicative(chi: QuadChar, n_max: int) -> np.ndarray:
     return out
 
 
+def _check_table(q: int, size: int) -> None:
+    """The table gate: DomainError if a chi table for q would have more
+    than _TABLE_MAX entries.  chi_values asks it before it allocates
+    anything, and so do the callers that size a table ahead of it (the
+    scan's range and its buffers)."""
+    if size > _TABLE_MAX:
+        raise DomainError(f"the chi table for q={q} would have {size} entries, "
+                          f"above the limit of {_TABLE_MAX}")
+
+
 def chi_values(chi: QuadChar, n_max: int, buf=None) -> np.ndarray:
     """Dense int8 array of chi(n) for n = 0..n_max; the one chi table builder.
 
     chi(0) = 0 and chi(n) = 0 exactly when gcd(n, q) > 1.  A prime
     modulus with n_max < q returns a view of its one period (of buf.table
     when buf is given, see _qr_period).  Otherwise each prime factor's
-    period is tiled to n_max + 1 entries and the tiles are multiplied.  A
-    factor above _PERIOD_CAP, or far longer than the range, switches to
-    _chi_multiplicative instead; with buf, whose table already holds q
+    period is tiled to n_max + 1 entries and the tiles are multiplied.
+    One size rule picks the builder: a factor period above _TABLE_MAX, or
+    far longer than the range (above max(2*(n_max + 1), 2**21)), switches
+    to _chi_multiplicative instead; with buf, whose table already holds q
     bytes, a prime modulus always scatters.  The table built is the period
     of q entries or the n_max + 1 of the result (a tiled factor period is
-    at most _PERIOD_CAP); above _TABLE_MAX entries DomainError is raised
-    before anything is allocated.
+    at most _TABLE_MAX too); above _TABLE_MAX entries DomainError is
+    raised before anything is allocated (_check_table).
     """
     if n_max < 0:
         raise DomainError("chi_values needs n_max >= 0")
     q = chi.q
     prime = chi.factors == (q,)
-    if buf is not None and prime:
-        cap = q
-    else:
-        cap = min(_PERIOD_CAP, max(2 * (n_max + 1), 1 << 21))
+    cap = (q if buf is not None and prime
+           else min(_TABLE_MAX, max(2 * (n_max + 1), 1 << 21)))
     period = prime and n_max < q <= cap
-    size = q if period else n_max + 1
-    if size > _TABLE_MAX:
-        raise DomainError(f"the chi table for q={q} would have {size} entries, "
-                          f"above the limit of {_TABLE_MAX}")
+    _check_table(q, q if period else n_max + 1)
     if max(chi.factors) > cap:
         return _chi_multiplicative(chi, n_max)
     if period:

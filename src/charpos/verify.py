@@ -181,10 +181,13 @@ def scan_positivity(q_min: int, q_max: int, *, jobs: int = 1,
     folded one modulus at a time in ascending order, so ties in the
     minimum keep the smallest modulus.  With a checkpoint path the scan
     appends one frontier line per chunk and resumes after the latest
-    matching line on restart.
+    matching line on restart.  A q_max whose table the gate refuses is
+    refused before any prime is sieved, even if no modulus in the range
+    would need that table.
     """
     if jobs < 1:
         raise DomainError("jobs must be >= 1")
+    ntcore._check_table(q_max, q_max)
     campaign = f"positivity:{q_min}:{q_max}"
     ck = None
     if checkpoint_path is not None:

@@ -172,19 +172,6 @@ class TestMargins:
         prof = charsum.margin_profile(2647)
         assert (prof.min_w, prof.argmin_a) == (-171, 1185)
 
-    def test_object_path_matches_int64_path(self, monkeypatch):
-        h1, w1 = charsum.margin_values(163, 81)
-        monkeypatch.setattr(charsum, "_INT64_GUARD", 1)
-        h2, w2 = charsum.margin_values(163, 81)
-        assert w2.dtype == object
-        assert h1 == h2
-        assert [int(v) for v in w1] == [int(v) for v in w2]
-
-    def test_profile_on_object_path(self, monkeypatch):
-        monkeypatch.setattr(charsum, "_INT64_GUARD", 1)
-        prof = charsum.margin_profile(163)
-        assert (prof.min_w, prof.argmin_a) == (1, 1)
-
     def test_a_max_zero_rejected(self):
         with pytest.raises(errors.DomainError):
             charsum.margin_values(163, 0)
@@ -299,13 +286,13 @@ class TestBlockedMarginMin:
                 assert fresh_margin_min(q, a_max) == oracle_min(q, a_max), (q, a_max)
             assert charsum.class_number(q) == charsum._class_number_cached.__wrapped__(q)
 
-    @pytest.mark.parametrize("object_path", [False, True])
+    # W has one path, int64; "object_path" keeps one value here and in
+    # TestWalk and TestMarginValuesAgainstOracle so the case ids stay put
+    @pytest.mark.parametrize("object_path", [False])
     def test_block_starts_are_exact_and_bounds_hold(self, monkeypatch,
                                                     object_path):
         block = 7
         monkeypatch.setattr(charsum, "_MIN_BLOCK", block)
-        if object_path:
-            monkeypatch.setattr(charsum, "_INT64_GUARD", 1)
         for q in (7, 11, 23, 35, 163, 1019, 2647):
             half = (q - 1) // 2
             h, w = margins(q, half)
@@ -332,11 +319,7 @@ class TestBlockedMarginMin:
                     s = 1 + k * block
                     assert start == w[s] and span == min(block, a_max - s)
                     assert bound <= min(w[s:s + span + 1]), (q, a_max, k)
-                if object_path:
-                    assert starts.dtype == bounds.dtype == object
-                    assert {type(v) for v in [*starts, *bounds]} == {int}
-                else:
-                    assert starts.dtype == bounds.dtype == np.int64
+                assert starts.dtype == bounds.dtype == np.int64
 
     def test_matches_margin_values_near_a_million(self):
         # at the default block size, where a dozen or more blocks at each
@@ -364,14 +347,6 @@ class TestBlockedMarginMin:
             k = int(np.argmin(w[1:a_max + 1])) + 1
             assert charsum.margin_profile(q, a_max) == charsum.MarginProfile(
                 q, h, a_max, int(w[k]), k), a_max
-
-    def test_minimum_is_a_python_int_on_object_path(self, monkeypatch):
-        monkeypatch.setattr(charsum, "_INT64_GUARD", 1)
-        monkeypatch.setattr(charsum, "_MIN_BLOCK", 3)
-        for q in (163, 2647):
-            got = fresh_margin_min(q, (q - 1) // 2)
-            assert got == margin_min(q, (q - 1) // 2)
-            assert [type(v) for v in got] == [int, int, int]
 
     def test_forms_no_w_over_the_range(self):
         q = int(ntcore.primes_in_range(999_000, 10**6, residue=3, modulus=8)[-1])
@@ -462,7 +437,7 @@ class TestWalk:
     just before one, past the half range (where the walk starts at the
     last edge), and spans of no step at all."""
 
-    @pytest.mark.parametrize("object_path", [False, True])
+    @pytest.mark.parametrize("object_path", [False])
     @pytest.mark.parametrize("rows", [1, None])
     @pytest.mark.parametrize("block", [1, 2, 3, 7, None])
     def test_spans_match_oracle(self, monkeypatch, block, rows, object_path):
@@ -470,8 +445,6 @@ class TestWalk:
             monkeypatch.setattr(charsum, "_MIN_BLOCK", block)
         if rows is not None:
             monkeypatch.setattr(charsum, "_MIN_ROWS", rows)
-        if object_path:
-            monkeypatch.setattr(charsum, "_INT64_GUARD", 1)
         L = charsum._MIN_BLOCK
         qs = [7, 11, 35, 91, 163, 1019, 2647] + ([32771] if block is None else [])
         for q in qs:
@@ -485,17 +458,15 @@ class TestWalk:
                 for hi in sorted({lo, lo + 1, lo + L, half, half + 1, q, 2 * q}):
                     if not (1 <= hi <= 2 * q and lo <= hi):
                         continue
-                    w = charsum._w_span(h, A, B, chi, lo, hi, max(hi, half))
-                    assert w.dtype == (object if object_path else np.int64)
+                    w = charsum._w_span(h, A, B, chi, lo, hi)
+                    assert w.dtype == np.int64
                     assert [int(v) for v in w] == want[lo:hi + 1], (q, lo, hi)
-                    if object_path:
-                        assert {type(v) for v in w} == {int}
                     got = charsum._margins(ch, lo, hi)
                     assert got[0] == h and np.array_equal(got[1], w), (q, lo, hi)
             # a span of no step from an edge: at L = 1 with rows every
             # a <= half is one
             e = min(half // L, len(A) - 1) * L
-            w = charsum._w_span(h, A, B, chi, e, e, half)
+            w = charsum._w_span(h, A, B, chi, e, e)
             assert [int(v) for v in w] == [want[e]]
 
 
@@ -505,16 +476,14 @@ WIDE_MODULI = [11, 163, 1019, 7, 23, 2647, 15, 35, 51, 91]
 class TestMarginValuesAgainstOracle:
     """The whole W array, slopes and intercepts, also past the half period."""
 
-    @pytest.mark.parametrize("object_path", [False, True])
+    @pytest.mark.parametrize("object_path", [False])
     @pytest.mark.parametrize("q", WIDE_MODULI)
-    def test_matches_plain_margins(self, monkeypatch, q, object_path):
-        if object_path:
-            monkeypatch.setattr(charsum, "_INT64_GUARD", 1)
+    def test_matches_plain_margins(self, q, object_path):
         h, want = margins(q, 2 * q + 1)
         half = (q - 1) // 2
         for a_max in (1, q // 4, half, half + 1, q - 1, q, 2 * q):
             got_h, w = charsum.margin_values(q, a_max)
-            assert w.dtype == (object if object_path else np.int64)
+            assert w.dtype == np.int64
             assert got_h == h
             assert [int(v) for v in w] == want[:a_max + 1], a_max
             pw = fq.piecewise_fq(q, a_max)

@@ -358,14 +358,28 @@ class TestTableGate:
         assert str(ntcore._TABLE_MAX) in err
 
     def test_plot_stops_at_its_first_table(self, capsys, monkeypatch):
-        # the header and the row at x = 0 need no table and are printed
+        # the class number's table is asked for before the CSV header
         monkeypatch.setattr(ntcore, "np", _NoBigArrays())
-        code, out, err = run_cli(capsys, "plot", "diff", "--q", self.Q,
-                                 "--terms", "10")
-        assert code == 2
-        assert out.splitlines()[0] == "x,value,error_bound"
-        assert len(out.splitlines()) == 2
+        for curve in ("fq", "diff"):
+            code, out, err = run_cli(capsys, "plot", curve, "--q", self.Q,
+                                     "--terms", "10")
+            assert (code, out) == (2, ""), curve
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert str(ntcore._TABLE_MAX) in err
+
+    @pytest.mark.parametrize("q_min", [Q, "5"])
+    def test_verify_refuses_before_sieving(self, capsys, monkeypatch, q_min):
+        # past the gate, and a range that straddles it
+        def refuse(*args, **kwargs):
+            raise AssertionError("sieved")
+
+        monkeypatch.setattr(ntcore, "np", _NoBigArrays())
+        monkeypatch.setattr(verify, "primes_in_range", refuse)
+        code, out, err = run_cli(capsys, "verify", "--q-min", q_min,
+                                 "--q-max", str(int(self.Q) + 100))
+        assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(ntcore._TABLE_MAX) in err
 
     def test_agreement_needs_no_table(self, capsys, monkeypatch):
         monkeypatch.setattr(ntcore, "np", _NoBigArrays())

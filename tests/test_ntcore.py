@@ -233,27 +233,31 @@ class TestTrialDivision:
 class TestChiSieve:
     @pytest.mark.parametrize("q", [11, 19, 35, 15, 163, 91])
     def test_matches_jacobi(self, monkeypatch, q):
-        # _PERIOD_CAP as shipped, at the largest prime factor (the period is
-        # scattered) and one below it (the multiplicative sieve runs, except
-        # for a prime modulus with buffers, which always scatters)
+        # the gate as shipped and at the largest prime factor m scatter
+        # every period; one below m, every span the gate allows (n_max <
+        # m - 1) goes to the multiplicative sieve, except with buffers at a
+        # prime modulus, whose period of q entries the gate refuses
         ch = ntcore.quad_char(q)
+        m = max(ch.factors)
         sieved = []
         real = ntcore._chi_multiplicative
         monkeypatch.setattr(ntcore, "_chi_multiplicative",
                             lambda ch, n: sieved.append(n) or real(ch, n))
-        spans = (0, q // 2, q - 1, q, 2 * q + 3, 3 * q)
-        for cap in (ntcore._PERIOD_CAP, max(ch.factors), max(ch.factors) - 1):
-            monkeypatch.setattr(ntcore, "_PERIOD_CAP", cap)
-            for buf in (None, charsum._MarginBuffers(q)):
+        bufs = (None, charsum._MarginBuffers(q))
+        for limit in (ntcore._TABLE_MAX, m, m - 1):
+            monkeypatch.setattr(ntcore, "_TABLE_MAX", limit)
+            spans = sorted(n for n in {0, m // 2, m - 2, m - 1, q // 2, q - 1,
+                                       q, 2 * q + 3, 3 * q} if n < limit)
+            for buf in bufs:
+                if buf is not None and ch.factors == (q,) and q > limit:
+                    continue
                 sieved.clear()
                 for n_max in spans:
                     vals = ntcore.chi_values(ch, n_max, buf)
                     assert vals.dtype == np.int8 and len(vals) == n_max + 1
                     want = [ntcore.jacobi(n, q) for n in range(n_max + 1)]
-                    assert vals.tolist() == want, (q, cap, buf, n_max)
-                scatters = (cap >= max(ch.factors)
-                            or (buf is not None and ch.factors == (q,)))
-                assert sieved == ([] if scatters else list(spans)), (cap, buf)
+                    assert vals.tolist() == want, (q, limit, buf, n_max)
+                assert sieved == ([] if limit >= m else spans), (limit, buf)
 
     def test_negative_range_rejected(self):
         with pytest.raises(errors.DomainError):
@@ -293,42 +297,92 @@ class TestChiSieve:
             assert np.array_equal(slow, ntcore.chi_values(ch, 500)), q
 
 
+class Built(Exception):
+    """Raised by a stub table builder in place of its table."""
+
+
+def stub_builders(monkeypatch):
+    """Replace both chi table builders by stubs that record (builder,
+    entries) and raise Built; returns the record."""
+    built = []
+
+    def qr_period(p, buf=None):
+        built.append(("_qr_period", p))
+        raise Built
+
+    def multiplicative(ch, n_max):
+        built.append(("_chi_multiplicative", n_max + 1))
+        raise Built
+
+    monkeypatch.setattr(ntcore, "_qr_period", qr_period)
+    monkeypatch.setattr(ntcore, "_chi_multiplicative", multiplicative)
+    return built
+
+
 class TestTableGate:
     def test_limit_keeps_a_billion_and_the_uint32_sums(self, monkeypatch):
         assert 10**9 + 7 <= ntcore._TABLE_MAX < 1 << 31
-        built = []
-        monkeypatch.setattr(ntcore, "_qr_period",
-                            lambda p, buf: built.append(p) or np.zeros(0))
-        monkeypatch.setattr(ntcore, "_chi_multiplicative",
-                            lambda ch, n: built.append(n + 1))
+        built = stub_builders(monkeypatch)
         ch = ntcore.quad_char(10**9 + 7)
-        ntcore.chi_values(ch, ch.q - 1)  # fq's full period, sieved
-        ntcore.chi_values(ch, ch.q // 2, buf=object())  # a scan's period
-        assert built == [ch.q, ch.q]
+        # fq's full period and a scan's period with buffers, both scattered
+        for n_max, buf in ((ch.q - 1, None), (ch.q // 2, object())):
+            with pytest.raises(Built):
+                ntcore.chi_values(ch, n_max, buf)
+        assert built == [("_qr_period", ch.q)] * 2
+
+    def test_class_number_scatters_past_two_to_the_27(self, monkeypatch):
+        q = 134217779  # the least prime q = 3 (mod 8) above 2**27
+        built = stub_builders(monkeypatch)
+        with pytest.raises(Built):
+            charsum._class_number_cached.__wrapped__(q)
+        assert built == [("_qr_period", q)]
+
+    def test_period_far_past_the_range_is_sieved(self, monkeypatch):
+        # q = 2**21 + 59: a prime period above 2*(n_max + 1) and 2**21 is
+        # not built for a range that short
+        built = stub_builders(monkeypatch)
+        ch = ntcore.quad_char(2097211)
+        half = ch.q // 2
+        for n_max in (0, 1 << 20, half - 1, half, ch.q - 1):
+            with pytest.raises(Built):
+                ntcore.chi_values(ch, n_max)
+        assert built == [("_chi_multiplicative", 1),
+                         ("_chi_multiplicative", (1 << 20) + 1),
+                         ("_chi_multiplicative", half),
+                         ("_qr_period", ch.q), ("_qr_period", ch.q)]
+
+    def test_w_bound_fits_int64(self):
+        # every W read off a table is at most 2*_TABLE_MAX**2 in magnitude
+        # (charsum._block_moments), so it fits int64 with room to spare
+        assert 2 * ntcore._TABLE_MAX ** 2 < 2 ** 62
 
     def test_rejects_before_allocating(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("allocated")
 
+        buf = charsum._MarginBuffers(1019)
         for name in ("_qr_period", "_chi_multiplicative"):
             monkeypatch.setattr(ntcore, name, refuse)
         monkeypatch.setattr(ntcore, "_TABLE_MAX", 1000)
-        # a prime period, a tiled composite and a prime past its period
-        for q, n_max, size in ((1019, 509, 1019), (35, 1000, 1001),
-                               (11, 1000, 1001)):
+        # a prime period into buffers, a tiled composite and a prime past
+        # its period
+        for q, n_max, b, size in ((1019, 509, buf, 1019), (35, 1000, None, 1001),
+                                  (11, 1000, None, 1001)):
             with pytest.raises(errors.DomainError,
                                match=f"would have {size} entries, above "
                                      f"the limit of 1000"):
-                ntcore.chi_values(ntcore.quad_char(q), n_max)
+                ntcore.chi_values(ntcore.quad_char(q), n_max, b)
+        # buffers for a scan are sized by the same gate
+        with pytest.raises(errors.DomainError, match="would have 1019 entries"):
+            charsum._MarginBuffers(1019)
 
     def test_size_is_the_table_built(self, monkeypatch):
-        # a prime modulus past the period cap is sieved over n_max + 1
-        # entries only, and a gate at its own size lets it through
+        # a prime modulus past the gate is sieved over n_max + 1 entries
+        # only, and a gate at its own size lets it through
         monkeypatch.setattr(ntcore, "_TABLE_MAX", 1019)
         ch = ntcore.quad_char(1019)
         assert len(ntcore.chi_values(ch, 1018)) == 1019
         monkeypatch.setattr(ntcore, "_TABLE_MAX", 60)
-        monkeypatch.setattr(ntcore, "_PERIOD_CAP", 100)
         vals = ntcore.chi_values(ch, 59)
         assert vals.tolist() == [ntcore.jacobi(n, 1019) for n in range(60)]
         with pytest.raises(errors.DomainError):

@@ -42,6 +42,12 @@ class TestCheckPositivity:
         assert rep.holds is True
         assert rep.min_w == 0
 
+    def test_oversized_modulus_is_refused_before_its_buffers(self, monkeypatch):
+        # the gate sizes _MarginBuffers before np.empty: no 888 PiB request
+        monkeypatch.setattr(charsum, "np", None)
+        with pytest.raises(errors.DomainError, match="above the limit"):
+            verify.check_positivity(10**18 + 3)
+
 
 class TestScan:
     def test_small_range(self):
