@@ -141,14 +141,38 @@ class _MarginBuffers:
         self.table = np.empty(q_max, dtype=np.int8)
 
 
+def _row_moments(chi: np.ndarray):
+    """(S0, S1) of the rows of the (len(chi)//L, L) view of the int8 table
+    chi, L = _MIN_BLOCK, the entries past the last full row left out.
+
+    Row k holds chi(s + i), s = k*L, i < L, and its moments S0 = sum
+    chi(s + i) and S1 = sum i*chi(s + i) are integer reductions of the
+    table in int32 (|S1| < L**2/2 < 2**31, as L < 2**16), so no wider copy
+    of the table is made.
+    """
+    L = _MIN_BLOCK
+    rows = chi[:len(chi) // L * L].reshape(-1, L)
+    return (rows.sum(axis=1, dtype=np.int32),
+            np.einsum("ij,j", rows, np.arange(L, dtype=np.int32), dtype=np.int32))
+
+
+def _linear_sum(chi: np.ndarray) -> int:
+    """sum of j*chi(j) over the table chi of chi(0..n), from _row_moments:
+    row k adds k*L*S0 + S1, in int64 (|S0| <= L, so the sum of k*L*S0 is
+    below n**2/2), and the entries past the last row add one more dot."""
+    L = _MIN_BLOCK
+    s0, s1 = _row_moments(chi)
+    e = len(s0) * L
+    return (int(s1.sum(dtype=np.int64)) + L * int(s0 @ np.arange(len(s0)))
+            + int(chi[e:] @ np.arange(e, len(chi))))
+
+
 def _block_moments(q: int, chi: np.ndarray):
     """(h, A(half), B(half), A, B) from the table chi of chi(0..half).
 
     Row k of the (half//L, L) view of chi[1:], L = _MIN_BLOCK, holds
-    chi(s + i), s = 1 + k*L, i < L.  Its moments S0 = sum chi(s + i) and
-    S1 = sum i*chi(s + i) are integer reductions of the int8 table in
-    int32 (|S1| < L**2/2 < 2**31, as L < 2**16), so no wider copy of the
-    table is made.  A[k] = A(k*L) and B[k] = B(k*L), k = 0..half//L, are
+    chi(s + i), s = 1 + k*L, i < L, and _row_moments gives its moments
+    S0 and S1.  A[k] = A(k*L) and B[k] = B(k*L), k = 0..half//L, are
     cumulative sums of S0 and s*S0 + S1, in int64.  The fewer than L
     entries past the last row enter only the totals A(half) and B(half),
     Python integers.  A table of fewer than _MIN_ROWS rows is not cut at
@@ -172,10 +196,8 @@ def _block_moments(q: int, chi: np.ndarray):
     A = np.zeros(nb + 1, dtype=np.int64)
     B = np.zeros(nb + 1, dtype=np.int64)
     if nb:
-        rows = chi[1:nb * L + 1].reshape(nb, L)
-        s0 = rows.sum(axis=1, dtype=np.int32)
+        s0, s1 = _row_moments(chi[1:nb * L + 1])
         np.cumsum(s0, out=A[1:])
-        s1 = np.einsum("ij,j", rows, np.arange(L, dtype=np.int32), dtype=np.int32)
         np.cumsum(s1 + s0 * np.arange(1, nb * L + 1, L), dtype=B.dtype,
                   out=B[1:])
     tail = chi[nb * L + 1:]

@@ -25,8 +25,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .charsum import (_as_char, _block_moments, _margins, _w_span, class_number,
-                      weighted_prefix_sum)
+from .charsum import (_as_char, _block_moments, _linear_sum, _margins, _w_span,
+                      class_number, weighted_prefix_sum)
 from .errors import DomainError, ExactnessError
 from .ntcore import BLOCK, PI2_HI, QuadChar, chi_values, is_prime
 
@@ -229,23 +229,25 @@ class PrimeFracEval:
 _CENSUS_INT64_GUARD = 1 << 62
 
 
-def _census_dtype(p, q: int):
-    """int64 when 10 * max(p)**2 * q**3 < _CENSUS_INT64_GUARD, else object.
+def _census_dtype(p_top: int, q: int):
+    """int64 when 10 * p_top**2 * q**3 < _CENSUS_INT64_GUARD, else object,
+    for the largest p (0 for none) and the largest q of some cores.
 
     _residue_totals proves every partial sum of a core below that bound.
     """
-    p_top = int(np.max(p)) if len(p) else 0
     return np.int64 if 10 * p_top ** 2 * q ** 3 < _CENSUS_INT64_GUARD else object
 
 
-def _residue_totals(chi: np.ndarray, p, r, s) -> np.ndarray:
+def _residue_totals(chi: np.ndarray, p, r, s, mods=None, t=None) -> np.ndarray:
     """T(r)/chi(p) for T(r) = sum of b**2 chi(b) over 0 < b <= pq, b = r (mod p).
 
-    chi is one period of the character mod q, read at call time in slabs
-    of at most BLOCK entries; p, r and s are equal-length integer arrays
-    with gcd(p, q) = 1, 0 <= r < p and s = r/p mod q.  With b = i*p + r,
-    0 <= i < q (b = 0 adds 0 and b = pq adds chi(pq) = 0), complete
-    multiplicativity gives chi(b) = chi(p) chi(i + s), so
+    chi holds one period of the character mod each modulus of mods, laid
+    end to end (by default one period, mods = [len(chi)]).  p, r, s and t
+    are equal-length integer arrays: evaluation i reads the period of q =
+    mods[t[i]] (t defaults to 0), with gcd(p, q) = 1, 0 <= r < p and s =
+    r/p mod q, where s = q may stand for 0.  With b = i*p + r, 0 <= i < q
+    (b = 0 adds 0 and b = pq adds chi(pq) = 0), complete multiplicativity
+    gives chi(b) = chi(p) chi(i + s), so
 
         T(r)/chi(p) = p**2 S2 + 2pr S1 + r**2 S0,  S_k = sum_i i**k chi(i + s).
 
@@ -256,72 +258,105 @@ def _residue_totals(chi: np.ndarray, p, r, s) -> np.ndarray:
         S1 = M1(q) - s M0(q) + q M0(s)
         S2 = M2(q) - 2s M1(q) + s**2 M0(q) + 2q M1(s) + q(q - 2s) M0(s)
 
-    and M0(q) = 0, as chi is not principal, so one O(q) pass over the
-    period serves every residue in O(1).  Per slab the cumulative sums
-    run in int64 over the local index l < BLOCK (sum of l**2 below
-    2**60); M0(s) and M1(s) (|M1| < q**2/2 < 2**61 for q < 2**31) stay
-    int64 and M2(q) is a Python integer.  The recombination runs in the
-    dtype _census_dtype picks.  From |M0| < q, |M1| < q**2/2, |M2| < q**3/3,
-    0 <= s < q and 0 <= r < p, every partial sum in evaluation order obeys
-    |s1| < q**2/2 + q**2 = 1.5 q**2 and
-    |s2| < q**3/3 + q**3 + q**3 + q**3 < 3.34 q**3, so
-    |T| < p (3.34 p q**3 + 3 p q**2) <= 4.34 p**2 q**3 for q >= 3, and a
-    core, the difference of two T, is below 10 p**2 q**3.
+    M0(q) = 0, as chi is not principal, and M2(q) = q M1(q), as chi is
+    odd: j -> q - j maps a period onto itself with chi(q - j) = -chi(j),
+    so M2(q) = -(q**2 M0(q) - 2q M1(q) + M2(q)).  Hence S2 = (q - 2s) S1
+    + 2q M1(s) and
+
+        T(r)/chi(p) = p (S1 (p (q - 2s) + 2r) + 2pq M1(s)),
+
+    so M0 and M1 at the split points and at the ends of the periods serve
+    every residue in O(1); s = q reads M0(q) = 0 and M1(q), which gives
+    the same S1 and S2 as s = 0.
+
+    chi is read in slabs of at most BLOCK entries.  P0 and G1, the sums
+    of chi(y) and of y chi(y) (y the position in chi) over all of chi
+    before a position x, are two int64 cumulative sums per slab, carried
+    from slab to slab, and read at the split points x = start + s and at
+    the periods' edges.  Every period before x sums to M0(q) = 0, so
+    M0(s) is P0 at the split point, and sum over y < x of start(y) chi(y)
+    is start * M0(s); hence M1(s) = G1(x) - G1(start) - start M0(s) and
+    M1(q) = G1(start + q) - G1(start).  With N = len(chi), |P0| < N, |G1|
+    < N**2/2 and |start M0(s)| < N**2, all in int64, as N < 2**31 for one
+    period of q < 2**31 and for a census group (verify._census_groups,
+    a few thousand entries).  The recombination runs once for all
+    evaluations, in the dtype _census_dtype picks for the largest p and
+    q.  From |M0(s)| <= s <= q and |M1| < q**2/2, every partial sum in
+    evaluation order obeys |S1| < 1.5 q**2, |p (q - 2s) + 2r| <= p (q +
+    2), |S1 (p (q - 2s) + 2r)| < 1.5 p q**2 (q + 2) and |2pq M1(s)| < p
+    q**3, so |T| < p**2 q**2 (2.5 q + 3) <= 3.5 p**2 q**3 for q >= 3, and
+    a core, the difference of two T, is below 7 p**2 q**3 < 10 p**2 q**3.
+    Each evaluation's sums are bounded by its own p and q, so by the
+    largest p and q of the call.
     """
-    q = len(chi)
-    dtype = _census_dtype(p, q)
-    s = np.asarray(s, dtype=np.int64)
-    at0 = np.zeros(len(s), dtype=np.int64)
-    at1 = np.zeros(len(s), dtype=np.int64)
-    m0 = m1 = m2 = 0
-    for j0 in range(0, q, BLOCK):
-        v = chi[j0:j0 + BLOCK].astype(np.int64)
-        loc = np.arange(len(v), dtype=np.int64)
-        lv = loc * v
-        c0 = np.cumsum(v)
-        c1 = np.cumsum(lv)
-        hit = np.flatnonzero((s >= j0) & (s < j0 + len(v)))
-        o = s[hit] - j0
-        e0 = c0[o] - v[o]
-        at0[hit] = m0 + e0
-        at1[hit] = m1 + j0 * e0 + (c1[o] - lv[o])
-        t0, t1 = int(c0[-1]), int(c1[-1])
-        m2 += j0 * j0 * t0 + 2 * j0 * t1 + int(lv @ loc)
-        m1 += j0 * t0 + t1
-        m0 += t0
-    s = s.astype(dtype, copy=False)
-    at0 = at0.astype(dtype, copy=False)
-    s1 = m1 + q * at0
-    s2 = m2 - 2 * s * m1 + 2 * q * at1.astype(dtype, copy=False) + q * (q - 2 * s) * at0
-    p = np.asarray(p).astype(dtype, copy=False)
-    return p * (p * s2 + 2 * np.asarray(r).astype(dtype, copy=False) * s1)
+    mods = np.array([len(chi)] if mods is None else mods, dtype=np.int64)
+    t = np.zeros(len(s), dtype=np.intp) if t is None else np.asarray(t)
+    ends = np.cumsum(mods)
+    starts = ends - mods
+    n, m = len(t), len(mods)
+    # the split points and the periods' edges, as positions in chi
+    x = np.concatenate((starts[t] + np.asarray(s, dtype=np.int64), starts, ends))
+    p0 = np.empty(len(x), dtype=np.int64)
+    g1 = np.empty(len(x), dtype=np.int64)
+    c0 = c1 = 0
+    for lo in range(0, len(chi), BLOCK):
+        v = chi[lo:lo + BLOCK].astype(np.int64)
+        hi = lo + len(v)
+        yv = np.arange(lo, hi)
+        yv *= v
+        a0 = np.empty(len(v) + 1, dtype=np.int64)
+        a1 = np.empty(len(v) + 1, dtype=np.int64)
+        a0[0], v[0] = c0, v[0] + c0
+        a1[0], yv[0] = c1, yv[0] + c1
+        np.cumsum(v, out=a0[1:])
+        np.cumsum(yv, out=a1[1:])
+        c0, c1 = int(a0[-1]), int(a1[-1])
+        hit = (slice(None) if hi - lo == len(chi)
+               else np.flatnonzero((x >= lo) & (x <= hi)))
+        o = x[hit] - lo
+        p0[hit] = a0[o]
+        g1[hit] = a1[o]
+    dtype = _census_dtype(int(np.max(p, initial=0)), int(mods.max()))
+    q = mods.astype(dtype)[t]
+    m0 = p0[:n].astype(dtype, copy=False)
+    base = g1[n:n + m]
+    m1 = g1[:n] - base[t] - starts[t] * p0[:n]
+    s1 = (g1[n + m:] - base).astype(dtype)[t] + q * m0
+    f = np.asarray(p).astype(dtype, copy=False)
+    return f * (s1 * (f * (q - 2 * np.asarray(s).astype(dtype, copy=False))
+                      + 2 * np.asarray(r).astype(dtype, copy=False))
+                + 2 * f * q * m1.astype(dtype, copy=False))
 
 
-def _prime_frac_cores(ch: QuadChar, p, a) -> np.ndarray:
-    """core = -chi(p) (T(aq mod p) - T(-aq mod p)) for aligned arrays p, a.
+def _prime_frac_cores(chars, p, a, counts) -> np.ndarray:
+    """core = -chi(p) (T(aq mod p) - T(-aq mod p)) for aligned arrays p, a:
+    counts[i] evaluations in turn for each character chars[i].
 
-    Builds one period table of chi.  Since chi(p)**2 = 1 the core is
-    -(T'(r+) - T'(r-)) with T' = T/chi(p), so chi(p) is never evaluated.
-    With k = floor(aq/p) the residues are r+ = aq - kp and r- = p - r+
-    (p divides neither a < p nor q), and r/p mod q is -k for r+ and k + 1
-    for r-.  p and a may be int64 or object arrays; the cores come back in
-    the dtype _census_dtype picks, int64 when |core| < 10 p**2 q**3 fits.
+    Builds one period table of each chi, laid end to end for
+    _residue_totals.  Since chi(p)**2 = 1 the core is -(T'(r+) - T'(r-))
+    with T' = T/chi(p), so chi(p) is never evaluated.  With k =
+    floor(aq/p) < q/2, as 2a < p, the residues are r+ = aq - kp and r- =
+    p - r+ (p divides neither a < p nor q), and r/p mod q is q - k (q for
+    0 when k = 0) for r+ and k + 1 < q for r-.  p and a may be int64 or
+    object arrays; the cores come back in the dtype _census_dtype picks
+    for the largest p and q, int64 when |core| < 10 p**2 q**3 fits.
     """
-    q = ch.q
-    if q >= 1 << 31:
+    mods = [ch.q for ch in chars]
+    if max(mods) >= 1 << 31:
         # chi_values would build a q-byte table
-        raise DomainError(f"q = {q} too large for the residue sums (need q < 2**31)")
-    chi = chi_values(ch, q - 1)
-    dtype = _census_dtype(p, q)
+        raise DomainError(f"q = {max(mods)} too large for the residue sums (need q < 2**31)")
+    tables = [chi_values(ch, ch.q - 1) for ch in chars]
+    chi = tables[0] if len(tables) == 1 else np.concatenate(tables)
+    dtype = _census_dtype(int(np.max(p, initial=0)), max(mods))
+    t = np.repeat(np.arange(len(mods)), counts)
+    q = np.array(mods, dtype=dtype)[t]
     p = np.asarray(p).astype(dtype, copy=False)
-    a = np.asarray(a).astype(dtype, copy=False)
-    k = a * q // p
-    r = a * q - k * p
-    n = len(r)
-    t = _residue_totals(chi, np.concatenate((p, p)),
-                        np.concatenate((r, p - r)),
-                        np.concatenate((-k % q, (k + 1) % q)))
-    return t[n:] - t[:n]
+    aq = np.asarray(a).astype(dtype, copy=False) * q
+    k = aq // p
+    r = aq - k * p
+    res = _residue_totals(chi, np.concatenate((p, p)), np.concatenate((r, p - r)),
+                          np.concatenate((q - k, k + 1)), mods, np.concatenate((t, t)))
+    return res[len(r):] - res[:len(r)]
 
 
 def fq_prime_frac(a: int, p: int, q_or_chi) -> PrimeFracEval:
@@ -334,8 +369,8 @@ def fq_prime_frac(a: int, p: int, q_or_chi) -> PrimeFracEval:
         raise DomainError(f"p = {p} divides the modulus {q}")
     if not (1 <= a and 2 * a < p):
         raise DomainError(f"need 0 < a < p/2, got a={a}, p={p}")
-    core = int(_prime_frac_cores(ch, np.array([p], dtype=object),
-                                 np.array([a], dtype=object))[0])
+    core = int(_prime_frac_cores([ch], np.array([p], dtype=object),
+                                 np.array([a], dtype=object), [1])[0])
     stat = core // (p * q) if core % (p * q) == 0 else None
     q_div = stat is not None and stat % q == 0
     value = math.pi ** 2 * core / (2.0 * p * p * q * q * math.sqrt(q))
@@ -393,9 +428,13 @@ _LATTICE_INT64_MAX = 1_000_000
 # 7q**2 + q < 2**63 up to here.
 _LATTICE_Q_MAX = 10 ** 9
 
-# Entries per block of _lattice_blocks: 512 KB of int64, so a block's few
-# arrays stay in L2 and are reused from block to block.
-_LATTICE_BLOCK = 1 << 16
+# Entries per block of _lattice_blocks: 128 KiB per int64 array.  The
+# kernel's seven arrays and identity_check's W span of a block take about
+# 1 MiB, which stays in a 2 MiB L2 and is reused from block to block.  In
+# a sweep of 2**12..2**16 for identity_check on a 2-core Xeon VM, 2**14
+# tied with 2**13 near q = 10**6, where 2**16 was 11% slower, and was
+# within 12% of the fastest size near 2*10**5 (2**13) and 10**7 (2**15).
+_LATTICE_BLOCK = 1 << 14
 
 
 def fq_lattice_quad(q_or_chi, a: int) -> LatticeQuadEval:
@@ -447,7 +486,7 @@ def _lattice_blocks(chi: np.ndarray, a_max: int):
     core(a) = q**2 (chi(a) + w) + 2q (u - a w) - 4a P1(q-1) with
     w = P0(a-1) - R0(a) and u = R1(a) + P1(a-1), running sums carried
     across blocks; from a - 1 to a, w steps by chi(a-1) - chi(q-a) and u
-    by (a-1) chi(a-1) + (q-a) chi(q-a).  P1(q-1) takes one first pass.
+    by (a-1) chi(a-1) + (q-a) chi(q-a).  P1(q-1) is _linear_sum(chi).
     By the class number formula P1(q-1) = -q h(-q), so q divides every
     core: core(a) = q Y(a) with c = P1(q-1)/q and
     Y = q (chi(a) + w) + 2(u - a w) - 4a c.  A table whose P1(q-1) is not
@@ -463,10 +502,7 @@ def _lattice_blocks(chi: np.ndarray, a_max: int):
     """
     q = len(chi)
     block = _LATTICE_BLOCK
-    p1_q = 0
-    for j0 in range(0, q, block):
-        v = chi[j0:j0 + block]
-        p1_q += int(np.arange(j0, j0 + len(v), dtype=np.int64) @ v)
+    p1_q = _linear_sum(chi)
     c, rem = divmod(p1_q, q)
     if rem:
         raise ExactnessError(f"sum of j chi(j) over one period, {p1_q}, "
@@ -521,8 +557,12 @@ def identity_check(q_or_chi, a: int | None = None) -> bool:
         return _lattice_core(chi, a) == 4 * q * int(_margins(ch, a, a, chi)[1][0])
     half = (q - 1) // 2
     h, _, _, A, B = _block_moments(q, chi[:half + 1])
-    return all(np.array_equal(y, 4 * _w_span(h, A, B, chi, a1, a1 + len(y) - 1))
-               for a1, y in _lattice_blocks(chi, half))
+    for a1, y in _lattice_blocks(chi, half):
+        w = _w_span(h, A, B, chi, a1, a1 + len(y) - 1)
+        w *= 4
+        if not np.array_equal(y, w):
+            return False
+    return True
 
 
 # Weight patterns for the auxiliary L-style tails: value at n depends on

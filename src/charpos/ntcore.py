@@ -47,6 +47,11 @@ PI4_HI = PI2_HI * PI2_HI
 # Deterministic Miller-Rabin witness set for all n < 2**64.
 _MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
+# _chi_multiplicative sieves no range of more entries than this: it loops
+# in Python over every prime below the range's end, about a second here.
+# A longer range scatters its factor periods, or is refused (chi_values).
+_SIEVE_MAX = 1 << 24
+
 # quad_char divides out primes up to this bound only; a cofactor above its
 # square that is not prime cannot be factored there and is rejected.
 _TRIAL_LIMIT = 1 << 24
@@ -317,7 +322,8 @@ def _chi_multiplicative(chi: QuadChar, n_max: int) -> np.ndarray:
 
     chi at primes comes from jacobi; prime powers p**k contribute
     chi(p)**k, done with one strided pass per power.  O(n_max) memory,
-    used when a factor's period table would dwarf the requested range.
+    used when a factor's period table would dwarf the requested range,
+    which chi_values keeps to at most _SIEVE_MAX entries.
     """
     out = np.ones(n_max + 1, dtype=np.int8)
     out[0] = 0
@@ -355,22 +361,30 @@ def chi_values(chi: QuadChar, n_max: int, buf=None) -> np.ndarray:
     when buf is given, see _qr_period).  Otherwise each prime factor's
     period is tiled to n_max + 1 entries and the tiles are multiplied.
     One size rule picks the builder: a factor period above _TABLE_MAX, or
-    far longer than the range (above max(2*(n_max + 1), 2**21)), switches
-    to _chi_multiplicative instead; with buf, whose table already holds q
-    bytes, a prime modulus always scatters.  The table built is the period
-    of q entries or the n_max + 1 of the result (a tiled factor period is
-    at most _TABLE_MAX too); above _TABLE_MAX entries DomainError is
-    raised before anything is allocated (_check_table).
+    far longer than a range of at most _SIEVE_MAX entries (above
+    max(2*(n_max + 1), 2**21)), switches to _chi_multiplicative instead;
+    with buf, whose table already holds q bytes, a prime modulus always
+    scatters.  The table built is the period of q entries or the n_max + 1
+    of the result (a tiled factor period is at most _TABLE_MAX too); above
+    _TABLE_MAX entries, or for a range past _SIEVE_MAX that only the sieve
+    could serve, DomainError is raised before anything is allocated.
     """
     if n_max < 0:
         raise DomainError("chi_values needs n_max >= 0")
     q = chi.q
     prime = chi.factors == (q,)
-    cap = (q if buf is not None and prime
-           else min(_TABLE_MAX, max(2 * (n_max + 1), 1 << 21)))
+    sieve = n_max < _SIEVE_MAX
+    far = max(2 * (n_max + 1), 1 << 21) if sieve else _TABLE_MAX
+    cap = q if buf is not None and prime else min(_TABLE_MAX, far)
     period = prime and n_max < q <= cap
     _check_table(q, q if period else n_max + 1)
     if max(chi.factors) > cap:
+        if not sieve:
+            raise DomainError(
+                f"chi on 0..{n_max} for q={q} needs a period of "
+                f"{max(chi.factors)} entries, above the limit of {_TABLE_MAX}, "
+                f"or a sieve of {n_max + 1} entries, above the limit of "
+                f"{_SIEVE_MAX}")
         return _chi_multiplicative(chi, n_max)
     if period:
         return _qr_period(q, buf)[:n_max + 1]

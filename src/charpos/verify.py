@@ -28,7 +28,7 @@ from . import ntcore
 from .charsum import _MarginBuffers, _as_char, _margin_min, _margins, margin_profile
 from .errors import (CertificateError, DomainError, ExactnessError,
                      InsufficientBound)
-from .fq import _prime_frac_cores
+from .fq import _census_dtype, _prime_frac_cores
 from .liouville import agreement_length, find_imitator
 from .ntcore import (is_prime, jacobi, pi4_square_thresholds, primes_in_range,
                      quad_char)
@@ -519,6 +519,47 @@ class PrimeFracScan:
     argmin: tuple[int, int, int] | None
 
 
+# A census group of consecutive moduli holds at most this many period
+# entries and evaluations together (scan_prime_fracs), so that the dozen
+# or so int64 arrays over them stay in a 2 MiB L2 cache.
+_CENSUS_GROUP = 1 << 12
+
+
+def _census_groups(p_all, tops, qs):
+    """Yield (q, p, a, cores) per group of the census: aligned arrays of
+    the modulus, p, a and core of each evaluation, in (q, p, a) order.
+
+    tops[i] is the number of a for p_all[i], so the (p, a) pairs are
+    listed once, and the evaluations of a modulus q are the prefix with
+    p < q.  Consecutive moduli form a group while their periods and
+    evaluations total at most _CENSUS_GROUP and fq._census_dtype picks
+    one dtype for them all (a larger modulus is a group of one); the
+    group takes one chi table per modulus, laid end to end, and one
+    fq._prime_frac_cores call.
+    """
+    ends = np.cumsum(tops)
+    p_list = np.repeat(p_all, tops)
+    a_list = np.arange(1, len(p_list) + 1) - np.repeat(ends - tops, tops)
+    below = np.searchsorted(p_all, qs)
+    cuts = np.concatenate(([0], ends))[below].tolist()
+    p_tops = np.concatenate(([0], p_all))[below].tolist()
+    groups, size, kind = [], 0, None
+    for q, n, p_top in zip(qs.tolist(), cuts, p_tops):
+        dtype = _census_dtype(p_top, q)
+        if not groups or size + q + n > _CENSUS_GROUP or dtype is not kind:
+            groups.append([])
+            size, kind = 0, dtype
+        groups[-1].append((q, n))
+        size += q + n
+    for group in groups:
+        mods, counts = zip(*group)
+        p = np.concatenate([p_list[:n] for n in counts])
+        a = np.concatenate([a_list[:n] for n in counts])
+        cores = _prime_frac_cores([quad_char(q, assume_prime=True) for q in mods],
+                                  p, a, counts)
+        yield np.repeat(mods, counts), p, a, cores
+
+
 def scan_prime_fracs(p_max: int, q_max: int, a_max: int | None = None,
                      q_mod8: int = 3) -> PrimeFracScan:
     """Evaluate f_q(a/p) for all p < q <= q_max, p <= p_max, 0 < a < p/2.
@@ -526,9 +567,12 @@ def scan_prime_fracs(p_max: int, q_max: int, a_max: int | None = None,
     q runs over primes = q_mod8 (mod 8), p over primes = 3 (mod 4) below q.
     Records any nonpositive core, any core not divisible by p*q, how often
     the reduced value is divisible by q, and the minimum reduced value
-    (first occurrence in (q, p, a) order).  Each q takes one chi table and
-    one O(q) moment pass that serves every (p, a) in O(1); the cores are
-    formed in int64 where fq._census_dtype proves they fit, else in
+    (first occurrence in (q, p, a) order).  The moduli are taken in
+    cache-sized groups (_census_groups, at most _CENSUS_GROUP period
+    entries and evaluations each): one chi table per modulus, and one
+    moment pass over a group's tables (fq._residue_totals), which serves
+    every (p, a) in O(1); the records are read once per group.  The cores
+    are formed in int64 where fq._census_dtype proves they fit, else in
     Python integers, and every record holds Python integers.  An a_max of
     at least (p_max - 1)/2 caps nothing.
     """
@@ -539,33 +583,29 @@ def scan_prime_fracs(p_max: int, q_max: int, a_max: int | None = None,
     p_all = primes_in_range(3, min(p_max, q_max - 1), residue=3, modulus=4)
     if a_max is not None and a_max >= (min(p_max, q_max) - 1) // 2:
         a_max = None
+    tops = (p_all - 1) // 2 if a_max is None else np.minimum(a_max, (p_all - 1) // 2)
+    qs = primes_in_range(5, q_max, residue=q_mod8, modulus=8)
     count = 0
     nonpos = []
     nonint = []
     qdiv = 0
     min_stat = None
     argmin = None
-    for q in primes_in_range(5, q_max, residue=q_mod8, modulus=8):
-        q = int(q)
-        ps = p_all[:np.searchsorted(p_all, q)]
-        tops = (ps - 1) // 2 if a_max is None else np.minimum(a_max, (ps - 1) // 2)
-        p = np.repeat(ps, tops)
-        a = np.arange(1, len(p) + 1) - np.repeat(np.cumsum(tops) - tops, tops)
-        cores = _prime_frac_cores(quad_char(q, assume_prime=True), p, a)
-        pq = (p * q).astype(cores.dtype)
+    for q, p, a, cores in _census_groups(p_all, tops, qs):
+        pq = (p * q).astype(cores.dtype, copy=False)
         stat = cores // pq
         whole = stat * pq == cores
-        nonpos += [(int(a[i]), int(p[i]), q, int(cores[i]))
+        nonpos += [(int(a[i]), int(p[i]), int(q[i]), int(cores[i]))
                    for i in np.flatnonzero(cores <= 0)]
-        nonint += [(int(a[i]), int(p[i]), q, int(cores[i]))
+        nonint += [(int(a[i]), int(p[i]), int(q[i]), int(cores[i]))
                    for i in np.flatnonzero(~whole)]
         count += len(cores)
         hits = np.flatnonzero(whole)
         if len(hits):
-            qdiv += int(np.count_nonzero(stat[hits] % q == 0))
+            qdiv += int(np.count_nonzero(stat[hits] % q[hits] == 0))
             best = hits[np.argmin(stat[hits])]
             if min_stat is None or stat[best] < min_stat:
                 min_stat = int(stat[best])
-                argmin = (int(a[best]), int(p[best]), q)
+                argmin = (int(a[best]), int(p[best]), int(q[best]))
     return PrimeFracScan(p_max, q_max, q_mod8, count, tuple(nonpos),
                          tuple(nonint), qdiv, min_stat, argmin)

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -380,6 +382,18 @@ class TestTableGate:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(ntcore._TABLE_MAX) in err
+
+    def test_class_number_past_the_sieve_limit_fails_fast(self):
+        # 2**31 - 1 passes the gate (a half range of 2**30 entries), but its
+        # period does not and a sieve over 2**30 entries is refused
+        src = str(Path(cli.__file__).parents[1])
+        proc = subprocess.run([sys.executable, "-m", "charpos.cli",
+                               "class-number", "2147483647"],
+                              capture_output=True, text=True, timeout=5,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert str(ntcore._SIEVE_MAX) in proc.stderr
 
     def test_agreement_needs_no_table(self, capsys, monkeypatch):
         monkeypatch.setattr(ntcore, "np", _NoBigArrays())

@@ -277,6 +277,31 @@ class TestPrimeFrac:
                 got = fq._residue_totals(chi, np.full(p, p), r, s)
                 assert got.tolist() == want, (p, block)
 
+    def test_residue_totals_over_periods_end_to_end(self, monkeypatch):
+        # the periods of four moduli laid end to end, as a census group
+        # lays them; slabs of 1, 7 and 100 entries cut across the periods
+        # and BLOCK holds them all.  Every residue r mod p of every period.
+        mods = [11, 35, 91, 163]
+        chi = np.concatenate([ntcore.chi_values(ntcore.quad_char(q), q - 1)
+                              for q in mods])
+        p, r, s, t, want = [], [], [], [], []
+        for i, q in enumerate(mods):
+            for pp in (3, 19, 43):
+                if math.gcd(pp, q) > 1:
+                    continue
+                for x in range(pp):
+                    p.append(pp)
+                    r.append(x)
+                    s.append(x * pow(pp, -1, q) % q)
+                    t.append(i)
+                    want.append(chi_factor(pp, q) * sum(
+                        b * b * chi_factor(b, q) for b in range(x, pp * q + 1, pp)))
+        for block in (ntcore.BLOCK, 1, 7, 100):
+            monkeypatch.setattr(fq, "BLOCK", block)
+            got = fq._residue_totals(chi, np.array(p), np.array(r), np.array(s),
+                                     mods, np.array(t))
+            assert got.tolist() == want, block
+
     def test_modulus_past_int64_moments_is_pinned(self):
         # sum of j**2 chi(j) over one period could overflow int64 past
         # q ~ 3.0e6; at q = 10000019 the slabs must recombine exactly
@@ -406,6 +431,31 @@ class TestLatticeQuad:
         finally:
             tracemalloc.stop()
         assert peak <= 6.5 * 2 ** 20, peak / 2 ** 20
+
+    def test_identity_blocks_stay_small(self):
+        # the chi period of q bytes and a few L2-sized int64 blocks: about
+        # 2.1 MiB at q = 999983, where 2**16-entry blocks took 5.5 MiB
+        tracemalloc.start()
+        try:
+            assert fq.identity_check(999983) is True
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2 ** 20, peak / 2 ** 20
+
+    @pytest.mark.parametrize("row", [1, 7, 256])
+    def test_first_moment_from_rows(self, monkeypatch, row):
+        # P1(q - 1) from the row moments, with and without a short last
+        # row, equals the plain sum; a table off by one entry is refused
+        monkeypatch.setattr(charsum, "_MIN_BLOCK", row)
+        for q in (11, 163, 2971):
+            chi = ntcore.chi_values(ntcore.quad_char(q), q - 1)
+            assert charsum._linear_sum(chi) == sum(
+                j * int(chi[j]) for j in range(q)), (q, row)
+        chi = ntcore.chi_values(ntcore.quad_char(2971), 2970).copy()
+        chi[5] = -chi[5]
+        with pytest.raises(errors.ExactnessError, match="not a multiple of q"):
+            next(fq._lattice_blocks(chi, 10))
 
     @pytest.mark.parametrize("a", [None, 40, 100])
     def test_identity_builds_one_table(self, monkeypatch, a):

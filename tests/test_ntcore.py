@@ -351,6 +351,27 @@ class TestTableGate:
                          ("_chi_multiplicative", half),
                          ("_qr_period", ch.q), ("_qr_period", ch.q)]
 
+    def test_long_ranges_are_never_sieved(self, monkeypatch):
+        # q = 33554467, the least prime = 3 (mod 4) above 2**25 + 2: a range
+        # of _SIEVE_MAX entries is sieved, one entry more scatters the
+        # period; at 2**31 - 1 the period is past the gate, so a longer
+        # range is refused (class_number asks for 2**30 entries there)
+        built = stub_builders(monkeypatch)
+        limit = ntcore._SIEVE_MAX
+        for q in (33554467, 2 ** 31 - 1):
+            ch = ntcore.quad_char(q)
+            with pytest.raises(Built):
+                ntcore.chi_values(ch, limit - 1)
+        with pytest.raises(Built):
+            ntcore.chi_values(ntcore.quad_char(33554467), limit)
+        for n_max in (limit, 2 ** 30 - 1):
+            with pytest.raises(errors.DomainError,
+                               match=f"sieve of {n_max + 1} entries, above "
+                                     f"the limit of {limit}"):
+                ntcore.chi_values(ntcore.quad_char(2 ** 31 - 1), n_max)
+        assert built == [("_chi_multiplicative", limit)] * 2 + [
+            ("_qr_period", 33554467)]
+
     def test_w_bound_fits_int64(self):
         # every W read off a table is at most 2*_TABLE_MAX**2 in magnitude
         # (charsum._block_moments), so it fits int64 with room to spare

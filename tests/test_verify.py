@@ -764,6 +764,46 @@ CENSUS_DIGESTS = [
 ]
 
 
+def pointwise_census(p_max, q_max, q_mod8):
+    """The PrimeFracScan of scan_prime_fracs, one prime_frac_core at a time."""
+    count = qdiv = 0
+    nonpos, nonint = [], []
+    best = None
+    primes = simple_primes(q_max)
+    for q in [q for q in primes if q > 3 and q % 8 == q_mod8]:
+        for p in [p for p in primes if p <= min(p_max, q - 1) and p % 4 == 3]:
+            for a in range(1, (p - 1) // 2 + 1):
+                core = prime_frac_core(a, p, q)
+                count += 1
+                if core <= 0:
+                    nonpos.append((a, p, q, core))
+                if core % (p * q):
+                    nonint.append((a, p, q, core))
+                    continue
+                stat = core // (p * q)
+                qdiv += stat % q == 0
+                if best is None or stat < best[0]:
+                    best = (stat, (a, p, q))
+    return verify.PrimeFracScan(p_max, q_max, q_mod8, count, tuple(nonpos),
+                                tuple(nonint), qdiv, *best)
+
+
+def spy_groups(monkeypatch):
+    """Record (moduli, dtype, size) for every _prime_frac_cores call of a
+    census, size being the period entries plus the evaluations."""
+    groups = []
+    real = fq._prime_frac_cores
+
+    def spy(chars, p, a, counts):
+        out = real(chars, p, a, counts)
+        mods = tuple(ch.q for ch in chars)
+        groups.append((mods, out.dtype, sum(mods) + len(out)))
+        return out
+
+    monkeypatch.setattr(verify, "_prime_frac_cores", spy)
+    return groups
+
+
 class TestPrimeFracScan:
     def test_census_3_mod_8(self):
         sc = verify.scan_prime_fracs(200, 200)
@@ -801,26 +841,7 @@ class TestPrimeFracScan:
 
     @pytest.mark.parametrize("q_mod8", [3, 7])
     def test_census_matches_pointwise_oracle(self, q_mod8):
-        count = qdiv = 0
-        nonpos, nonint = [], []
-        best = None
-        primes = simple_primes(300)
-        for q in [q for q in primes if q > 3 and q % 8 == q_mod8]:
-            for p in [p for p in primes if p <= min(60, q - 1) and p % 4 == 3]:
-                for a in range(1, (p - 1) // 2 + 1):
-                    core = prime_frac_core(a, p, q)
-                    count += 1
-                    if core <= 0:
-                        nonpos.append((a, p, q, core))
-                    if core % (p * q):
-                        nonint.append((a, p, q, core))
-                        continue
-                    stat = core // (p * q)
-                    qdiv += stat % q == 0
-                    if best is None or stat < best[0]:
-                        best = (stat, (a, p, q))
-        want = verify.PrimeFracScan(60, 300, q_mod8, count, tuple(nonpos),
-                                    tuple(nonint), qdiv, *best)
+        want = pointwise_census(60, 300, q_mod8)
         assert verify.scan_prime_fracs(60, 300, q_mod8=q_mod8) == want
 
     def test_census_argmin_is_first_occurrence(self):
@@ -859,23 +880,63 @@ class TestPrimeFracScan:
 
     def test_census_straddling_the_guard(self, monkeypatch):
         # 10 * 59**2 * q**3 < guard exactly for q < 150, so the moduli
-        # below 150 take int64 and the rest object dtype
+        # below 150 take int64 and the rest object dtype; a group of
+        # moduli never mixes the two
         monkeypatch.setattr(fq, "_CENSUS_INT64_GUARD", 0)
         want = verify.scan_prime_fracs(60, 300)
-        dtypes = {}
-        real = fq._residue_totals
-
-        def spy(chi, p, r, s):
-            out = real(chi, p, r, s)
-            dtypes[len(chi)] = out.dtype
-            return out
-
-        monkeypatch.setattr(fq, "_residue_totals", spy)
+        groups = spy_groups(monkeypatch)
         monkeypatch.setattr(fq, "_CENSUS_INT64_GUARD", 10 * 59 ** 2 * 150 ** 3)
         assert verify.scan_prime_fracs(60, 300) == want
+        dtypes = {q: d for mods, d, _ in groups for q in mods}
         assert {q for q, d in dtypes.items() if d == np.int64} == {
             q for q in dtypes if q < 150}
         assert object in dtypes.values() and np.int64 in dtypes.values()
+
+    @pytest.mark.parametrize("bound", [1, 300, 700])
+    @pytest.mark.parametrize("p_max,q_max,q_mod8,digest", CENSUS_DIGESTS)
+    def test_census_groups_match_digests(self, monkeypatch, bound, p_max,
+                                         q_max, q_mod8, digest):
+        # groups of a few hundred period entries and evaluations (or of
+        # one modulus each), with the dtype flipping in the middle of the
+        # moduli; every group is still one dtype and the records are the
+        # pinned ones
+        qs = [q for q in simple_primes(q_max) if q > 3 and q % 8 == q_mod8]
+        q_mid = qs[len(qs) // 2]
+        p_top = max(p for p in simple_primes(min(p_max, q_mid - 1)) if p % 4 == 3)
+        monkeypatch.setattr(fq, "_CENSUS_INT64_GUARD", 10 * p_top ** 2 * q_mid ** 3)
+        monkeypatch.setattr(verify, "_CENSUS_GROUP", bound)
+        groups = spy_groups(monkeypatch)
+        sc = verify.scan_prime_fracs(p_max, q_max, q_mod8=q_mod8)
+        assert hashlib.sha256(repr(sc).encode()).hexdigest() == digest
+        assert [q for mods, _, _ in groups for q in mods] == qs
+        assert {d for _, d, _ in groups} == {np.dtype(np.int64), np.dtype(object)}
+        for mods, d, size in groups:
+            assert (d == np.int64) == (mods[-1] < q_mid), mods
+            assert len(mods) == 1 or size <= bound
+        assert any(len(mods) > 1 for mods, _, _ in groups) == (bound > 1)
+        # criterion 7's pair, each a group of one, on the patched guard
+        assert [fq.fq_prime_frac(a, p, q).stat
+                for a, p, q in [(1, 1163, 3511), (1, 719, 2971)]] == [561760, 130724]
+
+    @pytest.mark.parametrize("q_mod8", [3, 7])
+    def test_census_groups_match_pointwise_oracle(self, monkeypatch, q_mod8):
+        monkeypatch.setattr(fq, "_CENSUS_INT64_GUARD", 10 * 59 ** 2 * 150 ** 3)
+        monkeypatch.setattr(verify, "_CENSUS_GROUP", 400)
+        want = pointwise_census(60, 300, q_mod8)
+        assert verify.scan_prime_fracs(60, 300, q_mod8=q_mod8) == want
+
+    def test_census_peak_memory(self):
+        # groups of at most _CENSUS_GROUP entries and evaluations keep every
+        # array of the census small: about 1 MiB here, where groups of 2**20
+        # table entries took 58 MiB
+        tracemalloc.start()
+        try:
+            sc = verify.scan_prime_fracs(150, 10000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sc.nonpositive == () and sc.nonintegral == ()
+        assert peak <= 4 * 2 ** 20, peak / 2 ** 20
 
     def test_huge_a_cap_means_no_cap(self):
         want = verify.scan_prime_fracs(20, 60)
