@@ -25,7 +25,7 @@ from .errors import DomainError, ExactnessError
 from .ntcore import (QuadChar, _check_table, chi_sieve, chi_values, is_prime,
                      jacobi, quad_char)
 
-# _margin_min cuts a = 1..a_max into blocks of this many steps; a named
+# _block_starts cuts a = 1..a_max into blocks of this many steps; a named
 # constant, read at call time, so tests can shrink it.  It stays below
 # 2**16, so the moments of a block fit int32 (_block_moments).  Its bound
 # leaves a block a slack of about L**2/2 below its start, so a short L
@@ -33,7 +33,7 @@ from .ntcore import (QuadChar, _check_table, chi_sieve, chi_values, is_prime,
 _MIN_BLOCK = 1 << 8
 
 # A half range of fewer than this many blocks is not cut into rows: it is
-# summed whole, and _margin_min walks it as one block, which costs less
+# summed whole, and _low_spans walks it as one run, which costs less
 # there than the per-row reductions and bounds.
 _MIN_ROWS = 64
 
@@ -262,7 +262,7 @@ def margin_values(q_or_chi, a_max: int):
 
 
 def _block_starts(h: int, A: np.ndarray, B: np.ndarray, chi: np.ndarray, a_max: int):
-    """(starts, spans, bounds) of the blocks a in [s, s + span] of _margin_min.
+    """(starts, spans, bounds) of the blocks a in [s, s + span] of _low_spans.
 
     Block k starts at s = 1 + k*L, L = _MIN_BLOCK, and spans min(L,
     a_max - s) steps, so neighbours share an end and a last block with
@@ -285,41 +285,58 @@ def _block_starts(h: int, A: np.ndarray, B: np.ndarray, chi: np.ndarray, a_max: 
         spans * (heads - chi[1:a_max + 1:L]) - spans * (spans - 1) // 2, 0)
 
 
+def _low_spans(h: int, A: np.ndarray, B: np.ndarray, chi: np.ndarray, a_max: int,
+               floor=-math.inf):
+    """Yield (lo, w), w = W(lo - 1..hi + 1) from one _w_span, for each run
+    lo..hi of consecutive _block_starts blocks over 1..a_max whose bound
+    is at most max(floor, least start); one run 1..a_max for a table
+    _block_moments did not cut.  chi holds at least a_max + 1 entries.
+
+    A block's bound is at most every W on it, and the least start is an
+    attained value, so every a with W(a) at most that ceiling lies in a
+    run: the minimum and its ties, and with floor = 0 every a with W(a)
+    <= 0.  Runs come in order of a and share no a; a run's last a is
+    a_max or the start of the first block past it.  The walk starts at
+    the block edge lo - 1 itself, so the node before a run costs nothing
+    and the node after it one step.
+    """
+    runs = [(1, a_max)]
+    if len(A) > 1:
+        starts, _, bounds = _block_starts(h, A, B, chi, a_max)
+        k = np.flatnonzero(bounds <= max(floor, starts.min()))
+        L = _MIN_BLOCK
+        runs = [(1 + int(r[0]) * L, min(1 + (int(r[-1]) + 1) * L, a_max))
+                for r in np.split(k, np.flatnonzero(np.diff(k) > 1) + 1)]
+    for lo, hi in runs:
+        yield lo, _w_span(h, A, B, chi, lo - 1, hi + 1)
+
+
+def _span_min(lo: int, w: np.ndarray) -> tuple[int, int]:
+    """(min W, first argmin) over lo..hi of a span w = W(lo - 1..hi + 1)
+    of _low_spans.  Runs share no a, so the least of these pairs over the
+    runs is the minimum with its first argmin."""
+    t = int(np.argmin(w[1:-1]))
+    return int(w[t + 1]), lo + t
+
+
 def _margin_min(ch: QuadChar, a_max: int, buf: _MarginBuffers):
     """(h, min W(a), first argmin a) over 1 <= a <= a_max <= (q-1)/2.
 
     No W array, and no prefix array A over the range, is formed.
     _block_moments reads the int8 table once, as row sums over blocks of
     L = _MIN_BLOCK entries, and gives h and A, B at every block edge.
-    _block_starts turns them into every block start W(s), which is an
-    attained value, and a lower bound on W over the block.  Only blocks
-    whose bound is at most the least start can hold the minimum or a tie
-    of it (near q = 10**6, two to four of about 1940, at the two ends).
-    Consecutive ones form a run, and each run is one _w_span from the
-    block edge just before it.  A half range too short to be cut into rows
-    is one run over 1..a_max, with no bounds.  Runs are read in order of a
-    with a strict comparison, and argmin keeps the first minimum inside a
-    run, so the first argmin is kept.
+    _low_spans walks only the runs of blocks whose lower bound is at most
+    the least block start, the only ones that can hold the minimum or a
+    tie of it (near q = 10**6, two to four of about 1940, at the two
+    ends), each as one _w_span from the block edge just before it.  A
+    half range too short to be cut into rows is one run over 1..a_max.
     """
     half = (ch.q - 1) // 2
     if not 1 <= a_max <= half:
         raise DomainError(f"need 1 <= a_max <= {half}, got {a_max}")
     chi = chi_values(ch, half, buf)
     h, _, _, A, B = _block_moments(ch.q, chi)
-    L, runs = _MIN_BLOCK, [(1, a_max)]
-    if len(A) > 1:
-        starts, _, bounds = _block_starts(h, A, B, chi, a_max)
-        k = np.flatnonzero(bounds <= starts.min())
-        # (first a, last a) of each run of consecutive blocks
-        runs = [(1 + int(r[0]) * L, min(1 + (int(r[-1]) + 1) * L, a_max))
-                for r in np.split(k, np.flatnonzero(np.diff(k) > 1) + 1)]
-    best = arg = None
-    for lo, hi in runs:
-        w = _w_span(h, A, B, chi, lo, hi)
-        t = int(np.argmin(w))
-        if best is None or w[t] < best:
-            best, arg = w[t], lo + t
-    return h, int(best), arg
+    return (h, *min(_span_min(lo, w) for lo, w in _low_spans(h, A, B, chi, a_max)))
 
 
 @dataclass(frozen=True)

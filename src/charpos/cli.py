@@ -4,8 +4,8 @@ Machine-facing output (JSON, CSV) goes to stdout and is byte-stable across
 reruns: keys are sorted, floats use %.12g, rationals print as num/den, and
 no timestamps or timing appear on stdout.  Progress and notes go to stderr.
 
-Exit codes: 0 success, 1 a mathematical check failed, 2 usage error,
-3 I/O error.
+Exit codes: 0 success, 1 a mathematical check failed, 2 usage error
+(an input out of range, or too large for the memory at hand), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -325,6 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "verify" and args.q_min is not None \
@@ -344,6 +345,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print(f"error: out of memory for {' '.join(argv)}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

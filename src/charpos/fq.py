@@ -25,8 +25,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .charsum import (_as_char, _block_moments, _linear_sum, _margins, _w_span,
-                      class_number, weighted_prefix_sum)
+from .charsum import (_as_char, _block_moments, _linear_sum, _low_spans, _margins,
+                      _span_min, _w_span, class_number, weighted_prefix_sum)
 from .errors import DomainError, ExactnessError
 from .ntcore import BLOCK, PI2_HI, QuadChar, chi_values, is_prime
 
@@ -172,34 +172,40 @@ def fq_min_and_zeros(q_or_chi) -> FqShape:
     inside a piece, solved in rationals.  f_q(1/2) = 0 identically by
     oddness around 1/2; that endpoint shows up through the final flat when
     the last piece vanishes, never as an interior zero.
+
+    Piece a, on [a/q, (a+1)/q], runs from W(a) to W(a+1), so everything
+    here is read from W at the nodes 1..half + 1: one table, one
+    _block_moments, and the spans of _low_spans with floor 0.  A skipped
+    block has a bound above 0 that is at most every W on it, so it holds
+    no node zero, no sign change (that needs a W < 0), no flat (W(a) =
+    W(a+1) = 0), and neither the minimum nor a tie of it.  Every piece
+    lies in one block, so a piece that counts is read once, in the span
+    of its block's run.
     """
     ch = _as_char(q_or_chi)
     q = ch.q
     half = (q - 1) // 2
-    pw = piecewise_fq(ch, half)
-    W = pw.margins
-    S = pw.slopes
-    B = pw.intercepts
-    body = W[1:]
-    k = int(np.argmin(body))
-    min_w = int(body[k])
-    argmin_a = k + 1
-    zeros = [Fraction(a, q) for a in (np.flatnonzero(body == 0) + 1).tolist()]
-    neg = W < 0
-    pos = W > 0
-    cross = (neg[:-1] & pos[1:]) | (pos[:-1] & neg[1:])
-    for a in np.flatnonzero(cross).tolist():
-        zeros.append(Fraction(-int(B[a]), q * int(S[a])))
-    flats: list[tuple[Fraction, Fraction]] = []
-    for a in np.flatnonzero((S == 0) & (B == 0)).tolist():
-        lo = Fraction(a, q)
-        hi = min(Fraction(a + 1, q), _HALF)
-        if flats and flats[-1][1] == lo:
-            flats[-1] = (flats[-1][0], hi)
-        else:
-            flats.append((lo, hi))
-    return FqShape(q, pw.h, min_w, argmin_a, Fraction(min_w, q),
-                   Fraction(argmin_a, q), tuple(sorted(zeros)), tuple(flats))
+    chi = chi_values(ch, half, None)
+    h, _, _, A, B = _block_moments(q, chi)
+    mins, zeros, flats = [], [], []
+    for lo, W in _low_spans(h, A, B, chi, half, 0):  # W[j] = W(lo - 1 + j)
+        mins.append(_span_min(lo, W))
+        zeros += [Fraction(a, q) for a in (np.flatnonzero(W[1:-1] == 0) + lo).tolist()]
+        sign = np.sign(W)
+        cross = sign[:-1] * sign[1:] < 0
+        cross[half + 1 - lo:] = False  # the piece holding 1/2 is odd about it
+        for j in np.flatnonzero(cross).tolist():
+            slope = int(W[j + 1]) - int(W[j])
+            zeros.append(Fraction((lo - 1 + j) * slope - int(W[j]), q * slope))
+        for a in (np.flatnonzero((W[:-1] == 0) & (W[1:] == 0)) + lo - 1).tolist():
+            x0, x1 = Fraction(a, q), min(Fraction(a + 1, q), _HALF)
+            if flats and flats[-1][1] == x0:
+                flats[-1] = (flats[-1][0], x1)
+            else:
+                flats.append((x0, x1))
+    min_w, argmin_a = min(mins)
+    return FqShape(q, h, min_w, argmin_a, Fraction(min_w, q), Fraction(argmin_a, q),
+                   tuple(sorted(zeros)), tuple(flats))
 
 
 @dataclass(frozen=True)

@@ -295,6 +295,23 @@ class TestMiscCommands:
         assert out == ("min -171 at 1185\nzero 10285/23823\nzero 1320/2647\n"
                        "zero 1323/2647\nflat 1323/2647 1/2\n")
 
+    FQ_ZEROS = {
+        255255: ("min -18091 at 125561\nzero 139374/286195\nzero 382832/765765\n"
+                 "zero 127627/255255\nflat 127627/255255 1/2\n"),
+        999919: ("min -27657 at 494153\nzero 29090817/58995221\n"
+                 "zero 3470454/6999433\nzero 499904/999919\nzero 1499762/2999757\n"
+                 "zero 499959/999919\nflat 499959/999919 1/2\n"),
+        999983: "min 0 at 499991\nzero 499991/999983\nflat 499991/999983 1/2\n",
+    }
+
+    @pytest.mark.parametrize("q", sorted(FQ_ZEROS))
+    def test_fq_zeros_stdout_from_block_bounds(self, capsys, q):
+        # half ranges cut into rows, so only the runs of blocks whose bound
+        # reaches max(0, least start) are read; the text is that of the
+        # walk over the whole half range
+        code, out, _ = run_cli(capsys, "fq-zeros", "--q", str(q))
+        assert (code, out) == (0, self.FQ_ZEROS[q])
+
     def test_identity(self, capsys):
         code, out, _ = run_cli(capsys, "identity", "--q", "35")
         assert code == 0 and out.strip() == "ok"
@@ -403,8 +420,22 @@ class TestTableGate:
 
 class TestEntryPoint:
     def test_console_script_runs(self):
+        # the child imports the charpos this suite imported, whatever
+        # PYTHONPATH the suite was started with
+        path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
         proc = subprocess.run([sys.executable, "-m", "charpos.cli",
                                "class-number", "163"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env={**os.environ,
+                                   "PYTHONPATH": os.pathsep.join(filter(None, path))})
         assert proc.returncode == 0
         assert proc.stdout.strip() == "1"
+
+    def test_out_of_memory_is_one_error_line(self, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 3.73 GiB")
+
+        monkeypatch.setattr(cli, "fq_min_and_zeros", exhausted)
+        code, out, err = run_cli(capsys, "fq-zeros", "--q", "1000000007")
+        assert (code, out) == (2, "")
+        assert err == "error: out of memory for fq-zeros --q 1000000007\n"

@@ -196,6 +196,105 @@ class TestShapes:
         assert interior, "expected at least one interior crossing"
 
 
+def valid_chars(lo, hi):
+    """The characters of the valid moduli q = 3 (mod 4) in [lo, hi)."""
+    chars = []
+    for q in range(lo + (3 - lo) % 4, hi, 4):
+        try:
+            chars.append(ntcore.quad_char(q))
+        except errors.InvalidModulus:
+            pass
+    return chars
+
+
+def whole_range_shape(ch):
+    """FqShape from piecewise_fq over the whole half range: the minimum and
+    first argmin, node zeros, sign changes and flats read off its full
+    margin, slope and intercept arrays."""
+    q = ch.q
+    pw = fq.piecewise_fq(ch)
+    W, S, B = pw.margins, pw.slopes, pw.intercepts
+    body = W[1:]
+    k = int(np.argmin(body))
+    zeros = [Fraction(a, q) for a in (np.flatnonzero(body == 0) + 1).tolist()]
+    neg, pos = W < 0, W > 0
+    cross = (neg[:-1] & pos[1:]) | (pos[:-1] & neg[1:])
+    zeros += [Fraction(-int(B[a]), q * int(S[a])) for a in np.flatnonzero(cross).tolist()]
+    flats = []
+    for a in np.flatnonzero((S == 0) & (B == 0)).tolist():
+        lo, hi = Fraction(a, q), min(Fraction(a + 1, q), Fraction(1, 2))
+        if flats and flats[-1][1] == lo:
+            flats[-1] = (flats[-1][0], hi)
+        else:
+            flats.append((lo, hi))
+    min_w = int(body[k])
+    return fq.FqShape(q, pw.h, min_w, k + 1, Fraction(min_w, q), Fraction(k + 1, q),
+                      tuple(sorted(zeros)), tuple(flats))
+
+
+class TestShapeFromBlocks:
+    """fq_min_and_zeros walks only the runs of blocks whose bound is at
+    most max(0, least start); it must give the shape read off W over the
+    whole half range."""
+
+    def test_matches_whole_range_where_rows_are_cut(self):
+        chars = valid_chars(32771, 36000)
+        # every half range here is cut into rows, so the bounds are in use
+        assert (chars[0].q - 1) // 2 >= charsum._MIN_ROWS * charsum._MIN_BLOCK
+        for ch in chars:
+            assert fq.fq_min_and_zeros(ch) == whole_range_shape(ch), ch.q
+
+    @pytest.mark.parametrize("q", [255255, 999919, 994067])
+    def test_matches_whole_range_at_large_moduli(self, q):
+        ch = ntcore.quad_char(q)
+        sh = fq.fq_min_and_zeros(ch)
+        assert sh == whole_range_shape(ch)
+        if q != 994067:
+            assert sh.min_w < 0 and sh.zeros and sh.flats
+
+    # below 3000, and the least moduli with flats of three and two pieces
+    LONG_FLATS = (4407, 5343, 3895, 4015)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 8])
+    def test_matches_whole_range_on_small_blocks(self, monkeypatch, block):
+        monkeypatch.setattr(charsum, "_MIN_BLOCK", block)
+        monkeypatch.setattr(charsum, "_MIN_ROWS", 1)
+        runs = []
+
+        def recorded(h, A, B, chi, a_max, floor):
+            for lo, w in charsum._low_spans(h, A, B, chi, a_max, floor):
+                runs.append((lo, lo + len(w) - 3, a_max))
+                yield lo, w
+
+        monkeypatch.setattr(fq, "_low_spans", recorded)
+        chars = valid_chars(7, 3000) + [ntcore.quad_char(q) for q in self.LONG_FLATS]
+        crossed = 0
+        for ch in chars:
+            sh = fq.fq_min_and_zeros(ch)
+            assert sh == whole_range_shape(ch), (block, ch.q)
+            crossed += any(x0 * ch.q < s < x1 * ch.q
+                           for x0, x1 in sh.flats for s in range(1, ch.q // 2, block))
+        # runs from a = 1, runs to half (whose span reaches the last piece),
+        # runs cut at both ends, and flats over a block edge all occurred
+        assert any(lo == 1 for lo, _, _ in runs)
+        assert any(hi == half for _, hi, half in runs)
+        assert any(1 < lo and hi < half for lo, hi, half in runs)
+        assert crossed
+
+    def test_peak_memory(self):
+        # the chi period of q bytes and a few spans of the runs: about
+        # 1.4 MiB at q = 999983, where piecewise_fq over the half range
+        # took 15.3 MiB
+        ch = ntcore.quad_char(999983)
+        tracemalloc.start()
+        try:
+            fq.fq_min_and_zeros(ch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2 ** 20, peak / 2 ** 20
+
+
 class TestPrimeFrac:
     @pytest.mark.parametrize("a,p,q,stat", [
         (1, 719, 2971, 130724),
