@@ -22,8 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, ExactnessError
-from .ntcore import (QuadChar, _check_table, chi_sieve, chi_values, is_prime,
-                     jacobi, quad_char)
+from .ntcore import QuadChar, chi_sieve, chi_values, is_prime, jacobi, quad_char
 
 # _block_starts cuts a = 1..a_max into blocks of this many steps; a named
 # constant, read at call time, so tests can shrink it.  It stays below
@@ -31,11 +30,6 @@ from .ntcore import (QuadChar, _check_table, chi_sieve, chi_values, is_prime,
 # leaves a block a slack of about L**2/2 below its start, so a short L
 # keeps the candidate blocks few.
 _MIN_BLOCK = 1 << 8
-
-# A half range of fewer than this many blocks is not cut into rows: it is
-# summed whole, and _low_spans walks it as one run, which costs less
-# there than the per-row reductions and bounds.
-_MIN_ROWS = 64
 
 
 def _as_char(q_or_chi) -> QuadChar:
@@ -118,27 +112,11 @@ def class_number(q_or_chi) -> ClassNumber:
 
     h, A(half) and B(half) come from _block_moments, the reductions and
     checks the margins and the scan share.  Besides the int8 chi table
-    (one period of q entries for prime q) it holds a few arrays of one
-    entry per block of _MIN_BLOCK, so memory is about one byte per unit of
-    q.
+    that chi_values builds for the half range (one period of q entries
+    for prime q) it holds a few arrays of one entry per block of
+    _MIN_BLOCK, so memory is about one byte per unit of q.
     """
     return _class_number_cached(_as_char(q_or_chi).q)
-
-
-class _MarginBuffers:
-    """Scratch for _margin_min over moduli q <= q_max: the int8 table of
-    q_max entries that chi_values scatters a prime period into.
-
-    One instance serves every modulus <= q_max.  A scan reuses it across a
-    block of moduli, so each modulus writes its table into pages already
-    mapped.  Nothing wider than the table is kept per entry: _qr_period
-    forms k*k mod p a pass at a time, and _margin_min reads block
-    moments straight off the table.
-    """
-
-    def __init__(self, q_max: int):
-        _check_table(q_max, q_max)
-        self.table = np.empty(q_max, dtype=np.int8)
 
 
 def _row_moments(chi: np.ndarray):
@@ -175,11 +153,10 @@ def _block_moments(q: int, chi: np.ndarray):
     S0 and S1.  A[k] = A(k*L) and B[k] = B(k*L), k = 0..half//L, are
     cumulative sums of S0 and s*S0 + S1, in int64.  The fewer than L
     entries past the last row enter only the totals A(half) and B(half),
-    Python integers.  A table of fewer than _MIN_ROWS rows is not cut at
-    all: A and B are then [0] and the totals come from the whole table.
-    h is read off the totals by _checked_class_number, so every class
-    number check runs here, once, for the scan, the margins and
-    class_number alike.
+    Python integers; a table of less than one row has only the edge 0,
+    A = B = [0].  h is read off the totals by _checked_class_number, so
+    every class number check runs here, once, for the scan, the margins
+    and class_number alike.
 
     Every W array of this module is int64 too, and the table gate makes
     that exact.  W(a) is read only where the table holds chi(a), and
@@ -192,14 +169,13 @@ def _block_moments(q: int, chi: np.ndarray):
     and _block_starts stay below 2**62.
     """
     n, L = len(chi) - 1, _MIN_BLOCK
-    nb = n // L if n >= _MIN_ROWS * L else 0
+    nb = n // L
     A = np.zeros(nb + 1, dtype=np.int64)
     B = np.zeros(nb + 1, dtype=np.int64)
-    if nb:
-        s0, s1 = _row_moments(chi[1:nb * L + 1])
-        np.cumsum(s0, out=A[1:])
-        np.cumsum(s1 + s0 * np.arange(1, nb * L + 1, L), dtype=B.dtype,
-                  out=B[1:])
+    s0, s1 = _row_moments(chi[1:nb * L + 1])
+    np.cumsum(s0, out=A[1:])
+    np.cumsum(s1 + s0 * np.arange(1, nb * L + 1, L), dtype=B.dtype,
+              out=B[1:])
     tail = chi[nb * L + 1:]
     a_n = int(A[-1]) + int(tail.sum())
     b_n = int(B[-1]) + int(np.dot(tail, np.arange(nb * L + 1, n + 1)))
@@ -211,8 +187,8 @@ def _w_span(h: int, A: np.ndarray, B: np.ndarray, chi: np.ndarray, lo: int,
     """W(lo..hi) exactly, walked from the last block edge e = k*L <= lo.
 
     A and B are _block_moments' sums at the block edges, L = _MIN_BLOCK
-    (only the edge 0 for a table it did not cut), so W(e) = e*(h - A[k]) +
-    B[k] is exact; chi is the table from chi(0), at least hi entries long.
+    (a lo past the last edge walks from that edge), so W(e) = e*(h - A[k])
+    + B[k] is exact; chi is the table from chi(0), at least hi entries long.
     W(a+1) - W(a) = h - A(a), so one array w of hi - e + 1 entries does
     it all: w[1:] gets -chi(e..hi-1), negated as it is copied from the
     int8 table, with its first entry replaced by h - A(e); one cumulative
@@ -289,8 +265,9 @@ def _low_spans(h: int, A: np.ndarray, B: np.ndarray, chi: np.ndarray, a_max: int
                floor=-math.inf):
     """Yield (lo, w), w = W(lo - 1..hi + 1) from one _w_span, for each run
     lo..hi of consecutive _block_starts blocks over 1..a_max whose bound
-    is at most max(floor, least start); one run 1..a_max for a table
-    _block_moments did not cut.  chi holds at least a_max + 1 entries.
+    is at most max(floor, least start).  chi holds at least a_max + 1
+    entries.  A range of one block, a_max <= L = _MIN_BLOCK, is one run
+    1..a_max, as a bound is at most its own start.
 
     A block's bound is at most every W on it, and the least start is an
     attained value, so every a with W(a) at most that ceiling lies in a
@@ -300,14 +277,11 @@ def _low_spans(h: int, A: np.ndarray, B: np.ndarray, chi: np.ndarray, a_max: int
     the block edge lo - 1 itself, so the node before a run costs nothing
     and the node after it one step.
     """
-    runs = [(1, a_max)]
-    if len(A) > 1:
-        starts, _, bounds = _block_starts(h, A, B, chi, a_max)
-        k = np.flatnonzero(bounds <= max(floor, starts.min()))
-        L = _MIN_BLOCK
-        runs = [(1 + int(r[0]) * L, min(1 + (int(r[-1]) + 1) * L, a_max))
-                for r in np.split(k, np.flatnonzero(np.diff(k) > 1) + 1)]
-    for lo, hi in runs:
+    starts, _, bounds = _block_starts(h, A, B, chi, a_max)
+    k = np.flatnonzero(bounds <= max(floor, starts.min()))
+    L = _MIN_BLOCK
+    for r in np.split(k, np.flatnonzero(np.diff(k) > 1) + 1):
+        lo, hi = 1 + int(r[0]) * L, min(1 + (int(r[-1]) + 1) * L, a_max)
         yield lo, _w_span(h, A, B, chi, lo - 1, hi + 1)
 
 
@@ -319,17 +293,19 @@ def _span_min(lo: int, w: np.ndarray) -> tuple[int, int]:
     return int(w[t + 1]), lo + t
 
 
-def _margin_min(ch: QuadChar, a_max: int, buf: _MarginBuffers):
+def _margin_min(ch: QuadChar, a_max: int, buf):
     """(h, min W(a), first argmin a) over 1 <= a <= a_max <= (q-1)/2.
 
     No W array, and no prefix array A over the range, is formed.
-    _block_moments reads the int8 table once, as row sums over blocks of
-    L = _MIN_BLOCK entries, and gives h and A, B at every block edge.
-    _low_spans walks only the runs of blocks whose lower bound is at most
-    the least block start, the only ones that can hold the minimum or a
-    tie of it (near q = 10**6, two to four of about 1940, at the two
-    ends), each as one _w_span from the block edge just before it.  A
-    half range too short to be cut into rows is one run over 1..a_max.
+    chi_values builds the int8 table of the half range, into buf when it
+    is given (an int8 array of at least q entries) and as a q-byte period
+    of its own when buf is None.  _block_moments reads the table once, as
+    row sums over blocks of L = _MIN_BLOCK entries, and gives h and A, B
+    at every block edge.  _low_spans walks only the runs of blocks whose
+    lower bound is at most the least block start, the only ones that can
+    hold the minimum or a tie of it (near q = 10**6, two to four of about
+    1940, at the two ends), each as one _w_span from the block edge just
+    before it.
     """
     half = (ch.q - 1) // 2
     if not 1 <= a_max <= half:
@@ -358,7 +334,7 @@ def margin_profile(q_or_chi, a_max: int | None = None) -> MarginProfile:
     ch = _as_char(q_or_chi)
     if a_max is None:
         a_max = (ch.q - 1) // 2
-    h, min_w, argmin_a = _margin_min(ch, a_max, _MarginBuffers(ch.q))
+    h, min_w, argmin_a = _margin_min(ch, a_max, None)
     return MarginProfile(ch.q, h, a_max, min_w, argmin_a)
 
 

@@ -244,14 +244,13 @@ def _census_dtype(p_top: int, q: int):
     return np.int64 if 10 * p_top ** 2 * q ** 3 < _CENSUS_INT64_GUARD else object
 
 
-def _residue_totals(chi: np.ndarray, p, r, s, mods=None, t=None) -> np.ndarray:
+def _residue_totals(chi: np.ndarray, p, r, s, mods, t) -> np.ndarray:
     """T(r)/chi(p) for T(r) = sum of b**2 chi(b) over 0 < b <= pq, b = r (mod p).
 
     chi holds one period of the character mod each modulus of mods, laid
-    end to end (by default one period, mods = [len(chi)]).  p, r, s and t
-    are equal-length integer arrays: evaluation i reads the period of q =
-    mods[t[i]] (t defaults to 0), with gcd(p, q) = 1, 0 <= r < p and s =
-    r/p mod q, where s = q may stand for 0.  With b = i*p + r, 0 <= i < q
+    end to end.  p, r, s and t are equal-length integer arrays: evaluation
+    i reads the period of q = mods[t[i]], with gcd(p, q) = 1, 0 <= r < p
+    and s = r/p mod q, where s = q may stand for 0.  With b = i*p + r, 0 <= i < q
     (b = 0 adds 0 and b = pq adds chi(pq) = 0), complete multiplicativity
     gives chi(b) = chi(p) chi(i + s), so
 
@@ -283,20 +282,21 @@ def _residue_totals(chi: np.ndarray, p, r, s, mods=None, t=None) -> np.ndarray:
     M0(s) is P0 at the split point, and sum over y < x of start(y) chi(y)
     is start * M0(s); hence M1(s) = G1(x) - G1(start) - start M0(s) and
     M1(q) = G1(start + q) - G1(start).  With N = len(chi), |P0| < N, |G1|
-    < N**2/2 and |start M0(s)| < N**2, all in int64, as N < 2**31 for one
-    period of q < 2**31 and for a census group (verify._census_groups,
-    a few thousand entries).  The recombination runs once for all
-    evaluations, in the dtype _census_dtype picks for the largest p and
-    q.  From |M0(s)| <= s <= q and |M1| < q**2/2, every partial sum in
-    evaluation order obeys |S1| < 1.5 q**2, |p (q - 2s) + 2r| <= p (q +
-    2), |S1 (p (q - 2s) + 2r)| < 1.5 p q**2 (q + 2) and |2pq M1(s)| < p
-    q**3, so |T| < p**2 q**2 (2.5 q + 3) <= 3.5 p**2 q**3 for q >= 3, and
-    a core, the difference of two T, is below 7 p**2 q**3 < 10 p**2 q**3.
+    < N**2/2 and |start M0(s)| < N**2, all in int64, as N <= 2**30: the
+    table gate of chi_values (ntcore._TABLE_MAX) builds no longer period,
+    and a census group (verify._census_groups) holds a few thousand
+    entries.  The recombination runs once for all evaluations, in the
+    dtype _census_dtype picks for the largest p and q.  From |M0(s)| <= s
+    <= q and |M1| < q**2/2, every partial sum in evaluation order obeys
+    |S1| < 1.5 q**2, |p (q - 2s) + 2r| <= p (q + 2), |S1 (p (q - 2s) +
+    2r)| < 1.5 p q**2 (q + 2) and |2pq M1(s)| < p q**3, so |T| < p**2
+    q**2 (2.5 q + 3) <= 3.5 p**2 q**3 for q >= 3, and a core, the
+    difference of two T, is below 7 p**2 q**3 < 10 p**2 q**3.
     Each evaluation's sums are bounded by its own p and q, so by the
     largest p and q of the call.
     """
-    mods = np.array([len(chi)] if mods is None else mods, dtype=np.int64)
-    t = np.zeros(len(s), dtype=np.intp) if t is None else np.asarray(t)
+    mods = np.array(mods, dtype=np.int64)
+    t = np.asarray(t)
     ends = np.cumsum(mods)
     starts = ends - mods
     n, m = len(t), len(mods)
@@ -338,9 +338,10 @@ def _prime_frac_cores(chars, p, a, counts) -> np.ndarray:
     """core = -chi(p) (T(aq mod p) - T(-aq mod p)) for aligned arrays p, a:
     counts[i] evaluations in turn for each character chars[i].
 
-    Builds one period table of each chi, laid end to end for
-    _residue_totals.  Since chi(p)**2 = 1 the core is -(T'(r+) - T'(r-))
-    with T' = T/chi(p), so chi(p) is never evaluated.  With k =
+    Builds one period table of each chi with chi_values, whose table gate
+    refuses a modulus above 2**30 before it builds anything, laid end to
+    end for _residue_totals.  Since chi(p)**2 = 1 the core is -(T'(r+) -
+    T'(r-)) with T' = T/chi(p), so chi(p) is never evaluated.  With k =
     floor(aq/p) < q/2, as 2a < p, the residues are r+ = aq - kp and r- =
     p - r+ (p divides neither a < p nor q), and r/p mod q is q - k (q for
     0 when k = 0) for r+ and k + 1 < q for r-.  p and a may be int64 or
@@ -348,9 +349,6 @@ def _prime_frac_cores(chars, p, a, counts) -> np.ndarray:
     for the largest p and q, int64 when |core| < 10 p**2 q**3 fits.
     """
     mods = [ch.q for ch in chars]
-    if max(mods) >= 1 << 31:
-        # chi_values would build a q-byte table
-        raise DomainError(f"q = {max(mods)} too large for the residue sums (need q < 2**31)")
     tables = [chi_values(ch, ch.q - 1) for ch in chars]
     chi = tables[0] if len(tables) == 1 else np.concatenate(tables)
     dtype = _census_dtype(int(np.max(p, initial=0)), max(mods))

@@ -80,15 +80,20 @@ def find_imitator(n_agree: int, ceiling: int = 10 ** 6) -> int:
 
     Needs chi(p) = -1 for every prime p <= n_agree.  Candidates thin out
     double-exponentially, so the search is capped; raising the ceiling is
-    the caller's explicit opt-in to a longer run.
+    the caller's explicit opt-in to a longer run.  The candidates are
+    enumerated in windows [lo, min(ceiling, 4*lo)] from lo = 5, so the
+    cost up to the answer does not depend on the ceiling.
     """
     if n_agree < 1:
         raise DomainError("need n_agree >= 1")
     targets = [int(p) for p in primes_in_range(2, n_agree)]
-    for q in primes_in_range(5, ceiling, residue=3, modulus=8):
-        q = int(q)
-        if all(jacobi(p, q) == -1 for p in targets):
-            return q
+    lo = 5
+    while lo <= ceiling:
+        hi = min(ceiling, 4 * lo)
+        for q in primes_in_range(lo, hi, residue=3, modulus=8).tolist():
+            if all(jacobi(p, q) == -1 for p in targets):
+                return q
+        lo = hi + 1
     raise SearchBudgetExceeded(
         f"no imitator with agreement {n_agree} below {ceiling}")
 

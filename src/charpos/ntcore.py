@@ -173,24 +173,37 @@ class LiouvilleTable:
         return int(self.values[n])
 
 
-def liouville_sieve(n: int) -> LiouvilleTable:
-    """lambda(k) = (-1)**Omega(k) for k <= n.
+def _multiplicative(n_max: int, sign) -> np.ndarray:
+    """The completely multiplicative int8 function on 0..n_max (0 at 0)
+    whose value at each prime p is sign(p), one of -1, 0 and 1.
 
-    Each prime power pe <= n flips the sign of every multiple of pe, which
-    counts multiplicity exactly.
+    A prime with sign 0 zeroes its multiples.  A prime with sign -1 flips
+    the sign of every multiple of each of its powers pe <= n_max, one
+    strided pass per power, which counts multiplicity exactly.  O(n_max)
+    memory and a Python loop over the primes up to n_max.
     """
+    out = np.ones(n_max + 1, dtype=np.int8)
+    out[0] = 0
+    for p in _small_primes(n_max).tolist():
+        v = sign(p)
+        if v == 0:
+            out[p::p] = 0
+        elif v == -1:
+            pe = p
+            while pe <= n_max:
+                out[pe::pe] *= -1
+                if pe > n_max // p:
+                    break
+                pe *= p
+    return out
+
+
+def liouville_sieve(n: int) -> LiouvilleTable:
+    """lambda(k) = (-1)**Omega(k) for k <= n: _multiplicative with sign -1
+    at every prime."""
     if n < 1:
         raise DomainError("liouville_sieve needs n >= 1")
-    lam = np.ones(n + 1, dtype=np.int8)
-    lam[0] = 0
-    for p in _small_primes(n):
-        pe = int(p)
-        while pe <= n:
-            lam[pe::pe] *= -1
-            if pe > n // int(p):
-                break
-            pe *= int(p)
-    return LiouvilleTable(n, lam)
+    return LiouvilleTable(n, _multiplicative(n, lambda p: -1))
 
 
 @dataclass(frozen=True)
@@ -268,13 +281,13 @@ def _qr_period(p: int, buf=None) -> np.ndarray:
     wraps to x - p + 2**32 > 2**31 > p > x.  r is copied into the first
     pass's intp index before each later scatter, which numpy would
     otherwise convert on every pass.  Only chi_values calls it, and its
-    gate keeps p <= _TABLE_MAX.  buf, if given, is scratch reused across
-    moduli: an int8 `table` of >= p entries, of which the result is a
-    view; either way the table of p bytes is the only allocation that
+    gate keeps p <= _TABLE_MAX.  buf, if given, is an int8 array of at
+    least p entries, reused across moduli, and the result is its first p
+    entries; either way the table of p bytes is the only allocation that
     grows with p.
     """
     half, c = (p - 1) // 2, _QR_CHUNK
-    t = np.empty(p, dtype=np.int8) if buf is None else buf.table[:p]
+    t = np.empty(p, dtype=np.int8) if buf is None else buf[:p]
     t.fill(-1)
     t[0] = 0
     p32 = np.uint32(p)
@@ -318,36 +331,17 @@ def chi_sieve(chi: QuadChar, n_max: int, block: int = BLOCK):
 
 
 def _chi_multiplicative(chi: QuadChar, n_max: int) -> np.ndarray:
-    """chi on 0..n_max by a completely multiplicative slice sieve.
-
-    chi at primes comes from jacobi; prime powers p**k contribute
-    chi(p)**k, done with one strided pass per power.  O(n_max) memory,
-    used when a factor's period table would dwarf the requested range,
-    which chi_values keeps to at most _SIEVE_MAX entries.
-    """
-    out = np.ones(n_max + 1, dtype=np.int8)
-    out[0] = 0
-    q = chi.q
-    for p in _small_primes(n_max):
-        p = int(p)
-        v = jacobi(p, q)
-        if v == 0:
-            out[p::p] = 0
-        elif v == -1:
-            pe = p
-            while pe <= n_max:
-                out[pe::pe] *= -1
-                if pe > n_max // p:
-                    break
-                pe *= p
-    return out
+    """chi on 0..n_max by _multiplicative, with chi(p) from jacobi; used
+    when a factor's period table would dwarf the requested range, which
+    chi_values keeps to at most _SIEVE_MAX entries."""
+    return _multiplicative(n_max, lambda p: jacobi(p, chi.q))
 
 
 def _check_table(q: int, size: int) -> None:
     """The table gate: DomainError if a chi table for q would have more
     than _TABLE_MAX entries.  chi_values asks it before it allocates
-    anything, and so do the callers that size a table ahead of it (the
-    scan's range and its buffers)."""
+    anything, and so does the scan, which sizes a table for its whole
+    range ahead of it."""
     if size > _TABLE_MAX:
         raise DomainError(f"the chi table for q={q} would have {size} entries, "
                           f"above the limit of {_TABLE_MAX}")
@@ -357,14 +351,17 @@ def chi_values(chi: QuadChar, n_max: int, buf=None) -> np.ndarray:
     """Dense int8 array of chi(n) for n = 0..n_max; the one chi table builder.
 
     chi(0) = 0 and chi(n) = 0 exactly when gcd(n, q) > 1.  A prime
-    modulus with n_max < q returns a view of its one period (of buf.table
-    when buf is given, see _qr_period).  Otherwise each prime factor's
-    period is tiled to n_max + 1 entries and the tiles are multiplied.
-    One size rule picks the builder: a factor period above _TABLE_MAX, or
-    far longer than a range of at most _SIEVE_MAX entries (above
-    max(2*(n_max + 1), 2**21)), switches to _chi_multiplicative instead;
-    with buf, whose table already holds q bytes, a prime modulus always
-    scatters.  The table built is the period of q entries or the n_max + 1
+    modulus with n_max < q returns a view of its one period.  Otherwise
+    each prime factor's period is tiled to n_max + 1 entries and the tiles
+    are multiplied.  buf, if given, is an int8 array of at least q entries
+    that every period is scattered into (see _qr_period), so a prime
+    period is a view of it and a scan that reuses it across moduli
+    allocates no table.  One size rule picks the builder: a factor period
+    above _TABLE_MAX, or far longer than a range of at most _SIEVE_MAX
+    entries (above max(2*(n_max + 1), 2**21)), switches to
+    _chi_multiplicative instead.  A half range, as the scan asks for, is
+    never sieved: there that cap is at least every q the gate admits.
+    The table built is the period of q entries or the n_max + 1
     of the result (a tiled factor period is at most _TABLE_MAX too); above
     _TABLE_MAX entries, or for a range past _SIEVE_MAX that only the sieve
     could serve, DomainError is raised before anything is allocated.
@@ -375,7 +372,7 @@ def chi_values(chi: QuadChar, n_max: int, buf=None) -> np.ndarray:
     prime = chi.factors == (q,)
     sieve = n_max < _SIEVE_MAX
     far = max(2 * (n_max + 1), 1 << 21) if sieve else _TABLE_MAX
-    cap = q if buf is not None and prime else min(_TABLE_MAX, far)
+    cap = min(_TABLE_MAX, far)
     period = prime and n_max < q <= cap
     _check_table(q, q if period else n_max + 1)
     if max(chi.factors) > cap:

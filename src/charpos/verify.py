@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import ntcore
-from .charsum import _MarginBuffers, _as_char, _margin_min, _margins, margin_profile
+from .charsum import _as_char, _margin_min, _margins, margin_profile
 from .errors import (CertificateError, DomainError, ExactnessError,
                      InsufficientBound)
 from .fq import _census_dtype, _prime_frac_cores
@@ -101,11 +101,12 @@ def _scan_chunk(qs):
 
     _margin_min takes each minimum from block moments of the int8 table,
     exact block starts and lower bounds, without forming W or any int64
-    array over the range.  Its one buffer, the int8 table sized for the
-    largest modulus, serves the whole block and is dropped with it, so a
-    worker holds about q_max bytes.
+    array over the range.  One int8 buffer of qs[-1] bytes, whose size
+    scan_positivity has already put through the table gate, takes every
+    modulus's table, so each table is written into pages already mapped;
+    it is dropped with the block, and a worker holds about q_max bytes.
     """
-    buf = _MarginBuffers(qs[-1])
+    buf = np.empty(qs[-1], dtype=np.int8)
     return [_margin_min(quad_char(q, assume_prime=True), (q - 1) // 2, buf)[1]
             for q in qs]
 

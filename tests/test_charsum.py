@@ -211,7 +211,7 @@ COMPOSITES = [q for q in SQUAREFREE_3MOD4 if not ntcore.is_prime(q)]
 
 
 def fresh_margin_min(q, a_max):
-    return charsum._margin_min(ntcore.quad_char(q), a_max, charsum._MarginBuffers(q))
+    return charsum._margin_min(ntcore.quad_char(q), a_max, np.empty(q, dtype=np.int8))
 
 
 class TestMarginKernel:
@@ -227,7 +227,7 @@ class TestMarginKernel:
         assert fresh_margin_min(q, (q - 1) // 2) == margin_min(q, (q - 1) // 2)
 
     def test_reused_buffer_matches_fresh_buffers(self):
-        buf = charsum._MarginBuffers(20011)
+        buf = np.empty(20011, dtype=np.int8)
         for q in (20011, 163, 2647, 35, 11, 4003, 7, 20011):
             for a_max in (1, q // 4, (q - 1) // 2):
                 got = charsum._margin_min(ntcore.quad_char(q), a_max, buf)
@@ -240,7 +240,7 @@ class TestMarginKernel:
         ch = ntcore.quad_char(q)
         chi = ntcore.chi_values(ch, q - 1)
         want = charsum._margins(ch, 0, q - 2)
-        monkeypatch.setattr(charsum, "_MarginBuffers", None)
+        monkeypatch.setattr(charsum, "chi_values", None)
         for a_max in (1, (q - 1) // 2, q - 2):
             got = charsum._margins(ch, 0, a_max, chi=chi)
             assert got[0] == want[0]
@@ -273,18 +273,20 @@ class TestBlockedMarginMin:
         for q in SQUAREFREE_3MOD4_1500:
             for a_max in edge_a_maxes(q):
                 assert fresh_margin_min(q, a_max) == oracle_min(q, a_max), (q, a_max)
-
-    @pytest.mark.parametrize("block", [1, 7, 64])
-    def test_matches_plain_oracle_with_every_table_in_rows(self, monkeypatch,
-                                                           block):
-        # _MIN_ROWS = 1: tables too short for _MIN_ROWS rows, which the
-        # test above walks whole, go through the row moments and bounds
-        monkeypatch.setattr(charsum, "_MIN_BLOCK", block)
-        monkeypatch.setattr(charsum, "_MIN_ROWS", 1)
-        for q in SQUAREFREE_3MOD4_1500:
-            for a_max in edge_a_maxes(q):
-                assert fresh_margin_min(q, a_max) == oracle_min(q, a_max), (q, a_max)
             assert charsum.class_number(q) == charsum._class_number_cached.__wrapped__(q)
+
+    @pytest.mark.parametrize("lo, hi", [(7, 4000), (32000, 32800)])
+    def test_short_half_ranges_at_the_default_block(self, lo, hi):
+        # half ranges of fewer than 64 blocks, down to less than one, and
+        # either side of 64 blocks (q = 32769), cut into rows like any other
+        for q in range(lo + (3 - lo) % 4, hi, 4):
+            if any(q % (p * p) == 0 for p in range(3, math.isqrt(q) + 1, 2)):
+                continue
+            half = (q - 1) // 2
+            h, min_w, argmin_a = margin_min(q, half)
+            assert charsum.margin_profile(q) == charsum.MarginProfile(
+                q, h, half, min_w, argmin_a), q
+            assert charsum.class_number(q).h == form_count(q) == h, q
 
     # W has one path, int64; "object_path" keeps one value here and in
     # TestWalk and TestMarginValuesAgainstOracle so the case ids stay put
@@ -297,16 +299,13 @@ class TestBlockedMarginMin:
             half = (q - 1) // 2
             h, w = margins(q, half)
             chi = ntcore.chi_values(ntcore.quad_char(q), half,
-                                    charsum._MarginBuffers(q))
+                                    np.empty(q, dtype=np.int8))
             got_h, a_half, b_half, A, B = charsum._block_moments(q, chi)
             assert got_h == h
             assert (a_half, b_half) == direct_sums(q, half)
-            # the sums at every block edge; a table of fewer than _MIN_ROWS
-            # blocks is summed whole and has only the edge at 0
+            # the sums at every block edge
             edges = [direct_sums(q, k * block) for k in range(half // block + 1)]
-            rows = half >= charsum._MIN_ROWS * block
-            assert [(int(a), int(b)) for a, b in zip(A, B)] == (
-                edges if rows else edges[:1]), q
+            assert [(int(a), int(b)) for a, b in zip(A, B)] == edges, q
             A, B = (np.array(v, dtype=B.dtype) for v in zip(*edges))
             for a_max in edge_a_maxes(q) + [1 + block, 2 + block]:
                 if a_max > half:
@@ -327,7 +326,7 @@ class TestBlockedMarginMin:
         L = charsum._MIN_BLOCK
         qs = [int(q) for q in ntcore.primes_in_range(991_000, 10**6, residue=3,
                                                      modulus=8)[:10]]
-        buf = charsum._MarginBuffers(qs[-1])
+        buf = np.empty(qs[-1], dtype=np.int8)
         for q in qs:
             half = (q - 1) // 2
             h, w = charsum.margin_values(q, half)
@@ -350,7 +349,7 @@ class TestBlockedMarginMin:
 
     def test_forms_no_w_over_the_range(self):
         q = int(ntcore.primes_in_range(999_000, 10**6, residue=3, modulus=8)[-1])
-        buf = charsum._MarginBuffers(q)
+        buf = np.empty(q, dtype=np.int8)
         ch = ntcore.quad_char(q)
         tracemalloc.start()
         try:
@@ -438,13 +437,10 @@ class TestWalk:
     last edge), and spans of no step at all."""
 
     @pytest.mark.parametrize("object_path", [False])
-    @pytest.mark.parametrize("rows", [1, None])
     @pytest.mark.parametrize("block", [1, 2, 3, 7, None])
-    def test_spans_match_oracle(self, monkeypatch, block, rows, object_path):
+    def test_spans_match_oracle(self, monkeypatch, block, object_path):
         if block is not None:
             monkeypatch.setattr(charsum, "_MIN_BLOCK", block)
-        if rows is not None:
-            monkeypatch.setattr(charsum, "_MIN_ROWS", rows)
         L = charsum._MIN_BLOCK
         qs = [7, 11, 35, 91, 163, 1019, 2647] + ([32771] if block is None else [])
         for q in qs:
@@ -463,8 +459,8 @@ class TestWalk:
                     assert [int(v) for v in w] == want[lo:hi + 1], (q, lo, hi)
                     got = charsum._margins(ch, lo, hi)
                     assert got[0] == h and np.array_equal(got[1], w), (q, lo, hi)
-            # a span of no step from an edge: at L = 1 with rows every
-            # a <= half is one
+            # a span of no step from an edge: at L = 1 every a <= half is
+            # one
             e = min(half // L, len(A) - 1) * L
             w = charsum._w_span(h, A, B, chi, e, e)
             assert [int(v) for v in w] == [want[e]]

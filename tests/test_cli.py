@@ -237,6 +237,11 @@ class TestMiscCommands:
         assert code == 0
         assert out.strip() == "163"
 
+    def test_imitator_answers_under_a_huge_ceiling(self, capsys):
+        code, out, _ = run_cli(capsys, "imitator", "--agreement", "40",
+                               "--ceiling", str(10**18))
+        assert (code, out.strip()) == (0, "163")
+
     def test_imitator_budget(self, capsys):
         code, _, err = run_cli(capsys, "imitator", "--agreement", "40",
                                "--ceiling", "100")
@@ -306,7 +311,7 @@ class TestMiscCommands:
 
     @pytest.mark.parametrize("q", sorted(FQ_ZEROS))
     def test_fq_zeros_stdout_from_block_bounds(self, capsys, q):
-        # half ranges cut into rows, so only the runs of blocks whose bound
+        # half ranges of many blocks, so only the runs of blocks whose bound
         # reaches max(0, least start) are read; the text is that of the
         # walk over the whole half range
         code, out, _ = run_cli(capsys, "fq-zeros", "--q", str(q))

@@ -238,10 +238,14 @@ class TestShapeFromBlocks:
     whole half range."""
 
     def test_matches_whole_range_where_rows_are_cut(self):
-        chars = valid_chars(32771, 36000)
-        # every half range here is cut into rows, so the bounds are in use
-        assert (chars[0].q - 1) // 2 >= charsum._MIN_ROWS * charsum._MIN_BLOCK
-        for ch in chars:
+        for ch in valid_chars(32771, 36000):
+            assert fq.fq_min_and_zeros(ch) == whole_range_shape(ch), ch.q
+
+    @pytest.mark.parametrize("lo, hi", [(7, 4000), (32000, 32800)])
+    def test_matches_whole_range_on_short_half_ranges(self, lo, hi):
+        # at the default block: half ranges of fewer than 64 blocks, down
+        # to less than one, and either side of 64 blocks (q = 32769)
+        for ch in valid_chars(lo, hi):
             assert fq.fq_min_and_zeros(ch) == whole_range_shape(ch), ch.q
 
     @pytest.mark.parametrize("q", [255255, 999919, 994067])
@@ -258,7 +262,6 @@ class TestShapeFromBlocks:
     @pytest.mark.parametrize("block", [1, 2, 3, 8])
     def test_matches_whole_range_on_small_blocks(self, monkeypatch, block):
         monkeypatch.setattr(charsum, "_MIN_BLOCK", block)
-        monkeypatch.setattr(charsum, "_MIN_ROWS", 1)
         runs = []
 
         def recorded(h, A, B, chi, a_max, floor):
@@ -373,7 +376,8 @@ class TestPrimeFrac:
                     for x in range(p)]
             for block in (ntcore.BLOCK, 1, 7):
                 monkeypatch.setattr(fq, "BLOCK", block)
-                got = fq._residue_totals(chi, np.full(p, p), r, s)
+                got = fq._residue_totals(chi, np.full(p, p), r, s, [q],
+                                         np.zeros(p, dtype=np.intp))
                 assert got.tolist() == want, (p, block)
 
     def test_residue_totals_over_periods_end_to_end(self, monkeypatch):
@@ -418,10 +422,18 @@ class TestPrimeFrac:
         coeff = fq.fq_exact(q, Fraction(12345, p)).coeff
         assert ev.core == 4 * p * p * q * q * coeff
 
-    def test_oversized_modulus_rejected(self):
-        # 2**31 + 11 is prime and 3 (mod 4); rejected before any table is built
-        ch = ntcore.quad_char(2 ** 31 + 11)
-        with pytest.raises(errors.DomainError, match="too large"):
+    def test_oversized_modulus_rejected(self, monkeypatch):
+        # 2**31 + 11 is prime and 3 (mod 4); the table gate refuses its
+        # period before either table builder runs
+        def refuse(*args):
+            raise AssertionError("built a table")
+
+        for name in ("_qr_period", "_chi_multiplicative"):
+            monkeypatch.setattr(ntcore, name, refuse)
+        q = 2 ** 31 + 11
+        ch = ntcore.quad_char(q)
+        with pytest.raises(errors.DomainError,
+                           match=f"would have {q} entries, above the limit"):
             fq.fq_prime_frac(1, 7, ch)
 
     def test_slabs_recombine_exactly(self, monkeypatch):

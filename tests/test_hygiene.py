@@ -45,6 +45,54 @@ def test_detector_flags_a_name_read_only_in_a_docstring():
     assert unused_imports(tree) == ["BLOCK (line 1)"]
 
 
+def unread_privates(trees: dict[str, ast.Module]) -> list[str]:
+    """"module.name" for each module-level _private function, class or
+    constant that none of the modules reads.
+
+    A read is a name loaded in an expression, or an attribute of that
+    name (ntcore._TABLE_MAX); a definition, an assignment, an import, a
+    docstring and a comment are not reads.
+    """
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unread += [f"{module}.{name}" for name in names
+                       if name.startswith("_") and not name.startswith("__")
+                       and name not in read]
+    return sorted(unread)
+
+
+def test_no_unread_private_names():
+    # a private helper or constant that src no longer reads is dead code,
+    # even when a test still reaches it
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC}
+    assert unread_privates(trees) == []
+
+
+def test_unread_privates_detector_flags_names_read_by_nothing():
+    trees = {
+        "a": ast.parse("_LIMIT = 3\n_SPARE = 4\nclass _Buf:\n    pass\n"
+                       "def _used():\n    \"\"\"Not _SPARE nor _Buf.\"\"\"\n"
+                       "    return _LIMIT\n"),
+        "b": ast.parse("from . import a\nfrom .a import _Buf\n"
+                       "def f():\n    return a._used()\n"),
+    }
+    assert unread_privates(trees) == ["a._Buf", "a._SPARE"]
+
+
 VERIFY = Path(__file__).parent.parent / "src" / "charpos" / "verify.py"
 CHECKER_NTCORE = {"jacobi", "is_prime", "PI4_HI", "PI4_LO"}
 BUILDER_MODULES = {"charsum", "fq", "liouville"}

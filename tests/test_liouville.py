@@ -78,6 +78,20 @@ class TestImitators:
         for q in ntcore.primes_in_range(5, 162, residue=3, modulus=8):
             assert liouville.agreement_length(int(q)).n_agree < 40, q
 
+    def test_huge_ceiling_enumerates_only_small_windows(self, monkeypatch):
+        # the candidates come in windows [lo, 4*lo], so the answer 163 is
+        # reached without a sieve anywhere near the ceiling
+        his = []
+        real = liouville.primes_in_range
+
+        def recording(lo, hi, **kwargs):
+            his.append(hi)
+            return real(lo, hi, **kwargs)
+
+        monkeypatch.setattr(liouville, "primes_in_range", recording)
+        assert liouville.find_imitator(40, 10**18) == 163
+        assert his and max(his) <= 4 * 163, his
+
     def test_budget_exceeded(self):
         with pytest.raises(errors.SearchBudgetExceeded):
             liouville.find_imitator(40, ceiling=100)

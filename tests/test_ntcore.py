@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from charpos import charsum, errors, ntcore
+from charpos import charsum, errors, ntcore, verify
 from oracles import chi_factor, legendre_pow, liouville_factor, simple_primes
 
 
@@ -235,22 +235,19 @@ class TestChiSieve:
     def test_matches_jacobi(self, monkeypatch, q):
         # the gate as shipped and at the largest prime factor m scatter
         # every period; one below m, every span the gate allows (n_max <
-        # m - 1) goes to the multiplicative sieve, except with buffers at a
-        # prime modulus, whose period of q entries the gate refuses
+        # m - 1) goes to the multiplicative sieve, with buffers or without
         ch = ntcore.quad_char(q)
         m = max(ch.factors)
         sieved = []
         real = ntcore._chi_multiplicative
         monkeypatch.setattr(ntcore, "_chi_multiplicative",
                             lambda ch, n: sieved.append(n) or real(ch, n))
-        bufs = (None, charsum._MarginBuffers(q))
+        bufs = (None, np.empty(q, dtype=np.int8))
         for limit in (ntcore._TABLE_MAX, m, m - 1):
             monkeypatch.setattr(ntcore, "_TABLE_MAX", limit)
             spans = sorted(n for n in {0, m // 2, m - 2, m - 1, q // 2, q - 1,
                                        q, 2 * q + 3, 3 * q} if n < limit)
             for buf in bufs:
-                if buf is not None and ch.factors == (q,) and q > limit:
-                    continue
                 sieved.clear()
                 for n_max in spans:
                     vals = ntcore.chi_values(ch, n_max, buf)
@@ -265,9 +262,9 @@ class TestChiSieve:
 
     def test_scan_table_is_a_view_of_the_buffers(self):
         q = 163
-        buf = charsum._MarginBuffers(q)
+        buf = np.empty(q, dtype=np.int8)
         vals = ntcore.chi_values(ntcore.quad_char(q), (q - 1) // 2, buf)
-        assert np.shares_memory(vals, buf.table)
+        assert np.shares_memory(vals, buf)
 
     def test_matches_factor_oracle_for_composite(self):
         ch = ntcore.quad_char(35)
@@ -381,21 +378,18 @@ class TestTableGate:
         def refuse(*args, **kwargs):
             raise AssertionError("allocated")
 
-        buf = charsum._MarginBuffers(1019)
         for name in ("_qr_period", "_chi_multiplicative"):
             monkeypatch.setattr(ntcore, name, refuse)
         monkeypatch.setattr(ntcore, "_TABLE_MAX", 1000)
-        # a prime period into buffers, a tiled composite and a prime past
-        # its period
-        for q, n_max, b, size in ((1019, 509, buf, 1019), (35, 1000, None, 1001),
-                                  (11, 1000, None, 1001)):
+        # a tiled composite and a prime past its period
+        for q, n_max in ((35, 1000), (11, 1000)):
             with pytest.raises(errors.DomainError,
-                               match=f"would have {size} entries, above "
-                                     f"the limit of 1000"):
-                ntcore.chi_values(ntcore.quad_char(q), n_max, b)
-        # buffers for a scan are sized by the same gate
+                               match="would have 1001 entries, above "
+                                     "the limit of 1000"):
+                ntcore.chi_values(ntcore.quad_char(q), n_max)
+        # a scan's range is sized by the same gate, before its buffer
         with pytest.raises(errors.DomainError, match="would have 1019 entries"):
-            charsum._MarginBuffers(1019)
+            verify.scan_positivity(1019, 1019)
 
     def test_size_is_the_table_built(self, monkeypatch):
         # a prime modulus past the gate is sieved over n_max + 1 entries
@@ -420,7 +414,7 @@ class TestQrPeriod:
             # many short passes with a short last one, at the small primes
             monkeypatch.setattr(ntcore, "_QR_CHUNK", chunk)
             primes = [p for p in primes if p != big]
-        buf = charsum._MarginBuffers(big)
+        buf = np.empty(big, dtype=np.int8)
         for p in primes:
             if p < 30000:
                 idx = range(p)
@@ -435,7 +429,7 @@ class TestQrPeriod:
                 ones = int(np.count_nonzero(t == 1))
                 assert (t[0], ones, int(np.count_nonzero(t == -1))) == (
                     0, (p - 1) // 2, (p - 1) // 2), (p, b)
-            assert np.shares_memory(ntcore._qr_period(p, buf), buf.table)
+            assert np.shares_memory(ntcore._qr_period(p, buf), buf)
 
     # 43 and 65537 have half ranges of exact multiples of 7 and of the
     # default chunk; 3, 7 and 11 have half ranges shorter than 7 and than
@@ -448,7 +442,7 @@ class TestQrPeriod:
         want = [ntcore.jacobi(n, p) for n in range(p)]
         t = ntcore._qr_period(p)
         assert t.dtype == np.int8 and t.tolist() == want
-        buf = charsum._MarginBuffers(p + 5)
+        buf = np.empty(p + 5, dtype=np.int8)
         assert np.array_equal(ntcore._qr_period(p, buf), t)
 
     @pytest.mark.parametrize("chunk", [7, None])
@@ -464,7 +458,7 @@ class TestQrPeriod:
                *range(p - 2000, p)]
         assert [int(t[n]) for n in idx] == [ntcore.jacobi(n, p) for n in idx]
         assert int(t.sum(dtype=np.int64)) == 0
-        buf = charsum._MarginBuffers(p)
+        buf = np.empty(p, dtype=np.int8)
         assert np.array_equal(ntcore._qr_period(p, buf), t)
 
     def test_scatter_indexes_with_intp(self):
@@ -476,8 +470,7 @@ class TestQrPeriod:
                 keys.append(key)
                 super().__setitem__(key, value)
 
-        buf = charsum._MarginBuffers(70001)
-        buf.table = buf.table.view(Recording)
+        buf = np.empty(70001, dtype=np.int8).view(Recording)
         t = ntcore._qr_period(70001, buf)
         arrays = [k for k in keys if isinstance(k, np.ndarray)]
         assert len(arrays) == -(-35000 // ntcore._QR_CHUNK)
