@@ -146,6 +146,24 @@ class TestScan:
         assert got == [charsum.class_number(q).h for q in qs]
         assert peak <= 2 * 2**20, peak / 2**20
 
+    def test_buffers_are_one_byte_per_unit_of_q(self, monkeypatch):
+        # one int8 buffer of qs[-1] bytes takes every table of the chunk
+        qs = [int(q) for q in ntcore.primes_in_range(999_000, 10**6,
+                                                     residue=3, modulus=8)[-3:]]
+        seen = []
+        real = verify._margin_min
+
+        def spy(ch, a_max, buf):
+            seen.append(buf)
+            return real(ch, a_max, buf)
+
+        monkeypatch.setattr(verify, "_margin_min", spy)
+        got = verify._scan_chunk(qs)
+        assert got == [charsum.class_number(q).h for q in qs]
+        assert len(seen) == len(qs)
+        assert all(b is seen[0] for b in seen)
+        assert seen[0].dtype == np.int8 and seen[0].nbytes == qs[-1]
+
 
 class TestCheckpoints:
     @pytest.fixture(autouse=True)
