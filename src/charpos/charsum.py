@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, ExactnessError
-from .ntcore import QuadChar, chi_sieve, chi_values, is_prime, jacobi, quad_char
+from .ntcore import QuadChar, chi_values, is_prime, jacobi, quad_char
 
 # _block_starts cuts a = 1..a_max into blocks of this many steps; a named
 # constant, read at call time, so tests can shrink it.  It stays below
@@ -49,25 +49,26 @@ class PrefixSums:
 
 
 def prefix_sums(q_or_chi, upto: int) -> PrefixSums:
-    """Exact character prefix sums through `upto`, streamed in blocks.
+    """Exact character prefix sums through `upto`, from at most one period.
 
-    The blocks are views of one chi table of at most q + BLOCK entries
-    (chi_sieve), so memory is O(q + BLOCK) whatever upto is.  Per block
-    the index n = lo + j is expanded: sum chi(lo + j) and sum j*chi(lo + j)
-    are int64 reductions of the int8 slab itself, with no wider copy, each
-    a sum of at most BLOCK terms of magnitude < 2**20; the cross term
-    lo*sum chi is recombined in Python integers, so no width limit applies
-    overall.
+    With upto = k*q + r, 0 <= r < q, a period of the non-principal chi
+    sums to 0, so A(upto) = A(r); period j adds j*q*A(q - 1) + B(q - 1) =
+    B(q - 1) to B, and the last partial one k*q*A(r) + B(r), so B(upto) =
+    B(r) + k*(B(q - 1) + q*A(r)), in Python integers.  The table is
+    chi_values(ch, min(upto, q - 1)): O(min(upto, q)) time and memory
+    whatever upto is.  A(r) is its int64 sum through r, and both B values
+    come from _linear_sum, the row moments that class numbers read.
     """
     ch = _as_char(q_or_chi)
     if upto < 0:
         raise DomainError("prefix_sums needs upto >= 0")
-    a_tot = b_tot = 0
-    for lo, arr in chi_sieve(ch, upto):
-        s0 = int(arr.sum())
-        a_tot += s0
-        b_tot += lo * s0 + int(np.dot(arr, np.arange(len(arr))))
-    return PrefixSums(ch.q, upto, a_tot, b_tot)
+    k, r = divmod(upto, ch.q)
+    chi = chi_values(ch, min(upto, ch.q - 1), None)
+    a = int(chi[:r + 1].sum(dtype=np.int64))
+    b = _linear_sum(chi[:r + 1])
+    if k:
+        b += k * (_linear_sum(chi) + ch.q * a)
+    return PrefixSums(ch.q, upto, a, b)
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,8 @@ import time
 from fractions import Fraction
 
 from .charsum import class_number, rational_margin, t_stat
-from .errors import (CharposError, CertificateError, InsufficientBound,
-                     SearchBudgetExceeded)
+from .errors import (CharposError, CertificateError, DomainError,
+                     InsufficientBound, SearchBudgetExceeded)
 from .fq import fq_exact, fq_min_and_zeros, fq_prime_frac, identity_check
 from .liouville import agreement_length, f_series, find_imitator
 from .ntcore import primes_in_range, quad_char
@@ -142,9 +142,9 @@ def _plot_grid(xmax: Fraction, step: Fraction):
 
 def cmd_plot(args) -> int:
     if args.curve in ("fq", "diff") and args.q is None:
-        raise UsageError(f"plot {args.curve} needs --q")
+        raise DomainError(f"plot {args.curve} needs --q")
     if args.curve in ("f", "diff") and args.terms < 1:
-        raise UsageError(f"plot {args.curve} needs --terms >= 1")
+        raise DomainError(f"plot {args.curve} needs --terms >= 1")
     grid = _plot_grid(args.xmax, args.step)
     ch = None if args.curve == "f" else quad_char(args.q)
     if ch is not None:
@@ -235,10 +235,6 @@ def cmd_identity(args) -> int:
         return 0
     print("mismatch")
     return 1
-
-
-class UsageError(Exception):
-    pass
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -333,9 +329,6 @@ def main(argv=None) -> int:
         parser.error(f"--q-min {args.q_min} exceeds --q-max {args.q_max}")
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CertificateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -35,8 +35,9 @@ from .ntcore import (is_prime, jacobi, pi4_square_thresholds, primes_in_range,
 
 _HALF = Fraction(1, 2)
 
-# Target sum of moduli per scan chunk, about 0.7 s of kernel work at
-# q ~ 10**6.  A chunk is the unit handed to a worker and the unit of
+# Target sum of moduli per scan chunk: 68 moduli near q = 10**6, about
+# 0.15-0.28 s of kernel work on a 2-core Xeon VM (_scan_chunk, best of
+# 3).  A chunk is the unit handed to a worker and the unit of
 # checkpointing (one frontier line each); the layout depends only on the
 # prime list, never on the job count.
 _CHUNK_WEIGHT = 1 << 26
@@ -180,11 +181,13 @@ def scan_positivity(q_min: int, q_max: int, *, jobs: int = 1,
 
     Deterministic for a fixed range regardless of jobs: the minima are
     folded one modulus at a time in ascending order, so ties in the
-    minimum keep the smallest modulus.  With a checkpoint path the scan
-    appends one frontier line per chunk and resumes after the latest
-    matching line on restart.  A q_max whose table the gate refuses is
-    refused before any prime is sieved, even if no modulus in the range
-    would need that table.
+    minimum keep the smallest modulus.  The pool has min(jobs, chunks,
+    CPUs this process may run on) workers (os.cpu_count() where the
+    platform has no affinity mask); with one, the chunks run in this
+    process.  With a checkpoint path the scan appends one frontier line
+    per chunk and resumes after the latest matching line on restart.  A
+    q_max whose table the gate refuses is refused before any prime is
+    sieved, even if no modulus in the range would need that table.
     """
     if jobs < 1:
         raise DomainError("jobs must be >= 1")
@@ -199,11 +202,13 @@ def scan_positivity(q_min: int, q_max: int, *, jobs: int = 1,
     failures = list(ck.failures)
     qs = primes_in_range(max(q_min, 5), q_max, residue=3, modulus=8)
     chunks = _chunked(qs[qs > ck.last_q])
+    workers = min(jobs, len(chunks), len(os.sched_getaffinity(0))
+                  if hasattr(os, "sched_getaffinity") else os.cpu_count())
     with contextlib.ExitStack() as stack:
         parts = map(_scan_chunk, chunks)
-        if jobs > 1 and len(chunks) > 1:
+        if workers > 1:
             pool = stack.enter_context(multiprocessing.get_context(
-                "fork").Pool(min(jobs, len(chunks))))
+                "fork").Pool(workers))
             parts = pool.imap(_scan_chunk, chunks)
         for chunk, minima in zip(chunks, parts):
             for q, m in zip(chunk, minima):
@@ -299,10 +304,11 @@ def certify_f_positive(eps, q: int | None = None, xmax=Fraction(1, 4), *,
 # Largest modulus verify_certificate will check.  The checker is naive on
 # purpose (trial division to sqrt(q), a reduced-form count, and a walk over
 # the nodes up to the last cited one, a_last, with one jacobi call per node
-# coprime to 210); at q = 991027 over [1/10, 1/4] it took 0.45 s on a 2-core
-# Xeon VM.  A certificate reaching xmax = 1/2 walks the half period, about
-# 12 minutes at this bound, plus about 5 s of forms.  The walk's memo holds
-# a_last/2 bytes, at most 250 MB at this bound.
+# coprime to 210); at q = 991027 over [1/10, 1/4] it took 0.22-0.27 s on a
+# 2-core Xeon VM (best of 3).  The walk costs about 1 us per node near 10**6
+# and near 10**9 alike, so a certificate reaching xmax = 1/2 walks the half
+# period in about 8 minutes at this bound, plus about 5 s of forms.  The
+# walk's memo holds a_last/2 bytes, at most 250 MB at this bound.
 MAX_CERT_Q = 10 ** 9
 
 # The least prime in (2, 3, 5, 7) dividing m, indexed by m % 210; 0 when

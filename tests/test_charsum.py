@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from charpos import charsum, errors, fq, ntcore, verify
+from charpos import charsum, cli, errors, fq, liouville, ntcore, verify
 from oracles import form_count, margin_min, margins
 
 SQUAREFREE_3MOD4 = [q for q in range(7, 600, 4)
@@ -24,13 +24,53 @@ def direct_sums(q, upto):
     return a, b
 
 
+def slab_sums(q, upto):
+    """(A(upto), B(upto)) summed plainly over chi_sieve's slabs."""
+    a = b = 0
+    for lo, arr in ntcore.chi_sieve(ntcore.quad_char(q), upto):
+        a += int(arr.sum(dtype=np.int64))
+        b += int(np.dot(np.arange(lo, lo + len(arr)), arr))
+    return a, b
+
+
 class TestPrefixSums:
-    @pytest.mark.parametrize("q", [11, 19, 35, 163])
+    @pytest.mark.parametrize("q", [11, 19, 35, 163, 2015])
     def test_matches_direct(self, q):
-        for upto in (0, 1, 7, q // 2, q, 2 * q + 3):
+        # upto = k*q + r on both sides of the period edges, k = 0, 1, 2, 5
+        for upto in (0, 1, 7, q // 2, q - 1, q, q + 1, 2 * q + 3, 5 * q + q // 3):
             ps = charsum.prefix_sums(q, upto)
             a, b = direct_sums(q, upto)
             assert (ps.plain, ps.linear) == (a, b), (q, upto)
+
+    @pytest.mark.parametrize("q", [999983, 999995])
+    def test_matches_slab_sums_near_a_million(self, q):
+        for upto in (q // 3, q - 1, q, q + 1, 3 * q + 12345):
+            ps = charsum.prefix_sums(q, upto)
+            assert (ps.plain, ps.linear) == slab_sums(q, upto), (q, upto)
+
+    def test_serves_every_upto_where_the_gate_admits_one_period(self, monkeypatch):
+        # one period of q entries serves any upto, so a q just under the
+        # table limit is not refused for a range past its period
+        monkeypatch.setattr(ntcore, "_TABLE_MAX", 1 << 12)
+        q = 4091
+        for upto in (q - 1, q, 3 * q + 5):
+            ps = charsum.prefix_sums(q, upto)
+            assert (ps.plain, ps.linear) == direct_sums(q, upto), upto
+
+    def test_no_src_path_calls_chi_sieve(self, monkeypatch):
+        def stub(*args, **kwargs):
+            raise AssertionError("chi_sieve called")
+
+        for mod in (charsum, cli, fq, liouville, ntcore, verify):
+            for name in [n for n, v in vars(mod).items() if v is ntcore.chi_sieve]:
+                monkeypatch.setattr(mod, name, stub)
+        charsum.prefix_sums(11, 10**6)
+        charsum.prefix_sums(35, 34)
+        charsum.weighted_prefix_sum(163, Fraction(900, 7))
+        charsum.rational_margin(163, Fraction(7, 163))
+        fq.fq_exact(163, Fraction(1, 4))
+        charsum.t_stat(1031)
+        assert cli.main(["tq", "--count", "3"]) == 0
 
     def test_negative_upto_rejected(self):
         with pytest.raises(errors.DomainError):
@@ -38,7 +78,8 @@ class TestPrefixSums:
 
     def test_long_range_streams_in_bounded_memory(self):
         # M_0(q) = 0, so 10**7 whole periods sum to (0, 10**7 * B(q - 1));
-        # a table of all 1.1e8 entries alone would take 110 MB
+        # one period of 11 entries serves them, where streaming slabs of a
+        # table of q + 2**20 entries peaked at 17 MB
         tracemalloc.start()
         try:
             ps = charsum.prefix_sums(11, 11 * 10**7 - 1)
@@ -46,7 +87,7 @@ class TestPrefixSums:
         finally:
             tracemalloc.stop()
         assert (ps.plain, ps.linear) == (0, 10**7 * charsum.prefix_sums(11, 10).linear)
-        assert peak < 64 * 2**20, peak
+        assert peak < 2**16, peak
 
     @given(st.sampled_from([11, 19, 43, 163]), st.integers(1, 400))
     def test_advance_by_one_step(self, q, n):

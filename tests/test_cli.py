@@ -178,10 +178,13 @@ class TestPlotCommand:
             assert abs(float(value)) <= bound
             assert float(err) == pytest.approx(bound)
 
-    def test_fq_without_q_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "plot", "fq")
-        assert code == 2
-        assert "needs --q" in err
+    @pytest.mark.parametrize("argv,err", [
+        (["fq"], "error: plot fq needs --q\n"),
+        (["diff"], "error: plot diff needs --q\n"),
+        (["f", "--terms", "0"], "error: plot f needs --terms >= 1\n"),
+    ])
+    def test_missing_input_is_one_error_line(self, capsys, argv, err):
+        assert run_cli(capsys, "plot", *argv) == (2, "", err)
 
     def test_bad_step_rejected(self, capsys):
         code, _, err = run_cli(capsys, "plot", "f", "--step", "0")

@@ -45,21 +45,27 @@ def test_detector_flags_a_name_read_only_in_a_docstring():
     assert unused_imports(tree) == ["BLOCK (line 1)"]
 
 
-def unread_privates(trees: dict[str, ast.Module]) -> list[str]:
-    """"module.name" for each module-level _private function, class or
-    constant that none of the modules reads.
+def reads(nodes) -> set[str]:
+    """The names the trees under nodes read.
 
     A read is a name loaded in an expression, or an attribute of that
     name (ntcore._TABLE_MAX); a definition, an assignment, an import, a
     docstring and a comment are not reads.
     """
     read = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
+    for root in nodes:
+        for node in ast.walk(root):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
+    return read
+
+
+def unread_privates(trees: dict[str, ast.Module]) -> list[str]:
+    """"module.name" for each module-level _private function, class or
+    constant that none of the modules reads (see reads)."""
+    read = reads(trees.values())
     unread = []
     for module, tree in trees.items():
         for node in tree.body:
@@ -91,6 +97,62 @@ def test_unread_privates_detector_flags_names_read_by_nothing():
                        "def f():\n    return a._used()\n"),
     }
     assert unread_privates(trees) == ["a._Buf", "a._SPARE"]
+
+
+def unread_publics(trees: dict[str, ast.Module],
+                   skip=("cli", "errors")) -> list[str]:
+    """"module.name" for each module-level public function of a module
+    outside skip that no other module reads (see reads) and its own module
+    reads only inside its own definition.  An import is not a read, so a
+    re-export from __init__ does not count."""
+    unread = []
+    for module, tree in trees.items():
+        if module in skip:
+            continue
+        others = reads(t for m, t in trees.items() if m != module)
+        for node in tree.body:
+            if (isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                    and node.name not in others
+                    and node.name not in reads(n for n in tree.body if n is not node)):
+                unread.append(f"{module}.{node.name}")
+    return sorted(unread)
+
+
+def test_unread_public_functions_are_pinned():
+    # public functions that no code in src calls; each stays on purpose,
+    # and a new one joins this list only with its reason
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC}
+    assert unread_publics(trees) == [
+        # public API (re-exported by charpos), kept for library users;
+        # margin_values, lattice_quad_values and scan_prime_fracs are
+        # perfbench trace targets too, and check_positivity its scan oracle
+        "charsum.margin_values", "charsum.quarter_margin",
+        "fq.fifth_alpha_lower_bound", "fq.fq_fifth", "fq.fq_lattice_quad",
+        "fq.fq_series", "fq.fq_third", "fq.lattice_quad_values",
+        "fq.piecewise_fq",
+        "liouville.f_lower_bound",
+        # perfbench trace target and the tests' plain oracle for
+        # prefix_sums; it leaves with its TARGETS entry
+        "ntcore.chi_sieve",
+        "verify.check_positivity", "verify.merge_certificates",
+        "verify.scan_prime_fracs",
+    ]
+
+
+def test_unread_publics_detector_ignores_imports_and_self_reads():
+    trees = {
+        "__init__": ast.parse("from .a import spare, used\n"
+                              "__all__ = ['spare', 'used']\n"),
+        "a": ast.parse("def spare(n):\n    return spare(n - 1)\n"
+                       "def used():\n    return 1\n"
+                       "def helper():\n    \"\"\"Not spare.\"\"\"\n"
+                       "    return 2\n"
+                       "X = helper()\n"),
+        "b": ast.parse("from .a import used\n"
+                       "def main():\n    return used()\n"),
+        "cli": ast.parse("def cmd():\n    return 0\n"),
+    }
+    assert unread_publics(trees) == ["a.spare", "b.main"]
 
 
 VERIFY = Path(__file__).parent.parent / "src" / "charpos" / "verify.py"

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import math
+import os
 import random
 import time
 import tracemalloc
@@ -100,6 +101,8 @@ class TestScan:
         fake = SimpleNamespace(Pool=FakePool)
         monkeypatch.setattr(verify, "multiprocessing", SimpleNamespace(
             get_context=lambda method: fake))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
+                            raising=False)
         n_chunks = len(verify._chunked(
             ntcore.primes_in_range(5, 2000, residue=3, modulus=8)))
         assert n_chunks == 3
@@ -109,6 +112,14 @@ class TestScan:
         assert sizes == [3, 2]
         assert verify.scan_positivity(5, 2000).to_json() == wide.to_json()
         assert sizes == [3, 2]
+        # and at most one worker per CPU: a huge jobs starts no more than
+        # there are CPUs, and one CPU maps in process
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert verify.scan_positivity(5, 2000, jobs=5000).to_json() == wide.to_json()
+        assert sizes == [3, 2, 2]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert verify.scan_positivity(5, 2000, jobs=5000).to_json() == wide.to_json()
+        assert sizes == [3, 2, 2]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_json_is_pinned(self, jobs):
