@@ -63,7 +63,7 @@ def prefix_sums(q_or_chi, upto: int) -> PrefixSums:
     if upto < 0:
         raise DomainError("prefix_sums needs upto >= 0")
     k, r = divmod(upto, ch.q)
-    chi = chi_values(ch, min(upto, ch.q - 1), None)
+    chi = chi_values(ch, min(upto, ch.q - 1))
     a = int(chi[:r + 1].sum(dtype=np.int64))
     b = _linear_sum(chi[:r + 1])
     if k:
@@ -104,7 +104,7 @@ def _checked_class_number(q: int, a_half: int, b_half: int) -> int:
 
 @functools.lru_cache(maxsize=512)
 def _class_number_cached(q: int) -> ClassNumber:
-    chi = chi_values(quad_char(q), (q - 1) // 2, None)
+    chi = chi_values(quad_char(q), (q - 1) // 2)
     return ClassNumber(q, *_block_moments(q, chi)[:3])
 
 
@@ -220,7 +220,7 @@ def _margins(ch: QuadChar, lo: int, hi: int, chi: np.ndarray | None = None):
     """
     half = (ch.q - 1) // 2
     if chi is None:
-        chi = chi_values(ch, max(hi, half), None)
+        chi = chi_values(ch, max(hi, half))
     h, _, _, A, B = _block_moments(ch.q, chi[:half + 1])
     return h, _w_span(h, A, B, chi, lo, hi)
 
@@ -294,13 +294,12 @@ def _span_min(lo: int, w: np.ndarray) -> tuple[int, int]:
     return int(w[t + 1]), lo + t
 
 
-def _margin_min(ch: QuadChar, a_max: int, buf):
+def _margin_min(ch: QuadChar, a_max: int):
     """(h, min W(a), first argmin a) over 1 <= a <= a_max <= (q-1)/2.
 
     No W array, and no prefix array A over the range, is formed.
-    chi_values builds the int8 table of the half range, into buf when it
-    is given (an int8 array of at least q entries) and as a q-byte period
-    of its own when buf is None.  _block_moments reads the table once, as
+    chi_values builds the int8 table of the half range, a q-byte period
+    of its own for prime q.  _block_moments reads the table once, as
     row sums over blocks of L = _MIN_BLOCK entries, and gives h and A, B
     at every block edge.  _low_spans walks only the runs of blocks whose
     lower bound is at most the least block start, the only ones that can
@@ -311,7 +310,7 @@ def _margin_min(ch: QuadChar, a_max: int, buf):
     half = (ch.q - 1) // 2
     if not 1 <= a_max <= half:
         raise DomainError(f"need 1 <= a_max <= {half}, got {a_max}")
-    chi = chi_values(ch, half, buf)
+    chi = chi_values(ch, half)
     h, _, _, A, B = _block_moments(ch.q, chi)
     return (h, *min(_span_min(lo, w) for lo, w in _low_spans(h, A, B, chi, a_max)))
 
@@ -335,7 +334,7 @@ def margin_profile(q_or_chi, a_max: int | None = None) -> MarginProfile:
     ch = _as_char(q_or_chi)
     if a_max is None:
         a_max = (ch.q - 1) // 2
-    h, min_w, argmin_a = _margin_min(ch, a_max, None)
+    h, min_w, argmin_a = _margin_min(ch, a_max)
     return MarginProfile(ch.q, h, a_max, min_w, argmin_a)
 
 

@@ -147,8 +147,11 @@ def cmd_plot(args) -> int:
         raise DomainError(f"plot {args.curve} needs --terms >= 1")
     grid = _plot_grid(args.xmax, args.step)
     ch = None if args.curve == "f" else quad_char(args.q)
+    # every table, built (or refused) before the header
     if ch is not None:
-        class_number(ch)  # the first table, built (or refused) before the header
+        class_number(ch)
+    if args.curve != "fq":
+        f_series(0, args.terms)
     print("x,value,error_bound")
     if args.curve == "f":
         for x in grid:
@@ -190,6 +193,8 @@ def cmd_imitator(args) -> int:
 
 
 def cmd_tq(args) -> int:
+    if args.count < 0:
+        raise DomainError("tq needs --count >= 0")
     shown = 0
     lo, hi = 7, 1 << 10
     while shown < args.count:

@@ -185,7 +185,7 @@ def fq_min_and_zeros(q_or_chi) -> FqShape:
     ch = _as_char(q_or_chi)
     q = ch.q
     half = (q - 1) // 2
-    chi = chi_values(ch, half, None)
+    chi = chi_values(ch, half)
     h, _, _, A, B = _block_moments(q, chi)
     mins, zeros, flats = [], [], []
     for lo, W in _low_spans(h, A, B, chi, half, 0):  # W[j] = W(lo - 1 + j)
@@ -393,12 +393,13 @@ class LatticeQuadEval:
 
 
 def _lattice_char(q_or_chi, a: int | None = None) -> QuadChar:
-    """The character of a lattice entry point, once q and the node a (when
-    given) are checked, so rejected input never builds a chi table."""
+    """The character of a lattice entry point, once the node a (when
+    given) is checked, so rejected input never builds a chi table.  The
+    size of q is left to the table gate of chi_values, which refuses a
+    period of more than ntcore._TABLE_MAX = 2**30 entries before it
+    allocates anything."""
     ch = _as_char(q_or_chi)
     q = ch.q
-    if q > _LATTICE_Q_MAX:
-        raise DomainError(f"q = {q} too large for the lattice sums (need q <= 10**9)")
     if a is not None:
         if not 1 <= a < q:
             raise DomainError(f"need 1 <= a < q, got a={a}")
@@ -428,10 +429,6 @@ def _lattice_core(chi: np.ndarray, a: int) -> int:
 # returns int64 cores; above it, Python integers in an object array.
 _LATTICE_INT64_MAX = 1_000_000
 
-# Largest modulus of _lattice_blocks, whose int64 sums stay below
-# 7q**2 + q < 2**63 up to here.
-_LATTICE_Q_MAX = 10 ** 9
-
 # Entries per block of _lattice_blocks: 128 KiB per int64 array.  The
 # kernel's seven arrays and identity_check's W span of a block take about
 # 1 MiB, which stays in a 2 MiB L2 and is reused from block to block.  In
@@ -450,7 +447,7 @@ def fq_lattice_quad(q_or_chi, a: int) -> LatticeQuadEval:
     exposed through identity_check.  The single core is read from the
     block kernel of lattice_quad_values (see _lattice_core), so one node
     costs no more than the batch up to min(a, q - a); it is a Python
-    integer for every q <= 10**9.
+    integer for every q the table gate admits.
     """
     ch = _lattice_char(q_or_chi, a)
     q = ch.q
@@ -465,9 +462,9 @@ def lattice_quad_values(q_or_chi, a_max: int) -> np.ndarray:
     The shifted quadratic sums telescope: with prefix sums of chi and
     m*chi, read forward from 0 and backward from q, each correction term
     is a linear combination of window sums, so the whole batch costs
-    O(q + a_max) for q <= 10**9.  The kernel yields core/q in int64 and
-    the batch is multiplied by q once: int64 cores up to
-    _LATTICE_INT64_MAX, Python integers in an object array above it.
+    O(q + a_max) for every q the table gate admits.  The kernel yields
+    core/q in int64 and the batch is multiplied by q once: int64 cores up
+    to _LATTICE_INT64_MAX, Python integers in an object array above it.
     """
     ch = _lattice_char(q_or_chi)
     q = ch.q
@@ -495,14 +492,15 @@ def _lattice_blocks(chi: np.ndarray, a_max: int):
     core: core(a) = q Y(a) with c = P1(q-1)/q and
     Y = q (chi(a) + w) + 2(u - a w) - 4a c.  A table whose P1(q-1) is not
     a multiple of q is no quadratic character mod q: ExactnessError.
-    int64 bounds for q <= _LATTICE_Q_MAX = 10**9, a < q, from |chi| <= 1:
+    int64 bounds for a < q <= ntcore._TABLE_MAX = 2**30, the largest period
+    chi_values builds, from |chi| <= 1:
     |P0(n)| <= min(n + 1, q - 1 - n), so |w| <= min(2a, q);
     |P1(a-1)| <= a**2/2 and |R1(a)| <= aq - a**2/2, so |u| <= aq < q**2;
     |a w| < q**2 and |c| <= (q - 1)/2.  In evaluation order the partial
     sums are the steps (|.| <= 3q), w, u, a w, u - a w and 2(u - a w)
     (<= 4q**2), q (chi(a) + w) (<= q**2 + q), their sum (<= 5q**2 + q),
-    4a c (< 2q**2) and Y: all below 7q**2 + q <= 7.000000001e18 <
-    2**63 ~ 9.22e18.
+    4a c (< 2q**2) and Y: all below 7q**2 + q <= 7*2**60 + 2**30 ~
+    8.07e18 < 2**63 ~ 9.22e18.
     """
     q = len(chi)
     block = _LATTICE_BLOCK
@@ -551,8 +549,8 @@ def identity_check(q_or_chi, a: int | None = None) -> bool:
     from _block_moments once.  The half range is compared block by block
     as Y == 4W, with Y = core/q from _lattice_blocks and W over the same
     span from _w_span, so no W over the whole range is held; 4W stays in
-    int64, as |W| <= n (|h| + n) < 7.5e17 for n = (q - 1)/2 and
-    q <= 10**9.
+    int64, as |W| <= n (|h| + n) <= 2n**2 for n = (q - 1)/2 < 2**29, so
+    |4W| <= 8n**2 < 2**61, for every q <= ntcore._TABLE_MAX the gate admits.
     """
     ch = _lattice_char(q_or_chi, a)
     q = ch.q
@@ -577,15 +575,18 @@ FIFTH_IM = (0, 0, 1, -1, 0)
 
 
 def l2_series(q_or_chi, pattern, n_terms: int) -> SeriesValue:
-    """sum_{n<=N} chi(n) * pattern[n mod len] / n**2, tail below 1/N."""
+    """sum_{n<=N} chi(n) * pattern[n mod len] / n**2, tail below 1/N.
+
+    The chi table comes first, so an N the table gate refuses allocates
+    nothing."""
     ch = _as_char(q_or_chi)
     n_terms = int(n_terms)
     if n_terms < 1:
         raise DomainError("need n_terms >= 1")
+    c = chi_values(ch, n_terms)[1:].astype(np.float64)
     pat = np.asarray(pattern, dtype=np.float64)
     n = np.arange(1, n_terms + 1, dtype=np.int64)
     w = pat[n % len(pat)]
-    c = chi_values(ch, n_terms)[1:].astype(np.float64)
     nf = n.astype(np.float64)
     value = float(np.sum(c * w / (nf * nf)))
     return SeriesValue(value, 1.0 / n_terms, n_terms)

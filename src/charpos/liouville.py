@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import ntcore
 from .charsum import _as_char
 from .errors import DomainError, SearchBudgetExceeded
 from .fq import SeriesValue, _sin_sum, fq_exact
@@ -25,9 +26,12 @@ _lam_cache = {"limit": 0, "values": None}
 
 
 def _lam(n_max: int) -> np.ndarray:
-    """Liouville values 0..n_max from a grow-only module cache."""
+    """Liouville values 0..n_max from a grow-only module cache.  The cache
+    doubles, but never past the largest table the gate admits, so an
+    n_max whose own table it admits is never refused for the doubling."""
     if n_max > _lam_cache["limit"]:
-        new_limit = max(n_max, 2 * _lam_cache["limit"], 1 << 12)
+        new_limit = max(n_max, min(max(2 * _lam_cache["limit"], 1 << 12),
+                                   ntcore._TABLE_MAX - 1))
         _lam_cache["values"] = liouville_sieve(new_limit).values
         _lam_cache["limit"] = new_limit
     return _lam_cache["values"][: n_max + 1]

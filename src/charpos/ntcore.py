@@ -25,7 +25,7 @@ BLOCK = 1 << 20
 # its first pass in uint32.
 _QR_CHUNK = 1 << 14
 
-# chi_values builds no table of more entries than this (_check_table).
+# No chi or Liouville table has more entries than this (_check_table).
 # Every modulus up to 10**9 + 7 keeps its table, every period _qr_period
 # scatters stays below 2**31, which its uint32 sums need, and every W over
 # a table fits charsum's int64 arrays (_block_moments).
@@ -200,9 +200,12 @@ def _multiplicative(n_max: int, sign) -> np.ndarray:
 
 def liouville_sieve(n: int) -> LiouvilleTable:
     """lambda(k) = (-1)**Omega(k) for k <= n: _multiplicative with sign -1
-    at every prime."""
+    at every prime.  The table of n + 1 entries goes through the table
+    gate first, so an n of _TABLE_MAX or more is refused before anything
+    is allocated."""
     if n < 1:
         raise DomainError("liouville_sieve needs n >= 1")
+    _check_table(f"the Liouville table through n={n}", n + 1)
     return LiouvilleTable(n, _multiplicative(n, lambda p: -1))
 
 
@@ -262,7 +265,7 @@ def quad_char(q: int, *, assume_prime: bool = False) -> QuadChar:
     return QuadChar(q, tuple(factors))
 
 
-def _qr_period(p: int, buf=None) -> np.ndarray:
+def _qr_period(p: int) -> np.ndarray:
     """One period of the Legendre symbol mod an odd prime p < 2**31, as int8.
 
     Scatters k*k mod p, k <= (p-1)/2, into a table of nonresidues, _QR_CHUNK
@@ -281,14 +284,11 @@ def _qr_period(p: int, buf=None) -> np.ndarray:
     wraps to x - p + 2**32 > 2**31 > p > x.  r is copied into the first
     pass's intp index before each later scatter, which numpy would
     otherwise convert on every pass.  Only chi_values calls it, and its
-    gate keeps p <= _TABLE_MAX.  buf, if given, is an int8 array of at
-    least p entries, reused across moduli, and the result is its first p
-    entries; either way the table of p bytes is the only allocation that
-    grows with p.
+    gate keeps p <= _TABLE_MAX.  The table of p bytes, a fresh array per
+    call, is the only allocation that grows with p.
     """
     half, c = (p - 1) // 2, _QR_CHUNK
-    t = np.empty(p, dtype=np.int8) if buf is None else buf[:p]
-    t.fill(-1)
+    t = np.full(p, -1, dtype=np.int8)
     t[0] = 0
     p32 = np.uint32(p)
     k = np.arange(1, min(half, c) + 1, dtype=np.uint32)
@@ -337,32 +337,31 @@ def _chi_multiplicative(chi: QuadChar, n_max: int) -> np.ndarray:
     return _multiplicative(n_max, lambda p: jacobi(p, chi.q))
 
 
-def _check_table(q: int, size: int) -> None:
-    """The table gate: DomainError if a chi table for q would have more
-    than _TABLE_MAX entries.  chi_values asks it before it allocates
-    anything, and so does the scan, which sizes a table for its whole
-    range ahead of it."""
+def _check_table(what: str, size: int) -> None:
+    """The table gate: DomainError if `what`, a table named for the
+    message, would have more than _TABLE_MAX entries.  chi_values and
+    liouville_sieve ask it before they allocate anything, and so do the
+    margin scan and the census scan, which size a table for their whole
+    range ahead of it, before they sieve any prime."""
     if size > _TABLE_MAX:
-        raise DomainError(f"the chi table for q={q} would have {size} entries, "
+        raise DomainError(f"{what} would have {size} entries, "
                           f"above the limit of {_TABLE_MAX}")
 
 
-def chi_values(chi: QuadChar, n_max: int, buf=None) -> np.ndarray:
+def chi_values(chi: QuadChar, n_max: int) -> np.ndarray:
     """Dense int8 array of chi(n) for n = 0..n_max; the one chi table builder.
 
     chi(0) = 0 and chi(n) = 0 exactly when gcd(n, q) > 1.  A prime
-    modulus with n_max < q returns a view of its one period.  Otherwise
-    each prime factor's period is tiled to n_max + 1 entries and the tiles
-    are multiplied.  buf, if given, is an int8 array of at least q entries
-    that every period is scattered into (see _qr_period), so a prime
-    period is a view of it and a scan that reuses it across moduli
-    allocates no table.  One size rule picks the builder: a factor period
-    above _TABLE_MAX, or far longer than a range of at most _SIEVE_MAX
-    entries (above max(2*(n_max + 1), 2**21)), switches to
-    _chi_multiplicative instead.  A half range, as the scan asks for, is
-    never sieved: there that cap is at least every q the gate admits.
-    The table built is the period of q entries or the n_max + 1
-    of the result (a tiled factor period is at most _TABLE_MAX too); above
+    modulus with n_max < q returns a view of its one period, a fresh
+    array of q bytes from _qr_period.  Otherwise each prime factor's
+    period is tiled to n_max + 1 entries and the tiles are multiplied.
+    One size rule picks the builder: a factor period above _TABLE_MAX, or
+    far longer than a range of at most _SIEVE_MAX entries (above
+    max(2*(n_max + 1), 2**21)), switches to _chi_multiplicative instead.
+    A half range, as the scan asks for, is never sieved: there that cap
+    is at least every q the gate admits.  The table built is the period
+    of q entries or the n_max + 1 of the result (a tiled factor period
+    is at most _TABLE_MAX too), allocated by this call alone; above
     _TABLE_MAX entries, or for a range past _SIEVE_MAX that only the sieve
     could serve, DomainError is raised before anything is allocated.
     """
@@ -374,7 +373,7 @@ def chi_values(chi: QuadChar, n_max: int, buf=None) -> np.ndarray:
     far = max(2 * (n_max + 1), 1 << 21) if sieve else _TABLE_MAX
     cap = min(_TABLE_MAX, far)
     period = prime and n_max < q <= cap
-    _check_table(q, q if period else n_max + 1)
+    _check_table(f"the chi table for q={q}", q if period else n_max + 1)
     if max(chi.factors) > cap:
         if not sieve:
             raise DomainError(
@@ -384,10 +383,10 @@ def chi_values(chi: QuadChar, n_max: int, buf=None) -> np.ndarray:
                 f"{_SIEVE_MAX}")
         return _chi_multiplicative(chi, n_max)
     if period:
-        return _qr_period(q, buf)[:n_max + 1]
+        return _qr_period(q)[:n_max + 1]
     out = np.ones(n_max + 1, dtype=np.int8)
     for p in chi.factors:
-        out *= np.resize(_qr_period(p, buf), n_max + 1)
+        out *= np.resize(_qr_period(p), n_max + 1)
     return out
 
 

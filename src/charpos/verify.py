@@ -102,13 +102,11 @@ def _scan_chunk(qs):
 
     _margin_min takes each minimum from block moments of the int8 table,
     exact block starts and lower bounds, without forming W or any int64
-    array over the range.  One int8 buffer of qs[-1] bytes, whose size
-    scan_positivity has already put through the table gate, takes every
-    modulus's table, so each table is written into pages already mapped;
-    it is dropped with the block, and a worker holds about q_max bytes.
+    array over the range.  Each modulus's table is its own q-byte period,
+    dropped before the next is built, so a worker holds about q_max bytes
+    of tables; scan_positivity has put q_max through the table gate.
     """
-    buf = np.empty(qs[-1], dtype=np.int8)
-    return [_margin_min(quad_char(q, assume_prime=True), (q - 1) // 2, buf)[1]
+    return [_margin_min(quad_char(q, assume_prime=True), (q - 1) // 2)[1]
             for q in qs]
 
 
@@ -191,7 +189,7 @@ def scan_positivity(q_min: int, q_max: int, *, jobs: int = 1,
     """
     if jobs < 1:
         raise DomainError("jobs must be >= 1")
-    ntcore._check_table(q_max, q_max)
+    ntcore._check_table(f"the chi table for q={q_max}", q_max)
     campaign = f"positivity:{q_min}:{q_max}"
     ck = None
     if checkpoint_path is not None:
@@ -581,12 +579,14 @@ def scan_prime_fracs(p_max: int, q_max: int, a_max: int | None = None,
     every (p, a) in O(1); the records are read once per group.  The cores
     are formed in int64 where fq._census_dtype proves they fit, else in
     Python integers, and every record holds Python integers.  An a_max of
-    at least (p_max - 1)/2 caps nothing.
+    at least (p_max - 1)/2 caps nothing.  A q_max whose period the table
+    gate refuses is refused before any prime is sieved.
     """
     if q_mod8 % 4 != 3:
         raise DomainError("q_mod8 must be 3 or 7")
     if a_max is not None and a_max < 1:
         raise DomainError(f"need a_max >= 1, got {a_max}")
+    ntcore._check_table(f"the chi table for q={q_max}", q_max)
     p_all = primes_in_range(3, min(p_max, q_max - 1), residue=3, modulus=4)
     if a_max is not None and a_max >= (min(p_max, q_max) - 1) // 2:
         a_max = None

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from charpos import cli, fq, ntcore, verify
+from charpos import cli, ntcore, verify
+from test_ntcore import Built, stub_builders
 
 
 def run_cli(capsys, *argv):
@@ -227,6 +228,11 @@ class TestMiscCommands:
         first = [int(line.split()[0]) for line in out.splitlines()]
         assert first == [1, 5, 10, 14, 29, 42, 57, 80, 111, 91]
 
+    def test_tq_count_zero_and_negative(self, capsys):
+        assert run_cli(capsys, "tq", "--count", "0") == (0, "", "")
+        assert run_cli(capsys, "tq", "--count", "-1") == (
+            2, "", "error: tq needs --count >= 0\n")
+
     def test_tq_count_past_first_range_has_no_repeats(self, capsys):
         code, out, _ = run_cli(capsys, "tq", "--count", "50")
         assert code == 0
@@ -326,18 +332,23 @@ class TestMiscCommands:
         code, out, _ = run_cli(capsys, "identity", "--q", "163", "--a", "40")
         assert code == 0 and out.strip() == "ok"
 
-    @pytest.mark.parametrize("argv", [["--q", "1000000007", "--a", "0"],
-                                      ["--q", "1000000007"],
+    @pytest.mark.parametrize("argv", [["--q", "2147483647", "--a", "0"],
+                                      ["--q", "2147483647"],
                                       ["--q", "163", "--a", "0"]])
     def test_identity_rejects_before_building_tables(self, capsys,
                                                      monkeypatch, argv):
-        def no_table(ch, n):
-            raise AssertionError(f"chi table built for q = {ch.q}")
-
-        monkeypatch.setattr(fq, "chi_values", no_table)
+        built = stub_builders(monkeypatch)
         code, out, err = run_cli(capsys, "identity", *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
+        assert built == []
+
+    def test_identity_past_a_billion_reaches_the_table(self, capsys,
+                                                       monkeypatch):
+        built = stub_builders(monkeypatch)
+        with pytest.raises(Built):
+            run_cli(capsys, "identity", "--q", "1000000007")
+        assert built == [("_qr_period", 1000000007)]
 
     def test_identity_stdout_is_pinned(self, capsys):
         code, out, _ = run_cli(capsys, "identity", "--q", "127")
@@ -355,7 +366,7 @@ class _NoBigArrays:
 
     def __getattr__(self, name):
         real = getattr(np, name)
-        if name not in ("empty", "ones", "zeros", "resize"):
+        if name not in ("empty", "full", "ones", "zeros", "resize"):
             return real
 
         def alloc(*args, **kwargs):
@@ -376,6 +387,8 @@ class TestTableGate:
         ["fq-margin", "--q", Q, "--x", "1/3"],
         ["certify", "--q", Q, "--eps", "1/10", "--xmax", "1/4"],
         ["fq-zeros", "--q", Q],
+        ["plot", "f", "--terms", str(ntcore._TABLE_MAX)],
+        ["plot", "diff", "--q", "163", "--terms", str(ntcore._TABLE_MAX)],
     ])
     def test_oversized_table_is_usage_error(self, capsys, monkeypatch, argv):
         monkeypatch.setattr(ntcore, "np", _NoBigArrays())

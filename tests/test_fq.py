@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from charpos import charsum, errors, fq, liouville, ntcore
 from oracles import chi_factor, fq_shape, lattice_core, prime_frac_core
+from test_ntcore import Built, stub_builders
 
 MODULI = [7, 11, 19, 23, 43, 163, 35]
 PRIMES_3_MOD_4 = [int(p) for p in
@@ -574,9 +575,9 @@ class TestLatticeQuad:
         built = []
         real = ntcore._qr_period
 
-        def counting(p, buf=None):
+        def counting(p):
             built.append(p)
-            return real(p, buf)
+            return real(p)
 
         for mod in (ntcore, charsum):
             monkeypatch.setattr(mod, "_qr_period", counting, raising=False)
@@ -677,11 +678,10 @@ class TestLatticeQuad:
             fq.fq_lattice_quad(163, 5)
 
     def test_bad_input_builds_no_table(self, monkeypatch):
-        def no_table(ch, n):
-            raise AssertionError(f"chi table built for q = {ch.q}")
-
-        monkeypatch.setattr(fq, "chi_values", no_table)
-        big = 1_000_000_007  # prime, 3 (mod 4), above the lattice domain
+        # bad nodes are refused by the entry points, a period past the
+        # table gate by chi_values, both before either builder runs
+        built = stub_builders(monkeypatch)
+        big = 2_147_483_647  # prime, 3 (mod 4), a period past the gate
         calls = [
             lambda: fq.fq_lattice_quad(big, 1),
             lambda: fq.lattice_quad_values(big, 1),
@@ -698,6 +698,28 @@ class TestLatticeQuad:
         for call in calls:
             with pytest.raises(errors.DomainError):
                 call()
+        assert built == []
+
+    def test_lattice_domain_is_the_table_gate(self, monkeypatch):
+        # 10**9 + 7 is past the old lattice cap of 10**9 but inside the
+        # gate: every entry point goes on to build its period
+        built = stub_builders(monkeypatch)
+        q = 1_000_000_007
+        for call in (lambda: fq.fq_lattice_quad(q, 1),
+                     lambda: fq.lattice_quad_values(q, 1),
+                     lambda: fq.identity_check(q),
+                     lambda: fq.identity_check(q, 1)):
+            with pytest.raises(Built):
+                call()
+        assert built == [("_qr_period", q)] * 4
+
+    def test_kernel_sums_fit_int64_at_the_gate(self):
+        # _lattice_blocks' partial sums stay below 7q**2 + q, and
+        # identity_check's 4W below 8n**2, n = (q - 1)/2, for every
+        # q <= _TABLE_MAX
+        q = ntcore._TABLE_MAX
+        assert 7 * q ** 2 + q < 2 ** 63
+        assert 8 * ((q - 1) // 2) ** 2 < 2 ** 61
 
     def test_single_core_past_int64_is_odd(self):
         q = 1000003
@@ -732,6 +754,12 @@ class TestPatternSeries:
                 2647: 1.0681}
         for q, v in want.items():
             assert fq.fq_fifth(q, 10 ** 5) == pytest.approx(v, abs=5e-3), q
+
+    def test_oversized_pattern_sum_is_refused(self):
+        # the chi table is asked for first: no 7.28 TiB np.arange
+        with pytest.raises(errors.DomainError,
+                           match=f"above the limit of {ntcore._TABLE_MAX}"):
+            fq.l2_series(163, fq.CHI3, 10**12)
 
     def test_pattern_sum_is_weighted_l2(self):
         sv = fq.l2_series(163, fq.CHI3, 500)

@@ -37,6 +37,23 @@ class TestFSeries:
         with pytest.raises(errors.DomainError):
             liouville.f_series(Fraction(1, 3), 0)
 
+    def test_cache_doubling_stops_at_the_gate(self, monkeypatch):
+        # a cache of 6000 would double to 12000, past a gate of 10000
+        # entries; every n_max the gate admits is still served, exactly
+        monkeypatch.setattr(ntcore, "_TABLE_MAX", 10_000)
+        monkeypatch.setitem(liouville._lam_cache, "limit", 6000)
+        monkeypatch.setitem(liouville._lam_cache, "values",
+                            ntcore.liouville_sieve(6000).values)
+        for n_max in (7000, 9999):
+            lam = liouville._lam(n_max)
+            assert len(lam) == n_max + 1 and liouville._lam_cache["limit"] == 9999
+            assert [int(v) for v in lam[-50:]] == [
+                liouville_factor(n) for n in range(n_max - 49, n_max + 1)]
+        with pytest.raises(errors.DomainError,
+                           match="would have 10001 entries, above the "
+                                 "limit of 10000"):
+            liouville.f_series(Fraction(1, 3), 10_000)
+
     @given(st.fractions(Fraction(1, 100), Fraction(1, 2)))
     def test_prefix_agreement_with_character_series(self, x):
         # chi mod 163 equals lambda through n = 40, and both series share

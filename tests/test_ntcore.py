@@ -235,36 +235,28 @@ class TestChiSieve:
     def test_matches_jacobi(self, monkeypatch, q):
         # the gate as shipped and at the largest prime factor m scatter
         # every period; one below m, every span the gate allows (n_max <
-        # m - 1) goes to the multiplicative sieve, with buffers or without
+        # m - 1) goes to the multiplicative sieve
         ch = ntcore.quad_char(q)
         m = max(ch.factors)
         sieved = []
         real = ntcore._chi_multiplicative
         monkeypatch.setattr(ntcore, "_chi_multiplicative",
                             lambda ch, n: sieved.append(n) or real(ch, n))
-        bufs = (None, np.empty(q, dtype=np.int8))
         for limit in (ntcore._TABLE_MAX, m, m - 1):
             monkeypatch.setattr(ntcore, "_TABLE_MAX", limit)
             spans = sorted(n for n in {0, m // 2, m - 2, m - 1, q // 2, q - 1,
                                        q, 2 * q + 3, 3 * q} if n < limit)
-            for buf in bufs:
-                sieved.clear()
-                for n_max in spans:
-                    vals = ntcore.chi_values(ch, n_max, buf)
-                    assert vals.dtype == np.int8 and len(vals) == n_max + 1
-                    want = [ntcore.jacobi(n, q) for n in range(n_max + 1)]
-                    assert vals.tolist() == want, (q, limit, buf, n_max)
-                assert sieved == ([] if limit >= m else spans), (limit, buf)
+            sieved.clear()
+            for n_max in spans:
+                vals = ntcore.chi_values(ch, n_max)
+                assert vals.dtype == np.int8 and len(vals) == n_max + 1
+                want = [ntcore.jacobi(n, q) for n in range(n_max + 1)]
+                assert vals.tolist() == want, (q, limit, n_max)
+            assert sieved == ([] if limit >= m else spans), limit
 
     def test_negative_range_rejected(self):
         with pytest.raises(errors.DomainError):
             ntcore.chi_values(ntcore.quad_char(11), -1)
-
-    def test_scan_table_is_a_view_of_the_buffers(self):
-        q = 163
-        buf = np.empty(q, dtype=np.int8)
-        vals = ntcore.chi_values(ntcore.quad_char(q), (q - 1) // 2, buf)
-        assert np.shares_memory(vals, buf)
 
     def test_matches_factor_oracle_for_composite(self):
         ch = ntcore.quad_char(35)
@@ -303,7 +295,7 @@ def stub_builders(monkeypatch):
     entries) and raise Built; returns the record."""
     built = []
 
-    def qr_period(p, buf=None):
+    def qr_period(p):
         built.append(("_qr_period", p))
         raise Built
 
@@ -321,10 +313,10 @@ class TestTableGate:
         assert 10**9 + 7 <= ntcore._TABLE_MAX < 1 << 31
         built = stub_builders(monkeypatch)
         ch = ntcore.quad_char(10**9 + 7)
-        # fq's full period and a scan's period with buffers, both scattered
-        for n_max, buf in ((ch.q - 1, None), (ch.q // 2, object())):
+        # fq's full period and a scan's half range, both scattered
+        for n_max in (ch.q - 1, ch.q // 2):
             with pytest.raises(Built):
-                ntcore.chi_values(ch, n_max, buf)
+                ntcore.chi_values(ch, n_max)
         assert built == [("_qr_period", ch.q)] * 2
 
     def test_class_number_scatters_past_two_to_the_27(self, monkeypatch):
@@ -387,9 +379,14 @@ class TestTableGate:
                                match="would have 1001 entries, above "
                                      "the limit of 1000"):
                 ntcore.chi_values(ntcore.quad_char(q), n_max)
-        # a scan's range is sized by the same gate, before its buffer
+        # a scan's range is sized by the same gate, before any prime sieve,
+        # and so is the Liouville table
         with pytest.raises(errors.DomainError, match="would have 1019 entries"):
             verify.scan_positivity(1019, 1019)
+        with pytest.raises(errors.DomainError,
+                           match="Liouville table through n=1000 would have "
+                                 "1001 entries, above the limit of 1000"):
+            ntcore.liouville_sieve(1000)
 
     def test_size_is_the_table_built(self, monkeypatch):
         # a prime modulus past the gate is sieved over n_max + 1 entries
@@ -406,30 +403,25 @@ class TestTableGate:
 
 class TestQrPeriod:
     @pytest.mark.parametrize("chunk", [None, 7])
-    def test_reused_buffers_across_descending_and_mixed_primes(self, monkeypatch,
-                                                               chunk):
+    def test_descending_and_mixed_primes_match_jacobi(self, monkeypatch, chunk):
         big = int(ntcore.primes_in_range(999_900, 10**6)[-1])
-        primes = [big, 20011, 2647, 163, 11, 7, 3, 1019, big, 3, 4003]
+        primes = [big, 20011, 2647, 163, 11, 7, 3, 1019, 4003]
         if chunk is not None:
             # many short passes with a short last one, at the small primes
             monkeypatch.setattr(ntcore, "_QR_CHUNK", chunk)
             primes = [p for p in primes if p != big]
-        buf = np.empty(big, dtype=np.int8)
         for p in primes:
             if p < 30000:
                 idx = range(p)
             else:
                 idx = [*range(3000), *range(3000, p - 3000, 97),
                        *range(p - 3000, p)]
-            want = [ntcore.jacobi(n, p) for n in idx]
-            for b in (buf, None):
-                t = ntcore._qr_period(p, b)
-                assert t.dtype == np.int8 and len(t) == p, (p, b)
-                assert [int(t[n]) for n in idx] == want, (p, b)
-                ones = int(np.count_nonzero(t == 1))
-                assert (t[0], ones, int(np.count_nonzero(t == -1))) == (
-                    0, (p - 1) // 2, (p - 1) // 2), (p, b)
-            assert np.shares_memory(ntcore._qr_period(p, buf), buf)
+            t = ntcore._qr_period(p)
+            assert t.dtype == np.int8 and len(t) == p, p
+            assert [int(t[n]) for n in idx] == [ntcore.jacobi(n, p) for n in idx], p
+            ones = int(np.count_nonzero(t == 1))
+            assert (t[0], ones, int(np.count_nonzero(t == -1))) == (
+                0, (p - 1) // 2, (p - 1) // 2), p
 
     # 43 and 65537 have half ranges of exact multiples of 7 and of the
     # default chunk; 3, 7 and 11 have half ranges shorter than 7 and than
@@ -442,8 +434,6 @@ class TestQrPeriod:
         want = [ntcore.jacobi(n, p) for n in range(p)]
         t = ntcore._qr_period(p)
         assert t.dtype == np.int8 and t.tolist() == want
-        buf = np.empty(p + 5, dtype=np.int8)
-        assert np.array_equal(ntcore._qr_period(p, buf), t)
 
     @pytest.mark.parametrize("chunk", [7, None])
     def test_recurrence_near_a_million(self, monkeypatch, chunk):
@@ -458,10 +448,8 @@ class TestQrPeriod:
                *range(p - 2000, p)]
         assert [int(t[n]) for n in idx] == [ntcore.jacobi(n, p) for n in idx]
         assert int(t.sum(dtype=np.int64)) == 0
-        buf = np.empty(p, dtype=np.int8)
-        assert np.array_equal(ntcore._qr_period(p, buf), t)
 
-    def test_scatter_indexes_with_intp(self):
+    def test_scatter_indexes_with_intp(self, monkeypatch):
         # a uint32 index would be converted by numpy on every pass
         keys = []
 
@@ -470,8 +458,18 @@ class TestQrPeriod:
                 keys.append(key)
                 super().__setitem__(key, value)
 
-        buf = np.empty(70001, dtype=np.int8).view(Recording)
-        t = ntcore._qr_period(70001, buf)
+        class RecordingNumpy:
+            """numpy as ntcore sees it, with the table it fills recording
+            every key it is indexed with."""
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def full(self, *args, **kwargs):
+                return np.full(*args, **kwargs).view(Recording)
+
+        monkeypatch.setattr(ntcore, "np", RecordingNumpy())
+        t = ntcore._qr_period(70001)
         arrays = [k for k in keys if isinstance(k, np.ndarray)]
         assert len(arrays) == -(-35000 // ntcore._QR_CHUNK)
         assert all(k.dtype == np.intp for k in arrays)

@@ -144,7 +144,7 @@ class TestScan:
             verify.scan_positivity(5, 100, jobs=0)
 
     def test_chunk_peak_memory_near_a_million(self):
-        # the shared int8 table of q_max bytes, a few arrays of one entry
+        # one int8 table of q bytes at a time, a few arrays of one entry
         # per block and _qr_period's pass scratch: no int64 squares
         qs = [int(q) for q in ntcore.primes_in_range(999_000, 10**6,
                                                      residue=3, modulus=8)[-4:]]
@@ -156,24 +156,6 @@ class TestScan:
             tracemalloc.stop()
         assert got == [charsum.class_number(q).h for q in qs]
         assert peak <= 2 * 2**20, peak / 2**20
-
-    def test_buffers_are_one_byte_per_unit_of_q(self, monkeypatch):
-        # one int8 buffer of qs[-1] bytes takes every table of the chunk
-        qs = [int(q) for q in ntcore.primes_in_range(999_000, 10**6,
-                                                     residue=3, modulus=8)[-3:]]
-        seen = []
-        real = verify._margin_min
-
-        def spy(ch, a_max, buf):
-            seen.append(buf)
-            return real(ch, a_max, buf)
-
-        monkeypatch.setattr(verify, "_margin_min", spy)
-        got = verify._scan_chunk(qs)
-        assert got == [charsum.class_number(q).h for q in qs]
-        assert len(seen) == len(qs)
-        assert all(b is seen[0] for b in seen)
-        assert seen[0].dtype == np.int8 and seen[0].nbytes == qs[-1]
 
 
 class TestCheckpoints:
@@ -861,6 +843,15 @@ class TestPrimeFracScan:
     def test_empty_a_range_rejected(self, a_max):
         with pytest.raises(errors.DomainError, match="a_max >= 1"):
             verify.scan_prime_fracs(50, 60, a_max=a_max)
+
+    def test_oversized_q_max_refused_before_sieving(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sieved")
+
+        monkeypatch.setattr(verify, "primes_in_range", refuse)
+        with pytest.raises(errors.DomainError,
+                           match=f"above the limit of {ntcore._TABLE_MAX}"):
+            verify.scan_prime_fracs(3, 2**31)
 
     @pytest.mark.parametrize("q_mod8", [3, 7])
     def test_census_matches_pointwise_oracle(self, q_mod8):
