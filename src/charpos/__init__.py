@@ -1,6 +1,7 @@
 """charpos: quadratic character sums, class numbers, and exact positivity
 certificates for the Liouville-weighted sine series."""
 
+from .check import verify_certificate
 from .errors import (CharposError, CertificateError, DomainError,
                      ExactnessError, InsufficientBound, InvalidModulus,
                      SearchBudgetExceeded)
@@ -21,7 +22,7 @@ from .liouville import (AgreementRecord, FBound, agreement_length, f_series,
 from .verify import (CertifyResult, PositivityReport, PrimeFracScan,
                      ScanCheckpoint, ScanResult, certify_f_positive,
                      check_positivity, merge_certificates, read_checkpoint,
-                     scan_positivity, scan_prime_fracs, verify_certificate)
+                     scan_positivity, scan_prime_fracs)
 
 __version__ = "0.1.0"
 

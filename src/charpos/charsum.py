@@ -209,18 +209,16 @@ def _w_span(h: int, A: np.ndarray, B: np.ndarray, chi: np.ndarray, lo: int,
     return np.cumsum(w, out=w)[lo - e:]
 
 
-def _margins(ch: QuadChar, lo: int, hi: int, chi: np.ndarray | None = None):
+def _margins(ch: QuadChar, lo: int, hi: int):
     """(h, W) with W[i] = W(lo + i) = a*(h - A(a)) + B(a), a = lo..hi, exact.
 
     h and the block-edge sums come from _block_moments over the half
-    range, and W from one _w_span, so nothing past hi is formed and the
-    walk starts at the last block edge at or before lo.  chi, a prebuilt
-    table of at least hi + 1 and half + 1 entries, defaults to
-    chi_values(ch, max(hi, half)).
+    range of the table chi_values(ch, max(hi, half)), and W from one
+    _w_span, so nothing past hi is formed and the walk starts at the last
+    block edge at or before lo.
     """
     half = (ch.q - 1) // 2
-    if chi is None:
-        chi = chi_values(ch, max(hi, half))
+    chi = chi_values(ch, max(hi, half))
     h, _, _, A, B = _block_moments(ch.q, chi[:half + 1])
     return h, _w_span(h, A, B, chi, lo, hi)
 

@@ -19,12 +19,13 @@ import time
 from fractions import Fraction
 
 from .charsum import class_number, rational_margin, t_stat
+from .check import verify_certificate
 from .errors import (CharposError, CertificateError, DomainError,
                      InsufficientBound, SearchBudgetExceeded)
 from .fq import fq_exact, fq_min_and_zeros, fq_prime_frac, identity_check
 from .liouville import agreement_length, f_series, find_imitator
 from .ntcore import primes_in_range, quad_char
-from .verify import certify_f_positive, scan_positivity, verify_certificate
+from .verify import certify_f_positive, scan_positivity
 
 _RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
 

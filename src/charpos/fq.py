@@ -40,25 +40,26 @@ def _sin_sum(weights: np.ndarray, x: Fraction, n_terms: int) -> float:
     any float is formed, so the sine argument is always in [0, 2 pi) and
     catastrophic argument loss cannot occur even for huge numerators.
     numpy takes the products n*num and the modulus den only in int64;
-    past that the reduction runs on Python integers.
+    past that the reduction runs on Python integers.  The terms are summed
+    in slabs of BLOCK, so the float arrays stay O(BLOCK) for any N, and an
+    N of at most BLOCK is one slab.
     """
     num = x.numerator % x.denominator
     den = x.denominator
     if num == 0 or 2 * num == den:
         return 0.0
     n_terms = int(n_terms)
-    if n_terms * num < 1 << 62 and den < 1 << 63:
-        r = (np.arange(1, n_terms + 1, dtype=np.int64) * num) % den
-        frac = r.astype(np.float64) / den
-    else:
-        frac = np.empty(n_terms, dtype=np.float64)
-        acc = 0
-        for k in range(n_terms):
-            acc = (acc + num) % den
-            frac[k] = acc / den
-    n = np.arange(1, n_terms + 1, dtype=np.float64)
-    terms = weights[:n_terms].astype(np.float64) * np.sin((2 * math.pi) * frac)
-    return float(np.sum(terms / (n * n)))
+    total = 0.0
+    for lo in range(0, n_terms, BLOCK):
+        k = np.arange(lo + 1, min(lo + BLOCK, n_terms) + 1, dtype=np.int64)
+        if n_terms * num < 1 << 62 and den < 1 << 63:
+            frac = (k * num % den).astype(np.float64) / den
+        else:
+            frac = np.array([m * num % den / den for m in k.tolist()])
+        n = k.astype(np.float64)
+        terms = weights[lo:lo + len(k)] * np.sin((2 * math.pi) * frac)
+        total += float(np.sum(terms / (n * n)))
+    return total
 
 
 @dataclass(frozen=True)
@@ -546,8 +547,9 @@ def identity_check(q_or_chi, a: int | None = None) -> bool:
     """Confirm core(a) == 4*q*W(a), for one a or the whole half range.
 
     Both sides read one chi table, and h with the block-edge sums comes
-    from _block_moments once.  The half range is compared block by block
-    as Y == 4W, with Y = core/q from _lattice_blocks and W over the same
+    from _block_moments once.  One a compares core(a) with the single
+    node _w_span gives.  The half range is compared block by block as
+    Y == 4W, with Y = core/q from _lattice_blocks and W over the same
     span from _w_span, so no W over the whole range is held; 4W stays in
     int64, as |W| <= n (|h| + n) <= 2n**2 for n = (q - 1)/2 < 2**29, so
     |4W| <= 8n**2 < 2**61, for every q <= ntcore._TABLE_MAX the gate admits.
@@ -555,10 +557,10 @@ def identity_check(q_or_chi, a: int | None = None) -> bool:
     ch = _lattice_char(q_or_chi, a)
     q = ch.q
     chi = chi_values(ch, q - 1)
-    if a is not None:
-        return _lattice_core(chi, a) == 4 * q * int(_margins(ch, a, a, chi)[1][0])
     half = (q - 1) // 2
     h, _, _, A, B = _block_moments(q, chi[:half + 1])
+    if a is not None:
+        return _lattice_core(chi, a) == 4 * q * int(_w_span(h, A, B, chi, a, a)[0])
     for a1, y in _lattice_blocks(chi, half):
         w = _w_span(h, A, B, chi, a1, a1 + len(y) - 1)
         w *= 4

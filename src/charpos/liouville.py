@@ -11,30 +11,23 @@ positivity into lower bounds for f itself.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from . import ntcore
 from .charsum import _as_char
 from .errors import DomainError, SearchBudgetExceeded
 from .fq import SeriesValue, _sin_sum, fq_exact
 from .ntcore import jacobi, liouville_sieve, pi4_times_at_least, primes_in_range
 
-_lam_cache = {"limit": 0, "values": None}
 
-
+@functools.lru_cache(maxsize=1)
 def _lam(n_max: int) -> np.ndarray:
-    """Liouville values 0..n_max from a grow-only module cache.  The cache
-    doubles, but never past the largest table the gate admits, so an
-    n_max whose own table it admits is never refused for the doubling."""
-    if n_max > _lam_cache["limit"]:
-        new_limit = max(n_max, min(max(2 * _lam_cache["limit"], 1 << 12),
-                                   ntcore._TABLE_MAX - 1))
-        _lam_cache["values"] = liouville_sieve(new_limit).values
-        _lam_cache["limit"] = new_limit
-    return _lam_cache["values"][: n_max + 1]
+    """Liouville values 0..n_max, the last table kept: a plot asks for the
+    same n_max at every grid point."""
+    return liouville_sieve(n_max).values
 
 
 def f_series(x, n_terms: int) -> SeriesValue:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from charpos import charsum, cli, errors, fq, liouville, ntcore, verify
+from charpos import charsum, check, cli, errors, fq, liouville, ntcore, verify
 from oracles import form_count, margin_min, margins
 
 SQUAREFREE_3MOD4 = [q for q in range(7, 600, 4)
@@ -153,7 +153,7 @@ class TestClassNumber:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert cn.h == verify._reduced_form_count(9999991) == 1715
+        assert cn.h == check._reduced_form_count(9999991) == 1715
         assert (cn.a_half, cn.b_half) == (1715, 0)
         assert peak <= 12 * 2**20, peak / 2**20
 
@@ -271,19 +271,6 @@ class TestMarginKernel:
         for q in (20011, 163, 2647, 35, 11, 4003, 7):
             for a_max in (1, q // 4, (q - 1) // 2):
                 assert fresh_margin_min(q, a_max) == margin_min(q, a_max), (q, a_max)
-
-    def test_prebuilt_table_allocates_only_the_kernel_arrays(self,
-                                                             monkeypatch):
-        q = 4003
-        ch = ntcore.quad_char(q)
-        chi = ntcore.chi_values(ch, q - 1)
-        want = charsum._margins(ch, 0, q - 2)
-        monkeypatch.setattr(charsum, "chi_values", None)
-        for a_max in (1, (q - 1) // 2, q - 2):
-            got = charsum._margins(ch, 0, a_max, chi=chi)
-            assert got[0] == want[0]
-            for have, full in zip(got[1:], want[1:]):
-                assert np.array_equal(have, full[:a_max + 1]), a_max
 
     @pytest.mark.parametrize("a_max", [0, 82])
     def test_a_max_outside_half_range_rejected(self, a_max):
@@ -406,7 +393,7 @@ class TestBlockedMarginMin:
         qs = ntcore.primes_in_range(11, 2 * 10**4, residue=3, modulus=8)
         for q in map(int, qs):
             prof = charsum.margin_profile(q)
-            assert prof.min_w == prof.h == verify._reduced_form_count(q), q
+            assert prof.min_w == prof.h == check._reduced_form_count(q), q
             assert prof.argmin_a == 1, q
 
 

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from charpos import cli, ntcore, verify
+import charpos
+from charpos import check, cli, ntcore, verify
 from test_ntcore import Built, stub_builders
 
 
@@ -119,6 +120,12 @@ class TestCertifyCommand:
 
 
 class TestCheckCertCommand:
+    def test_one_checker_everywhere(self):
+        # check-cert, the package API and merge_certificates all run the
+        # checker module's function
+        assert (cli.verify_certificate is charpos.verify_certificate
+                is verify.verify_certificate is check.verify_certificate)
+
     def test_valid_roundtrip(self, capsys, tmp_path):
         path = tmp_path / "cert.json"
         run_cli(capsys, "certify", "--eps", "7/163", "--q", "163",

@@ -68,6 +68,36 @@ class TestFqSeries:
         assert fq.fq_series(163, x, 100).value == 2.6929074367683817e-11
         assert liouville.f_series(x, 100).value == 9.071801407463431e-12
 
+    @pytest.mark.parametrize("x", [Fraction(7, 163), Fraction(1, 3 ** 40),
+                                   Fraction((1 << 55) + 1, (1 << 60) + 7)])
+    def test_slabs_add_up_to_one_pass(self, monkeypatch, x):
+        # 3500 terms in slabs of 1000 (the last one short), on both the
+        # int64 and the Python-integer reduction, against one slab and
+        # against the terms summed one by one
+        w = ntcore.chi_values(ntcore.quad_char(163), 3500)[1:]
+        whole = fq._sin_sum(w, x, 3500)
+        direct = sum(int(w[n - 1]) * math.sin(2 * math.pi * (
+            n * x.numerator % x.denominator / x.denominator)) / n ** 2
+            for n in range(1, 3501))
+        monkeypatch.setattr(fq, "BLOCK", 1000)
+        slabs = fq._sin_sum(w, x, 3500)
+        assert slabs == pytest.approx(whole, rel=1e-14, abs=1e-300)
+        assert slabs == pytest.approx(direct, rel=1e-12, abs=1e-300)
+
+    def test_float_work_is_one_slab(self, monkeypatch):
+        # one pass over N terms held about 48 bytes per term (12.6 MB
+        # here); the slabs hold about 56 per BLOCK entry (231 kB), however
+        # large N is
+        monkeypatch.setattr(fq, "BLOCK", 1 << 12)
+        w = ntcore.chi_values(ntcore.quad_char(163), 1 << 18)[1:]
+        tracemalloc.start()
+        try:
+            fq._sin_sum(w, Fraction(7, 163), 1 << 18)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 96 << 12
+
     @pytest.mark.parametrize("q", [11, 19, 43])
     def test_grid_stays_positive_for_small_class_number_one(self, q):
         # 10q equispaced points in (0, 1/2); positivity of the margins

@@ -155,7 +155,7 @@ def test_unread_publics_detector_ignores_imports_and_self_reads():
     assert unread_publics(trees) == ["a.spare", "b.main"]
 
 
-VERIFY = Path(__file__).parent.parent / "src" / "charpos" / "verify.py"
+CHECK = Path(__file__).parent.parent / "src" / "charpos" / "check.py"
 CHECKER_NTCORE = {"jacobi", "is_prime", "PI4_HI", "PI4_LO"}
 BUILDER_MODULES = {"charsum", "fq", "liouville"}
 
@@ -228,10 +228,21 @@ def checker_reads(tree: ast.Module, entry: str = "verify_certificate"):
 
 
 def test_checker_shares_no_code_with_the_builder():
-    seen, bad = checker_reads(ast.parse(VERIFY.read_text()))
-    # the walk reaches the helpers, so the check is not vacuous
+    tree = ast.parse(CHECK.read_text())
+    seen, bad = checker_reads(tree)
+    # the walk reaches every module-level function and constant, so the
+    # check is not vacuous and check.py holds nothing but the checker
+    names = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+    names |= {t.id for n in tree.body if isinstance(n, ast.Assign)
+              for t in n.targets if isinstance(t, ast.Name)}
+    assert seen == names
     assert {"verify_certificate", "_is_int", "_checker_thresholds"} <= seen
     assert bad == []
+    # and its only package import is ntcore's
+    assert {(n.module, a.name) for n in tree.body
+            if isinstance(n, ast.ImportFrom) and n.level == 1
+            for a in n.names} == {(None, "ntcore"), ("ntcore", "is_prime"),
+                                  ("ntcore", "jacobi")}
 
 
 def test_checker_reads_detector_flags_builder_names():

@@ -37,18 +37,16 @@ class TestFSeries:
         with pytest.raises(errors.DomainError):
             liouville.f_series(Fraction(1, 3), 0)
 
-    def test_cache_doubling_stops_at_the_gate(self, monkeypatch):
-        # a cache of 6000 would double to 12000, past a gate of 10000
-        # entries; every n_max the gate admits is still served, exactly
+    def test_table_is_the_exact_size_under_the_gate(self, monkeypatch):
+        # the table holds exactly 0..n_max, so every n_max the gate admits
+        # is served, and the first it refuses is refused by the sieve
         monkeypatch.setattr(ntcore, "_TABLE_MAX", 10_000)
-        monkeypatch.setitem(liouville._lam_cache, "limit", 6000)
-        monkeypatch.setitem(liouville._lam_cache, "values",
-                            ntcore.liouville_sieve(6000).values)
-        for n_max in (7000, 9999):
-            lam = liouville._lam(n_max)
-            assert len(lam) == n_max + 1 and liouville._lam_cache["limit"] == 9999
-            assert [int(v) for v in lam[-50:]] == [
-                liouville_factor(n) for n in range(n_max - 49, n_max + 1)]
+        liouville._lam.cache_clear()
+        lam = liouville._lam(9999)
+        assert len(lam) == 10_000
+        assert [int(v) for v in lam[-50:]] == [
+            liouville_factor(n) for n in range(9950, 10_000)]
+        assert liouville._lam(9999) is lam
         with pytest.raises(errors.DomainError,
                            match="would have 10001 entries, above the "
                                  "limit of 10000"):

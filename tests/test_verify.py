@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charpos import charsum, errors, fq, liouville, ntcore, verify
+from charpos import charsum, check, errors, fq, liouville, ntcore, verify
 from oracles import chi_factor, factorize, prime_frac_core, simple_primes
 from oracles import margins as oracle_margins
 
@@ -352,7 +352,7 @@ class TestMarginThresholds:
                 mp.setattr(ntcore, "PI4_LO", bracket[0])
                 mp.setattr(ntcore, "PI4_HI", bracket[1])
             builder = ntcore.pi4_square_thresholds(n * n, q ** 3)
-            checker = verify._checker_thresholds(q, n)
+            checker = check._checker_thresholds(q, n)
             ws = {t + d for t in builder for d in range(-3, 4)} | {0, -1}
             for w in sorted(ws):
                 want = pi4_decision(w, n, q)
@@ -468,8 +468,8 @@ class TestVerifyCertificate:
 
     def test_jacobi_stops_at_the_last_cited_node(self, cert, monkeypatch):
         calls = []
-        real = verify.jacobi
-        monkeypatch.setattr(verify, "jacobi",
+        real = check.jacobi
+        monkeypatch.setattr(check, "jacobi",
                             lambda m, q: calls.append(m) or real(m, q))
         assert verify.verify_certificate(cert) == (True, "ok")
         a_last = cert["margins"][-1]["a"]
@@ -477,7 +477,7 @@ class TestVerifyCertificate:
         assert len(calls) <= a_last + cert["agreement_N"] + 1
         assert max(calls) == a_last
 
-    @pytest.mark.parametrize("q", [verify.MAX_CERT_Q + 3, 2 ** 64 - 1, 2 ** 64 + 3])
+    @pytest.mark.parametrize("q", [check.MAX_CERT_Q + 3, 2 ** 64 - 1, 2 ** 64 + 3])
     def test_oversized_modulus_rejected_fast(self, cert, q):
         c = copy.deepcopy(cert)
         c["q"] = q
@@ -679,8 +679,8 @@ class TestMultiplicativeWalk:
             self, corpus_certificates, monkeypatch, label, node_calls):
         cert = dict(corpus_certificates)[label]
         calls = []
-        real = verify.jacobi
-        monkeypatch.setattr(verify, "jacobi",
+        real = check.jacobi
+        monkeypatch.setattr(check, "jacobi",
                             lambda m, q: calls.append(m) or real(m, q))
         assert verify.verify_certificate(cert) == (True, "ok")
         agreement = [p for p in range(2, cert["agreement_N"] + 2)
@@ -715,12 +715,12 @@ class TestReducedFormCount:
         assert any(ntcore.is_prime(q) for q in qs)
         assert not all(ntcore.is_prime(q) for q in qs)
         for q in qs:
-            assert verify._reduced_form_count(q) == charsum.class_number(q).h, q
+            assert check._reduced_form_count(q) == charsum.class_number(q).h, q
 
     @pytest.mark.parametrize("q", [991027, 948187, 911227, 999983, 999863,
                                    1000003])
     def test_matches_class_number_near_a_million(self, q):
-        assert verify._reduced_form_count(q) == charsum.class_number(q).h
+        assert check._reduced_form_count(q) == charsum.class_number(q).h
 
 
 class TestMerge:
