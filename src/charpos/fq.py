@@ -33,33 +33,46 @@ from .ntcore import BLOCK, PI2_HI, QuadChar, chi_values, is_prime
 _HALF = Fraction(1, 2)
 
 
+def _slab_sum(weights: np.ndarray, factor, n_terms: int) -> float:
+    """sum_{n=1}^{N} weights[n-1] * factor(n) / n**2, the one kernel of
+    every truncated series: _sin_sum gives it sin(2 pi n x), _pattern_sums
+    a periodic pattern.
+
+    factor maps an int64 slab of n to float64 values.  The terms are summed
+    in slabs of BLOCK, so the arrays stay O(BLOCK) for any N, and an N of
+    at most BLOCK is one slab.
+    """
+    total = 0.0
+    for lo in range(0, n_terms, BLOCK):
+        k = np.arange(lo + 1, min(lo + BLOCK, n_terms) + 1, dtype=np.int64)
+        n = k.astype(np.float64)
+        total += float(np.sum(weights[lo:lo + len(k)] * factor(k) / (n * n)))
+    return total
+
+
 def _sin_sum(weights: np.ndarray, x: Fraction, n_terms: int) -> float:
-    """sum_{n=1}^{N} weights[n-1] * sin(2 pi n x) / n**2.
+    """sum_{n=1}^{N} weights[n-1] * sin(2 pi n x) / n**2, by _slab_sum.
 
     The angle is reduced exactly: n*x mod 1 is computed in integers before
     any float is formed, so the sine argument is always in [0, 2 pi) and
     catastrophic argument loss cannot occur even for huge numerators.
     numpy takes the products n*num and the modulus den only in int64;
-    past that the reduction runs on Python integers.  The terms are summed
-    in slabs of BLOCK, so the float arrays stay O(BLOCK) for any N, and an
-    N of at most BLOCK is one slab.
+    past that the reduction runs on Python integers.
     """
     num = x.numerator % x.denominator
     den = x.denominator
     if num == 0 or 2 * num == den:
         return 0.0
     n_terms = int(n_terms)
-    total = 0.0
-    for lo in range(0, n_terms, BLOCK):
-        k = np.arange(lo + 1, min(lo + BLOCK, n_terms) + 1, dtype=np.int64)
+
+    def sine(k):
         if n_terms * num < 1 << 62 and den < 1 << 63:
             frac = (k * num % den).astype(np.float64) / den
         else:
             frac = np.array([m * num % den / den for m in k.tolist()])
-        n = k.astype(np.float64)
-        terms = weights[lo:lo + len(k)] * np.sin((2 * math.pi) * frac)
-        total += float(np.sum(terms / (n * n)))
-    return total
+        return np.sin((2 * math.pi) * frac)
+
+    return _slab_sum(weights, sine, n_terms)
 
 
 @dataclass(frozen=True)
@@ -576,21 +589,28 @@ FIFTH_RE = (0, 1, 0, 0, -1)
 FIFTH_IM = (0, 0, 1, -1, 0)
 
 
-def l2_series(q_or_chi, pattern, n_terms: int) -> SeriesValue:
-    """sum_{n<=N} chi(n) * pattern[n mod len] / n**2, tail below 1/N.
+def _pattern_sums(q_or_chi, patterns, n_terms: int) -> list[float]:
+    """sum_{n<=N} chi(n) * pattern[n mod len] / n**2 for each pattern, each
+    a _slab_sum over one shared int8 chi table.
 
-    The chi table comes first, so an N the table gate refuses allocates
-    nothing."""
+    N and the patterns are checked and the chi table comes first, so
+    rejected input and an N the table gate refuses allocate nothing."""
     ch = _as_char(q_or_chi)
     n_terms = int(n_terms)
     if n_terms < 1:
         raise DomainError("need n_terms >= 1")
-    c = chi_values(ch, n_terms)[1:].astype(np.float64)
-    pat = np.asarray(pattern, dtype=np.float64)
-    n = np.arange(1, n_terms + 1, dtype=np.int64)
-    w = pat[n % len(pat)]
-    nf = n.astype(np.float64)
-    value = float(np.sum(c * w / (nf * nf)))
+    if not all(len(pattern) for pattern in patterns):
+        raise DomainError("need a nonempty pattern")
+    chi = chi_values(ch, n_terms)[1:]
+    pats = [np.asarray(pattern, dtype=np.float64) for pattern in patterns]
+    return [_slab_sum(chi, lambda k, pat=pat: pat[k % len(pat)], n_terms)
+            for pat in pats]
+
+
+def l2_series(q_or_chi, pattern, n_terms: int) -> SeriesValue:
+    """sum_{n<=N} chi(n) * pattern[n mod len] / n**2, tail below 1/N."""
+    value, = _pattern_sums(q_or_chi, [pattern], n_terms)
+    n_terms = int(n_terms)
     return SeriesValue(value, 1.0 / n_terms, n_terms)
 
 
@@ -600,9 +620,9 @@ def fq_third(q_or_chi, n_terms: int = 10 ** 6) -> float:
 
 
 def fq_fifth(q_or_chi, n_terms: int = 10 ** 6) -> float:
-    """f_q(1/5) via the two real period-5 components of n -> sin(2 pi n/5)."""
-    alpha = l2_series(q_or_chi, FIFTH_RE, n_terms).value
-    beta = l2_series(q_or_chi, FIFTH_IM, n_terms).value
+    """f_q(1/5) via the two real period-5 components of n -> sin(2 pi n/5),
+    both summed over one chi table."""
+    alpha, beta = _pattern_sums(q_or_chi, [FIFTH_RE, FIFTH_IM], n_terms)
     return math.sin(2 * math.pi / 5) * alpha + math.sin(4 * math.pi / 5) * beta
 
 

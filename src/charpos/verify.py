@@ -26,7 +26,7 @@ from .charsum import _as_char, _margin_min, _margins, margin_profile
 from .check import verify_certificate
 from .errors import (CertificateError, DomainError, ExactnessError,
                      InsufficientBound)
-from .fq import _census_dtype, _prime_frac_cores
+from .fq import _prime_frac_cores
 from .liouville import agreement_length, find_imitator
 from .ntcore import pi4_square_thresholds, primes_in_range, quad_char
 
@@ -219,6 +219,23 @@ def scan_positivity(q_min: int, q_max: int, *, jobs: int = 1,
                       tuple(failures))
 
 
+def _certificate(q: int, h: int, n: int, a0: int, xmax: Fraction, rows) -> dict:
+    """The v1 certificate record: f > 0 on [a0/q, xmax] from the margins W
+    of the (a, W) pairs of rows, citing class number h and agreement
+    length n."""
+    return {
+        "version": "v1",
+        "q": q,
+        "h": h,
+        "agreement_N": n,
+        "a0": a0,
+        "xmax_num": xmax.numerator,
+        "xmax_den": xmax.denominator,
+        "margins": [{"a": a, "W": w} for a, w in rows],
+        "verdict": "nonnegative",
+    }
+
+
 @dataclass(frozen=True)
 class CertifyResult:
     certificate: dict
@@ -282,17 +299,7 @@ def certify_f_positive(eps, q: int | None = None, xmax=Fraction(1, 4), *,
     full = k == a_hi and Fraction(a_hi, q) >= xmax
     achieved = xmax if full else Fraction(k, q)
     rows = zip(range(a_lo, k + 1), seg[:k + 1 - a_lo].tolist())
-    cert = {
-        "version": "v1",
-        "q": q,
-        "h": h,
-        "agreement_N": n,
-        "a0": a_lo,
-        "xmax_num": achieved.numerator,
-        "xmax_den": achieved.denominator,
-        "margins": [{"a": a, "W": v} for a, v in rows],
-        "verdict": "nonnegative",
-    }
+    cert = _certificate(q, h, n, a_lo, achieved, rows)
     return CertifyResult(cert, q, h, n, a_lo, xmax, achieved, not full)
 
 
@@ -323,18 +330,8 @@ def merge_certificates(left: dict, right: dict) -> dict:
         by_a[row["a"]] = row["W"]
     xl = Fraction(left["xmax_num"], left["xmax_den"])
     xr = Fraction(right["xmax_num"], right["xmax_den"])
-    xmax = max(xl, xr)
-    merged = {
-        "version": "v1",
-        "q": left["q"],
-        "h": left["h"],
-        "agreement_N": left["agreement_N"],
-        "a0": left["a0"],
-        "xmax_num": xmax.numerator,
-        "xmax_den": xmax.denominator,
-        "margins": [{"a": a, "W": by_a[a]} for a in sorted(by_a)],
-        "verdict": "nonnegative",
-    }
+    merged = _certificate(left["q"], left["h"], left["agreement_N"], left["a0"],
+                          max(xl, xr), sorted(by_a.items()))
     ok, why = verify_certificate(merged)
     if not ok:
         raise CertificateError(f"merged certificate does not verify: {why}")
@@ -369,23 +366,24 @@ def _census_groups(p_all, tops, qs):
     tops[i] is the number of a for p_all[i], so the (p, a) pairs are
     listed once, and the evaluations of a modulus q are the prefix with
     p < q.  Consecutive moduli form a group while their periods and
-    evaluations total at most _CENSUS_GROUP and fq._census_dtype picks
-    one dtype for them all (a larger modulus is a group of one); the
-    group takes one chi table per modulus, laid end to end, and one
-    fq._prime_frac_cores call.
+    evaluations total at most _CENSUS_GROUP (a larger modulus is a group
+    of one); the group takes one chi table per modulus, laid end to end,
+    and one fq._prime_frac_cores call, whose cores take the dtype
+    fq._census_dtype picks for the group's largest p and q.  A group of
+    two or more moduli is int64: its last two moduli q' < q have q' + q
+    <= _CENSUS_GROUP, and primes of one class mod 8 lie close together
+    there, so q stays near 2**11 and 10 p**2 q**3 < 10 q**5 < 2**62.
     """
     ends = np.cumsum(tops)
     p_list = np.repeat(p_all, tops)
     a_list = np.arange(1, len(p_list) + 1) - np.repeat(ends - tops, tops)
     below = np.searchsorted(p_all, qs)
     cuts = np.concatenate(([0], ends))[below].tolist()
-    p_tops = np.concatenate(([0], p_all))[below].tolist()
-    groups, size, kind = [], 0, None
-    for q, n, p_top in zip(qs.tolist(), cuts, p_tops):
-        dtype = _census_dtype(p_top, q)
-        if not groups or size + q + n > _CENSUS_GROUP or dtype is not kind:
+    groups, size = [], 0
+    for q, n in zip(qs.tolist(), cuts):
+        if not groups or size + q + n > _CENSUS_GROUP:
             groups.append([])
-            size, kind = 0, dtype
+            size = 0
         groups[-1].append((q, n))
         size += q + n
     for group in groups:
@@ -410,9 +408,10 @@ def scan_prime_fracs(p_max: int, q_max: int, a_max: int | None = None,
     moment pass over a group's tables (fq._residue_totals), which serves
     every (p, a) in O(1); the records are read once per group.  The cores
     are formed in int64 where fq._census_dtype proves they fit, else in
-    Python integers, and every record holds Python integers.  An a_max of
-    at least (p_max - 1)/2 caps nothing.  A q_max whose period the table
-    gate refuses is refused before any prime is sieved.
+    Python integers (only in a group of one modulus), and every record
+    holds Python integers.  An a_max of at least (p_max - 1)/2 caps
+    nothing.  A q_max whose period the table gate refuses is refused
+    before any prime is sieved.
     """
     if q_mod8 % 4 != 3:
         raise DomainError("q_mod8 must be 3 or 7")

@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -766,6 +767,70 @@ class TestLatticeQuad:
         assert ev.value == pytest.approx(ex.value, rel=1e-12)
 
 
+class TestSlabKernel:
+    """f_series, fq_series, l2_series and fq_fifth all sum through one
+    slab loop, fq._slab_sum, which reads fq.BLOCK at call time."""
+
+    @pytest.mark.parametrize("block", [64, 1000])
+    def test_slabs_match_one_pass(self, monkeypatch, block):
+        # 3500 terms in several slabs (the last one short) against one
+        # whole-array numpy sum of the same terms: a few ulps of the sum of
+        # their absolute values apart
+        monkeypatch.setattr(fq, "BLOCK", block)
+        n = np.arange(1, 3501)
+        nf = n.astype(np.float64)
+        chi = ntcore.chi_values(ntcore.quad_char(163), 3500)[1:]
+        lam = ntcore.liouville_sieve(3500).values[1:]
+
+        def close(got, terms):
+            return abs(got - float(np.sum(terms))) <= 8 * math.ulp(
+                float(np.sum(np.abs(terms))))
+
+        for pattern in (fq.CHI3, fq.FIFTH_RE, fq.FIFTH_IM):
+            pat = np.asarray(pattern, dtype=np.float64)
+            terms = chi * pat[n % len(pat)] / (nf * nf)
+            assert close(fq.l2_series(163, pattern, 3500).value, terms), pattern
+        for x in (Fraction(7, 163), Fraction(1, 3), Fraction(1, 3 ** 40),
+                  Fraction((1 << 55) + 1, (1 << 60) + 7)):
+            sine = np.sin(2 * math.pi * np.array(
+                [m * x.numerator % x.denominator / x.denominator
+                 for m in n.tolist()]))
+            assert close(fq.fq_series(163, x, 3500).value, chi * sine / (nf * nf)), x
+            assert close(liouville.f_series(x, 3500).value, lam * sine / (nf * nf)), x
+
+    @pytest.mark.parametrize("block,n_terms", [(1000, 3500), (ntcore.BLOCK, 10 ** 5)])
+    def test_fifth_is_two_pattern_sums_from_one_table(self, monkeypatch, block,
+                                                      n_terms):
+        monkeypatch.setattr(fq, "BLOCK", block)
+        calls = []
+        real = fq.chi_values
+
+        def spy(ch, n_max):
+            calls.append(n_max)
+            return real(ch, n_max)
+
+        monkeypatch.setattr(fq, "chi_values", spy)
+        for q in (11, 163, 2647):
+            calls.clear()
+            got = fq.fq_fifth(q, n_terms)
+            assert calls == [n_terms]
+            alpha = fq.l2_series(q, fq.FIFTH_RE, n_terms).value
+            beta = fq.l2_series(q, fq.FIFTH_IM, n_terms).value
+            assert got == (math.sin(2 * math.pi / 5) * alpha
+                           + math.sin(4 * math.pi / 5) * beta), q
+
+    def test_pattern_sum_holds_one_slab(self):
+        # the int8 chi table (4 MiB) and one slab of float work; the
+        # whole-array sum took 192 MiB here
+        tracemalloc.start()
+        try:
+            fq.l2_series(163, fq.CHI3, 2 ** 22)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2 ** 20, peak / 2 ** 20
+
+
 class TestPatternSeries:
     def test_third_matches_exact(self):
         for q in (11, 19, 163):
@@ -790,6 +855,16 @@ class TestPatternSeries:
         with pytest.raises(errors.DomainError,
                            match=f"above the limit of {ntcore._TABLE_MAX}"):
             fq.l2_series(163, fq.CHI3, 10**12)
+
+    def test_empty_pattern_is_refused(self, monkeypatch):
+        # refused before any table is built, with no numpy warning
+        monkeypatch.setattr(fq, "chi_values", None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(errors.DomainError, match="nonempty pattern"):
+                fq.l2_series(163, (), 10)
+            with pytest.raises(errors.DomainError, match="nonempty pattern"):
+                fq.l2_series(163, np.array([]), 10)
 
     def test_pattern_sum_is_weighted_l2(self):
         sv = fq.l2_series(163, fq.CHI3, 500)

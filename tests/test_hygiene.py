@@ -155,6 +155,63 @@ def test_unread_publics_detector_ignores_imports_and_self_reads():
     assert unread_publics(trees) == ["a.spare", "b.main"]
 
 
+def cross_module_privates(trees: dict[str, ast.Module]) -> list[str]:
+    """"reader←module._name" for each _private name a module takes from
+    another: imported by name (from .m import _name), or read as an
+    attribute of a module it imported (from . import m, then m._name)."""
+    found = set()
+    for module, tree in trees.items():
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        bound[alias.asname or alias.name] = alias.name
+                    elif alias.name.startswith("_") and not alias.name.startswith("__"):
+                        found.add(f"{module}←{node.module}.{alias.name}")
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in bound and node.attr.startswith("_")
+                    and not node.attr.startswith("__")):
+                found.add(f"{module}←{bound[node.value.id]}.{node.attr}")
+    return sorted(found)
+
+
+def test_cross_module_privates_are_pinned():
+    # private names one module of src takes from another; each crossing
+    # is on purpose, and a new one joins this list only with its reason
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC}
+    assert cross_module_privates(trees) == [
+        "fq←charsum._as_char",  # q or a QuadChar, one coercion for all
+        "fq←charsum._block_moments",  # h and block sums of W, read twice
+        "fq←charsum._linear_sum",  # P1(q-1) of the lattice kernel
+        "fq←charsum._low_spans",  # fq_min_and_zeros walks the W spans
+        "fq←charsum._margins",  # piecewise_fq's one walk of W
+        "fq←charsum._span_min",  # fq_min_and_zeros's minimum per span
+        "fq←charsum._w_span",  # identity_check compares W span by span
+        "liouville←charsum._as_char",  # agreement_length's modulus
+        # f_series shares the sine kernel of fq_series, so the two agree
+        # bitwise wherever lambda and chi agree
+        "liouville←fq._sin_sum",
+        "verify←charsum._as_char",  # certify_f_positive's modulus
+        "verify←charsum._margin_min",  # the scan's kernel per modulus
+        "verify←charsum._margins",  # a certificate's margins
+        "verify←fq._prime_frac_cores",  # the census's cores per group
+        "verify←ntcore._check_table",  # the gate, before primes are sieved
+    ]
+
+
+def test_cross_module_privates_detector():
+    trees = {
+        "a": ast.parse("_LIMIT = 3\ndef _x():\n    return _LIMIT\n"),
+        "b": ast.parse("from . import a\nfrom . import a as alias\n"
+                       "from .a import _x, y\nfrom .c import __version__\n"
+                       "def f():\n    \"\"\"Not a._HIDDEN.\"\"\"\n"
+                       "    return a._LIMIT + alias._y + a.__doc__ + a.public + _x()\n"),
+    }
+    assert cross_module_privates(trees) == ["b←a._LIMIT", "b←a._x", "b←a._y"]
+
+
 CHECK = Path(__file__).parent.parent / "src" / "charpos" / "check.py"
 CHECKER_NTCORE = {"jacobi", "is_prime", "PI4_HI", "PI4_LO"}
 BUILDER_MODULES = {"charsum", "fq", "liouville"}

@@ -893,18 +893,32 @@ class TestPrimeFracScan:
         assert hashlib.sha256(repr(sc).encode()).hexdigest() == digest
 
     def test_census_straddling_the_guard(self, monkeypatch):
-        # 10 * 59**2 * q**3 < guard exactly for q < 150, so the moduli
-        # below 150 take int64 and the rest object dtype; a group of
-        # moduli never mixes the two
+        # 10 * 59**2 * q**3 < guard exactly for q < 150, so a group takes
+        # int64 when its largest modulus is below 150 and object dtype
+        # otherwise, a group across 150 included, with the same records
         monkeypatch.setattr(fq, "_CENSUS_INT64_GUARD", 0)
         want = verify.scan_prime_fracs(60, 300)
         groups = spy_groups(monkeypatch)
         monkeypatch.setattr(fq, "_CENSUS_INT64_GUARD", 10 * 59 ** 2 * 150 ** 3)
+        monkeypatch.setattr(verify, "_CENSUS_GROUP", 1000)
         assert verify.scan_prime_fracs(60, 300) == want
-        dtypes = {q: d for mods, d, _ in groups for q in mods}
-        assert {q for q, d in dtypes.items() if d == np.int64} == {
-            q for q in dtypes if q < 150}
-        assert object in dtypes.values() and np.int64 in dtypes.values()
+        for mods, d, _ in groups:
+            assert (d == np.int64) == (mods[-1] < 150), mods
+        assert {d for _, d, _ in groups} == {np.dtype(np.int64), np.dtype(object)}
+        assert any(mods[0] < 150 <= mods[-1] for mods, _, _ in groups)
+
+    @pytest.mark.parametrize("q_mod8", [3, 7])
+    @pytest.mark.parametrize("p_max", [3, 150, 1000])
+    def test_groups_of_several_moduli_are_int64(self, monkeypatch, q_mod8, p_max):
+        # two consecutive moduli of one group total at most _CENSUS_GROUP,
+        # so its last q stays near 2**11 and 10 p**2 q**3 < 10 q**5 is far
+        # below the real guard: only a group of one modulus can need
+        # Python integers
+        groups = spy_groups(monkeypatch)
+        verify.scan_prime_fracs(p_max, 3000, q_mod8=q_mod8)
+        several = [(mods, d) for mods, d, _ in groups if len(mods) > 1]
+        assert several
+        assert all(d == np.int64 for _, d in several), several
 
     @pytest.mark.parametrize("bound", [1, 300, 700])
     @pytest.mark.parametrize("p_max,q_max,q_mod8,digest", CENSUS_DIGESTS)
@@ -912,7 +926,8 @@ class TestPrimeFracScan:
                                          q_max, q_mod8, digest):
         # groups of a few hundred period entries and evaluations (or of
         # one modulus each), with the dtype flipping in the middle of the
-        # moduli; every group is still one dtype and the records are the
+        # moduli; every group takes the dtype of its largest modulus, int64
+        # in the groups that end below the flip, and the records are the
         # pinned ones
         qs = [q for q in simple_primes(q_max) if q > 3 and q % 8 == q_mod8]
         q_mid = qs[len(qs) // 2]
@@ -923,7 +938,7 @@ class TestPrimeFracScan:
         sc = verify.scan_prime_fracs(p_max, q_max, q_mod8=q_mod8)
         assert hashlib.sha256(repr(sc).encode()).hexdigest() == digest
         assert [q for mods, _, _ in groups for q in mods] == qs
-        assert {d for _, d, _ in groups} == {np.dtype(np.int64), np.dtype(object)}
+        assert np.dtype(object) in {d for _, d, _ in groups}
         for mods, d, size in groups:
             assert (d == np.int64) == (mods[-1] < q_mid), mods
             assert len(mods) == 1 or size <= bound
