@@ -444,11 +444,11 @@ def _lattice_core(chi: np.ndarray, a: int) -> int:
 _LATTICE_INT64_MAX = 1_000_000
 
 # Entries per block of _lattice_blocks: 128 KiB per int64 array.  The
-# kernel's seven arrays and identity_check's W span of a block take about
-# 1 MiB, which stays in a 2 MiB L2 and is reused from block to block.  In
+# kernel's seven arrays and identity_check's two difference buffers take
+# about 1.1 MiB, which stays in a 2 MiB L2 and is reused block to block.  In
 # a sweep of 2**12..2**16 for identity_check on a 2-core Xeon VM, 2**14
-# tied with 2**13 near q = 10**6, where 2**16 was 11% slower, and was
-# within 12% of the fastest size near 2*10**5 (2**13) and 10**7 (2**15).
+# was within 6% of the fastest size (2**13) near q = 10**6, where 2**16
+# was 35% slower, and tied with 2**12 for the fastest near 2*10**5.
 _LATTICE_BLOCK = 1 << 14
 
 
@@ -559,13 +559,21 @@ def _lattice_blocks(chi: np.ndarray, a_max: int):
 def identity_check(q_or_chi, a: int | None = None) -> bool:
     """Confirm core(a) == 4*q*W(a), for one a or the whole half range.
 
-    Both sides read one chi table, and h with the block-edge sums comes
-    from _block_moments once.  One a compares core(a) with the single
-    node _w_span gives.  The half range is compared block by block as
-    Y == 4W, with Y = core/q from _lattice_blocks and W over the same
-    span from _w_span, so no W over the whole range is held; 4W stays in
-    int64, as |W| <= n (|h| + n) <= 2n**2 for n = (q - 1)/2 < 2**29, so
-    |4W| <= 8n**2 < 2**61, for every q <= ntcore._TABLE_MAX the gate admits.
+    Both sides read one chi table, and h comes from _block_moments on it,
+    with every class number check.  One a compares core(a) with the single
+    node _w_span gives.
+
+    The half range forms no W at all.  W(a+1) - W(a) = h - A(a), so W is
+    fixed by W(-1) = -h, W(0) = 0 and W(a) - 2W(a-1) + W(a-2) = -chi(a-1).
+    Block by block, Y = core/q from _lattice_blocks is checked against that
+    recurrence: Y(a) - 2Y(a-1) + Y(a-2) == -4chi(a-1) at every a = 1..half,
+    from 4W(-1) = -4h and 4W(0) = 0, with Y(a1-1) and Y(a1-1) - Y(a1-2)
+    carried from block to block as Python integers.  The differences are
+    int64 and may wrap.  That is sound: if they agree mod 2**64 at every
+    node, then by induction Y = 4W (mod 2**64) on 1..half.  Y is int64, so
+    |Y| <= 2**63, and |W| <= n (|h| + n) <= 2n**2 for n = (q - 1)/2 < 2**29,
+    so |4W| <= 8n**2 < 2**61 for every q <= ntcore._TABLE_MAX the gate
+    admits.  Hence |Y - 4W| < 2**64, and Y = 4W exactly.
     """
     ch = _lattice_char(q_or_chi, a)
     q = ch.q
@@ -574,10 +582,17 @@ def identity_check(q_or_chi, a: int | None = None) -> bool:
     h, _, _, A, B = _block_moments(q, chi[:half + 1])
     if a is not None:
         return _lattice_core(chi, a) == 4 * q * int(_w_span(h, A, B, chi, a, a)[0])
+    bufs = [np.empty(min(_LATTICE_BLOCK, half), dtype=np.int64) for _ in range(2)]
+    y1, d1 = 0, 4 * h  # 4W(0) and 4W(0) - 4W(-1)
     for a1, y in _lattice_blocks(chi, half):
-        w = _w_span(h, A, B, chi, a1, a1 + len(y) - 1)
-        w *= 4
-        if not np.array_equal(y, w):
+        d, s = (x[:len(y)] for x in bufs)
+        np.subtract(y[1:], y[:-1], out=d[1:])
+        np.subtract(y[:1], y1, out=d[:1])
+        np.subtract(d[1:], d[:-1], out=s[1:])
+        np.subtract(d[:1], d1, out=s[:1])
+        y1, d1 = int(y[-1]), int(d[-1])
+        np.multiply(chi[a1 - 1 : a1 - 1 + len(y)], -4, out=d)  # d is spent
+        if not np.array_equal(s, d):
             return False
     return True
 

@@ -498,29 +498,64 @@ class TestLatticeQuad:
         assert (cores < 0).any()
         assert fq.identity_check(127) is True
 
-    @pytest.mark.parametrize("shift", [1, 4 * 163])
+    # 1 breaks divisibility by 4q, 4q only the quotient, 2**62 is past
+    # every 4W, and -2**63 wraps the core in int64
+    @pytest.mark.parametrize("shift", [1, 4 * 163, 2 ** 62, -2 ** 63])
     def test_identity_detects_one_corrupt_core(self, monkeypatch, shift):
-        # shift 1 breaks divisibility by 4q, shift 4q only the quotient;
-        # identity_check reads the cores from the private block generator.
-        # At block size 7 the half range 1..81 spans 12 blocks, so index 0
-        # sits in the first block and index 80 in the last, which is short.
+        # identity_check reads the cores from the private block generator
+        # and carries two of them from block to block.  At block sizes 1
+        # and 2 the carried pair spans blocks; the corrupt node is the
+        # first, the last, or one on either side of a block edge in the
+        # middle of the half range 1..81.
         real = fq._lattice_blocks
         a_max = 81
-        for block, index in [(fq._LATTICE_BLOCK, a_max // 2), (7, 0),
-                             (7, a_max - 1)]:
-            def corrupt(chi, a_max, index=index):
-                for a1, cores in real(chi, a_max):
-                    cores = cores.copy()
-                    if a1 - 1 <= index < a1 - 1 + len(cores):
-                        cores[index - (a1 - 1)] += shift
-                    yield a1, cores
-
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(fq, "_LATTICE_BLOCK", block)
+        for block in (1, 2, 7, fq._LATTICE_BLOCK):
+            edge = block * ((a_max // 2) // block)
+            nodes = {0, a_max - 1} | ({edge - 1, edge} if 0 < edge < a_max
+                                      else {a_max // 2})
+            monkeypatch.setattr(fq, "_LATTICE_BLOCK", block)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
                 assert fq.identity_check(ntcore.quad_char(163)) is True
-                mp.setattr(fq, "_lattice_blocks", corrupt)
-                assert fq.identity_check(ntcore.quad_char(163)) is False, (
-                    block, index)
+                for index in sorted(nodes):
+                    def corrupt(chi, a_max, index=index):
+                        for a1, cores in real(chi, a_max):
+                            cores = cores.copy()
+                            i = index - (a1 - 1)
+                            if 0 <= i < len(cores):
+                                wrapped = (int(cores[i]) + shift + 2 ** 63) % 2 ** 64
+                                cores[i] = wrapped - 2 ** 63
+                            yield a1, cores
+
+                    with pytest.MonkeyPatch.context() as mp:
+                        mp.setattr(fq, "_lattice_blocks", corrupt)
+                        assert fq.identity_check(
+                            ntcore.quad_char(163)) is False, (block, index)
+
+    @pytest.mark.parametrize("q", [35, 91, 127, 163, 2971, 999983])
+    def test_int64_cores_are_4qw(self, q):
+        # identity_check forms no W over the range, so the lattice batch
+        # is compared with the W walk of margin_values here, entry for entry
+        half = (q - 1) // 2
+        cores = fq.lattice_quad_values(q, half)
+        _, w = charsum.margin_values(q, half)
+        assert cores.dtype == np.int64 and len(cores) == half
+        assert cores.tolist() == [4 * q * x for x in w[1:].tolist()]
+
+    @pytest.mark.parametrize("a", [None, 40])
+    def test_identity_passes(self, monkeypatch, a):
+        # the half range takes one table and one lattice pass and no W
+        # walk; a single node still reads its W from one _w_span
+        calls = []
+        for name in ("_w_span", "chi_values", "_lattice_blocks"):
+            def spy(*args, real=getattr(fq, name), name=name):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(fq, name, spy)
+        assert fq.identity_check(163, a) is True
+        assert sorted(calls) == sorted(
+            ["chi_values", "_lattice_blocks"] + (["_w_span"] if a else []))
 
     # 999983 is the largest prime the int64 path takes, with a up to 499991
     @pytest.mark.parametrize("q", [163, 35, 999983])
@@ -553,8 +588,8 @@ class TestLatticeQuad:
                         assert int(cores[a - 1]) == core, (block, a_max, a)
 
     def test_identity_peak_memory(self):
-        # one chi table, the W kernel's arrays over the half range and a
-        # few block buffers: about 16 MiB at q = 999983
+        # one chi table and a few block buffers: about 2.2 MiB at
+        # q = 999983, where a W walk over the half range took about 16 MiB
         tracemalloc.start()
         try:
             assert fq.identity_check(999983) is True
@@ -565,7 +600,7 @@ class TestLatticeQuad:
 
     def test_identity_holds_no_w_over_the_range(self):
         # the chi period of q bytes, the lattice kernel's six int64 block
-        # buffers and one W span per block: about 5.5 MiB at q = 999983,
+        # buffers and identity_check's two: about 2.2 MiB at q = 999983,
         # where a whole W over the half range alone would be 3.8 MiB more
         tracemalloc.start()
         try:
@@ -577,7 +612,7 @@ class TestLatticeQuad:
 
     def test_identity_blocks_stay_small(self):
         # the chi period of q bytes and a few L2-sized int64 blocks: about
-        # 2.1 MiB at q = 999983, where 2**16-entry blocks took 5.5 MiB
+        # 2.2 MiB at q = 999983, where 2**16-entry blocks took 5.5 MiB
         tracemalloc.start()
         try:
             assert fq.identity_check(999983) is True

@@ -188,7 +188,7 @@ def test_cross_module_privates_are_pinned():
         "fq←charsum._low_spans",  # fq_min_and_zeros walks the W spans
         "fq←charsum._margins",  # piecewise_fq's one walk of W
         "fq←charsum._span_min",  # fq_min_and_zeros's minimum per span
-        "fq←charsum._w_span",  # identity_check compares W span by span
+        "fq←charsum._w_span",  # identity_check's single node
         "liouville←charsum._as_char",  # agreement_length's modulus
         # f_series shares the sine kernel of fq_series, so the two agree
         # bitwise wherever lambda and chi agree
