@@ -1,6 +1,10 @@
 """Number-theoretic primitives: Jacobi symbol, deterministic primality,
 segmented prime enumeration, Liouville and quadratic-character sieves.
 
+One segmented sieve, primes_in_range, lists every prime this module
+uses, its own base primes included.  The module keeps no state between
+calls: every table and prime list is a fresh array that its caller owns.
+
 Everything that feeds a verdict is exact: Python integers, Fraction, or
 numpy integer arrays whose worst-case magnitudes are checked before use.
 Floats never enter this module.
@@ -108,33 +112,16 @@ def is_prime(n: int) -> bool:
     return True
 
 
-_sp_limit = 0
-_sp_primes = np.empty(0, dtype=np.int64)
-
-
-def _small_primes(limit: int) -> np.ndarray:
-    """All primes <= limit as an int64 array (grow-only module cache)."""
-    global _sp_limit, _sp_primes
-    if limit > _sp_limit:
-        new_limit = max(limit, 2 * _sp_limit, 1 << 12)
-        flags = np.ones(new_limit + 1, dtype=bool)
-        flags[:2] = False
-        for p in range(2, math.isqrt(new_limit) + 1):
-            if flags[p]:
-                flags[p * p :: p] = False
-        _sp_primes = np.flatnonzero(flags).astype(np.int64)
-        _sp_limit = new_limit
-    if _sp_limit == limit:
-        return _sp_primes
-    return _sp_primes[: np.searchsorted(_sp_primes, limit, side="right")]
-
-
 def primes_in_range(lo: int, hi: int, *, residue: int | None = None,
                     modulus: int | None = None) -> np.ndarray:
     """Primes p with lo <= p <= hi, ascending, optionally p = residue (mod modulus).
 
-    Segmented, so memory stays bounded by BLOCK regardless of hi - lo.
-    An empty or inverted range yields an empty array.
+    The one prime sieve of the package.  Segmented: each window of BLOCK
+    entries is a fresh mask, struck by the base primes up to isqrt(hi),
+    which come from this function itself (below hi = 4 there are none, so
+    the recursion ends).  Its memory is one BLOCK mask plus the primes up
+    to sqrt(hi), besides the result, whatever hi - lo is; nothing outlives
+    the call.  An empty or inverted range yields an empty array.
     """
     if (residue is None) != (modulus is None):
         raise DomainError("residue and modulus must be given together")
@@ -143,13 +130,12 @@ def primes_in_range(lo: int, hi: int, *, residue: int | None = None,
     lo = max(lo, 2)
     if hi < lo:
         return np.empty(0, dtype=np.int64)
-    base = _small_primes(math.isqrt(hi))
+    base = primes_in_range(2, math.isqrt(hi)).tolist()
     out = []
     for start in range(lo, hi + 1, BLOCK):
         stop = min(start + BLOCK, hi + 1)
         mask = np.ones(stop - start, dtype=bool)
         for p in base:
-            p = int(p)
             first = max(p * p, (start + p - 1) // p * p)
             if first < stop:
                 mask[first - start :: p] = False
@@ -179,22 +165,26 @@ def _multiplicative(n_max: int, sign) -> np.ndarray:
 
     A prime with sign 0 zeroes its multiples.  A prime with sign -1 flips
     the sign of every multiple of each of its powers pe <= n_max, one
-    strided pass per power, which counts multiplicity exactly.  O(n_max)
-    memory and a Python loop over the primes up to n_max.
+    strided pass per power, which counts multiplicity exactly.  The primes
+    come from primes_in_range one window of BLOCK entries at a time; each
+    prime's passes commute with every other's, so the order is free.  The
+    working memory is the table plus one window of primes, but the Python
+    loop over every prime up to n_max remains.
     """
     out = np.ones(n_max + 1, dtype=np.int8)
     out[0] = 0
-    for p in _small_primes(n_max).tolist():
-        v = sign(p)
-        if v == 0:
-            out[p::p] = 0
-        elif v == -1:
-            pe = p
-            while pe <= n_max:
-                out[pe::pe] *= -1
-                if pe > n_max // p:
-                    break
-                pe *= p
+    for lo in range(2, n_max + 1, BLOCK):
+        for p in primes_in_range(lo, min(lo + BLOCK - 1, n_max)).tolist():
+            v = sign(p)
+            if v == 0:
+                out[p::p] = 0
+            elif v == -1:
+                pe = p
+                while pe <= n_max:
+                    out[pe::pe] *= -1
+                    if pe > n_max // p:
+                        break
+                    pe *= p
     return out
 
 
@@ -250,7 +240,7 @@ def quad_char(q: int, *, assume_prime: bool = False) -> QuadChar:
     if is_prime(q):
         return QuadChar(q, (q,))
     # q < 2**64 past is_prime, so one uint64 remainder per prime is exact
-    primes = _small_primes(min(math.isqrt(q), _TRIAL_LIMIT)).astype(np.uint64)
+    primes = primes_in_range(2, min(math.isqrt(q), _TRIAL_LIMIT)).astype(np.uint64)
     factors, m = [], q
     for p in primes[np.uint64(q) % primes == 0].tolist():
         m //= p

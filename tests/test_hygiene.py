@@ -212,6 +212,57 @@ def test_cross_module_privates_detector():
     assert cross_module_privates(trees) == ["b←a._LIMIT", "b←a._x", "b←a._y"]
 
 
+def module_state(trees: dict[str, ast.Module]) -> list[str]:
+    """State a module keeps between calls: "module: global x" for each
+    global or nonlocal statement, and "module.name" for each function
+    decorated with lru_cache or cache, bare, called or as functools.<name>."""
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                kind = "global" if isinstance(node, ast.Global) else "nonlocal"
+                found.append(f"{module}: {kind} {', '.join(node.names)}")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in node.decorator_list:
+                    target = dec.func if isinstance(dec, ast.Call) else dec
+                    name = getattr(target, "attr", getattr(target, "id", None))
+                    if name in ("lru_cache", "cache"):
+                        found.append(f"{module}.{node.name}")
+    return sorted(found)
+
+
+def test_no_module_state():
+    # state that outlives a call is shared by every caller in the process;
+    # no module rebinds a global, and a cache joins this list only with
+    # its reason
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC}
+    assert module_state(trees) == [
+        # perfbench reads its counters, and fq_exact and plot fq ask for
+        # the same class number at every point
+        "charsum._class_number_cached",
+        # plot reads one Liouville table at every grid point
+        "liouville._lam",
+    ]
+
+
+def test_module_state_detector():
+    trees = {
+        "a": ast.parse("import functools\nfrom functools import cache, lru_cache\n"
+                       "_n = 0\n"
+                       "def bump():\n    global _n\n    _n += 1\n"
+                       "def outer():\n    k = 0\n"
+                       "    def inner():\n        nonlocal k\n        k += 1\n"
+                       "    return inner\n"
+                       "@functools.lru_cache(maxsize=4)\ndef f(x):\n    return x\n"
+                       "@lru_cache\ndef g(x):\n    return x\n"
+                       "@cache\ndef h(x):\n    return x\n"
+                       "@functools.wraps(f)\ndef w(x):\n    \"\"\"Not cache.\"\"\"\n"
+                       "    return x\n"),
+    }
+    assert module_state(trees) == ["a.f", "a.g", "a.h", "a: global _n",
+                                   "a: nonlocal k"]
+
+
 CHECK = Path(__file__).parent.parent / "src" / "charpos" / "check.py"
 CHECKER_NTCORE = {"jacobi", "is_prime", "PI4_HI", "PI4_LO"}
 BUILDER_MODULES = {"charsum", "fq", "liouville"}

@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +12,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from charpos import charsum, errors, ntcore, verify
-from oracles import chi_factor, legendre_pow, liouville_factor, simple_primes
+from oracles import (chi_factor, factorize, legendre_pow, liouville_factor,
+                     simple_primes)
 
 
 class TestJacobi:
@@ -95,6 +101,29 @@ class TestPrimesInRange:
         want = [p for p in simple_primes(hi) if p >= lo]
         assert ntcore.primes_in_range(lo, hi).tolist() == want
 
+    @pytest.mark.parametrize("block", [1, 2, 7, 64])
+    def test_matches_trial_division_at_every_block(self, monkeypatch, block):
+        # primes_in_range reads BLOCK when called, its recursive base-prime
+        # call included; the ends cover the recursion's base (hi <= 3, no
+        # base primes), hi around p*p for each base prime p <= 13, and
+        # windows that end one short of, at and one past a segment edge
+        monkeypatch.setattr(ntcore, "BLOCK", block)
+        prime = [n >= 2 and factorize(n) == [n] for n in range(200)]
+        ends = {(lo, hi) for lo in (-1, 0, 1, 2, 3) for hi in (-1, 0, 1, 2, 3)}
+        for p in (2, 3, 5, 7, 11, 13):
+            for hi in (p * p - 1, p * p, p * p + 1):
+                ends |= {(lo, hi) for lo in (0, 2, 3, p, hi - 1, hi)}
+        for lo in (2, 5, 30):
+            ends |= {(lo, lo + k * block + d) for k in (1, 2) for d in (-2, -1, 0)}
+        for lo, hi in sorted(ends):
+            for cls in (None, (3, 8), (7, 8), (3, 4)):
+                kw = {} if cls is None else dict(residue=cls[0], modulus=cls[1])
+                want = [n for n in range(max(lo, 0), hi + 1) if prime[n]
+                        and (cls is None or n % cls[1] == cls[0])]
+                got = ntcore.primes_in_range(lo, hi, **kw)
+                assert got.dtype == np.int64
+                assert got.tolist() == want, (lo, hi, cls)
+
 
 class TestLiouville:
     def test_first_seventeen(self):
@@ -122,6 +151,51 @@ class TestLiouville:
         for _ in range(200):
             n = rng.randint(1, 10 ** 6)
             assert table[n] == liouville_factor(n), n
+
+    @pytest.mark.parametrize("block", [7, 64])
+    def test_prime_windows_tile_the_range(self, monkeypatch, block):
+        # the sieve reads its primes one BLOCK window at a time; small
+        # windows put many edges below n_max, and the last window is
+        # partial, one entry long (n_max = 2 + 7*block) or just short of it
+        monkeypatch.setattr(ntcore, "BLOCK", block)
+        lam = [0] + [liouville_factor(n) for n in range(1, 1001)]
+        chi = [chi_factor(n, 35) for n in range(1001)]
+        ch = ntcore.quad_char(35)
+        for n_max in (1, 2, 3, 1 + 7 * block, 2 + 7 * block, 1000):
+            assert ntcore.liouville_sieve(n_max).values.tolist() == lam[:n_max + 1]
+            assert ntcore._chi_multiplicative(ch, n_max).tolist() == chi[:n_max + 1]
+
+    def test_no_prime_list_outlives_its_call(self):
+        # a fresh interpreter, so what earlier tests sieved cannot hide a
+        # cache: a module-wide list of the primes up to 2**20 alone would
+        # keep 0.63 MiB after its results are dropped
+        script = ("import gc, tracemalloc\n"
+                  "from charpos import ntcore\n"
+                  "tracemalloc.start()\n"
+                  "start = tracemalloc.get_traced_memory()[0]\n"
+                  "ntcore.liouville_sieve(2 ** 20)\n"
+                  "ntcore.quad_char(10_000_019 * 10_000_121)\n"
+                  "ntcore.primes_in_range(2, 2 ** 20)\n"
+                  "gc.collect()\n"
+                  "print(tracemalloc.get_traced_memory()[0] - start)\n")
+        src = str(Path(ntcore.__file__).parents[1])
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) <= 64 << 10
+
+    def test_working_memory_is_the_table_and_one_window(self):
+        # the 4 MiB table plus one window of primes as Python ints; flags
+        # for every entry and a list of every prime up to n_max read 17.6
+        # MiB
+        tracemalloc.start()
+        try:
+            ntcore.liouville_sieve(2 ** 22)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 << 20
 
 
 class TestQuadChar:
@@ -155,13 +229,13 @@ class TestQuadChar:
         # Two primes above the trial division limit: nothing divides out,
         # and the cofactor is neither prime nor below the limit squared.
         # Without the limit this would sieve primes up to 10**9 first.
-        real = ntcore._small_primes
+        real = ntcore.primes_in_range
 
-        def bounded(limit):
-            assert limit <= ntcore._TRIAL_LIMIT, limit
-            return real(limit)
+        def bounded(lo, hi, **kw):
+            assert hi <= ntcore._TRIAL_LIMIT, hi
+            return real(lo, hi, **kw)
 
-        monkeypatch.setattr(ntcore, "_small_primes", bounded)
+        monkeypatch.setattr(ntcore, "primes_in_range", bounded)
         q = 1_000_000_007 * 1_000_000_009
         assert q % 4 == 3 and q > 10**18
         with pytest.raises(errors.InvalidModulus,
@@ -183,7 +257,7 @@ def loop_factors(q):
     stopping once p*p passes the cofactor: the factors, or the message of
     the InvalidModulus it raises."""
     m, factors = q, []
-    for p in ntcore._small_primes(min(math.isqrt(q), ntcore._TRIAL_LIMIT)).tolist():
+    for p in ntcore.primes_in_range(2, min(math.isqrt(q), ntcore._TRIAL_LIMIT)).tolist():
         if p * p > m:
             break
         if m % p == 0:
