@@ -32,12 +32,6 @@ from .ntcore import QuadChar, chi_values, is_prime, jacobi, quad_char
 _MIN_BLOCK = 1 << 8
 
 
-def _as_char(q_or_chi) -> QuadChar:
-    if isinstance(q_or_chi, QuadChar):
-        return q_or_chi
-    return quad_char(q_or_chi)
-
-
 @dataclass(frozen=True)
 class PrefixSums:
     """A(upto) and B(upto), exact."""
@@ -59,7 +53,7 @@ def prefix_sums(q_or_chi, upto: int) -> PrefixSums:
     whatever upto is.  A(r) is its int64 sum through r, and both B values
     come from _linear_sum, the row moments that class numbers read.
     """
-    ch = _as_char(q_or_chi)
+    ch = quad_char(q_or_chi)
     if upto < 0:
         raise DomainError("prefix_sums needs upto >= 0")
     k, r = divmod(upto, ch.q)
@@ -81,21 +75,25 @@ class ClassNumber:
     b_half: int
 
 
-def _checked_class_number(q: int, a_half: int, b_half: int) -> int:
-    """h from A(half) and B(half), once every class number cross-check holds.
+def _checked_class_number(ch: QuadChar, a_half: int, b_half: int) -> int:
+    """h from A(half) and B(half) of the character ch, once every class
+    number cross-check holds.
 
     h = A(half)/(2 - chi(2)) must be an exact quotient, positive, odd for
     prime q, and satisfy the class number formula q*A(half) - 2*B(half) =
     q*h; together these say q divides q*A - 2*B and (2 - chi(2))*h = A(half).
-    Every path that produces a class number goes through here.
+    q is prime when ch.factors == (q,): quad_char settled that, and no
+    primality test runs here.  Every path that produces a class number
+    goes through here.
     """
+    q = ch.q
     d = 2 - jacobi(2, q)
     if a_half % d:
         raise ExactnessError(f"A(half) = {a_half} not divisible by {d} at q={q}")
     h = a_half // d
     if h <= 0:
         raise ExactnessError(f"nonpositive class number {h} at q={q}")
-    if is_prime(q) and h % 2 == 0:
+    if ch.factors == (q,) and h % 2 == 0:
         raise ExactnessError(f"even class number {h} for prime q={q}")
     if q * a_half - 2 * b_half != q * h:
         raise ExactnessError(f"class number formula disagrees with chi(2) at q={q}")
@@ -103,9 +101,9 @@ def _checked_class_number(q: int, a_half: int, b_half: int) -> int:
 
 
 @functools.lru_cache(maxsize=512)
-def _class_number_cached(q: int) -> ClassNumber:
-    chi = chi_values(quad_char(q), (q - 1) // 2)
-    return ClassNumber(q, *_block_moments(q, chi)[:3])
+def _class_number_cached(ch: QuadChar) -> ClassNumber:
+    chi = chi_values(ch, (ch.q - 1) // 2)
+    return ClassNumber(ch.q, *_block_moments(ch, chi)[:3])
 
 
 def class_number(q_or_chi) -> ClassNumber:
@@ -115,9 +113,11 @@ def class_number(q_or_chi) -> ClassNumber:
     checks the margins and the scan share.  Besides the int8 chi table
     that chi_values builds for the half range (one period of q entries
     for prime q) it holds a few arrays of one entry per block of
-    _MIN_BLOCK, so memory is about one byte per unit of q.
+    _MIN_BLOCK, so memory is about one byte per unit of q.  The cache is
+    keyed by the character quad_char returns: an integer q is validated on
+    every call, and a miss tests no primality beyond that.
     """
-    return _class_number_cached(_as_char(q_or_chi).q)
+    return _class_number_cached(quad_char(q_or_chi))
 
 
 def _row_moments(chi: np.ndarray):
@@ -146,8 +146,9 @@ def _linear_sum(chi: np.ndarray) -> int:
             + int(chi[e:] @ np.arange(e, len(chi))))
 
 
-def _block_moments(q: int, chi: np.ndarray):
-    """(h, A(half), B(half), A, B) from the table chi of chi(0..half).
+def _block_moments(ch: QuadChar, chi: np.ndarray):
+    """(h, A(half), B(half), A, B) from the table chi of chi(0..half) of
+    the character ch.
 
     Row k of the (half//L, L) view of chi[1:], L = _MIN_BLOCK, holds
     chi(s + i), s = 1 + k*L, i < L, and _row_moments gives its moments
@@ -180,7 +181,7 @@ def _block_moments(q: int, chi: np.ndarray):
     tail = chi[nb * L + 1:]
     a_n = int(A[-1]) + int(tail.sum())
     b_n = int(B[-1]) + int(np.dot(tail, np.arange(nb * L + 1, n + 1)))
-    return _checked_class_number(q, a_n, b_n), a_n, b_n, A, B
+    return _checked_class_number(ch, a_n, b_n), a_n, b_n, A, B
 
 
 def _w_span(h: int, A: np.ndarray, B: np.ndarray, chi: np.ndarray, lo: int,
@@ -219,7 +220,7 @@ def _margins(ch: QuadChar, lo: int, hi: int):
     """
     half = (ch.q - 1) // 2
     chi = chi_values(ch, max(hi, half))
-    h, _, _, A, B = _block_moments(ch.q, chi[:half + 1])
+    h, _, _, A, B = _block_moments(ch, chi[:half + 1])
     return h, _w_span(h, A, B, chi, lo, hi)
 
 
@@ -233,7 +234,7 @@ def margin_values(q_or_chi, a_max: int):
     """
     if a_max < 1:
         raise DomainError("need a_max >= 1")
-    return _margins(_as_char(q_or_chi), 0, a_max)
+    return _margins(quad_char(q_or_chi), 0, a_max)
 
 
 def _block_starts(h: int, A: np.ndarray, B: np.ndarray, chi: np.ndarray, a_max: int):
@@ -309,7 +310,7 @@ def _margin_min(ch: QuadChar, a_max: int):
     if not 1 <= a_max <= half:
         raise DomainError(f"need 1 <= a_max <= {half}, got {a_max}")
     chi = chi_values(ch, half)
-    h, _, _, A, B = _block_moments(ch.q, chi)
+    h, _, _, A, B = _block_moments(ch, chi)
     return (h, *min(_span_min(lo, w) for lo, w in _low_spans(h, A, B, chi, a_max)))
 
 
@@ -329,7 +330,7 @@ def margin_profile(q_or_chi, a_max: int | None = None) -> MarginProfile:
     decides positivity of the character series on (0, 1/2); a larger
     a_max raises DomainError.
     """
-    ch = _as_char(q_or_chi)
+    ch = quad_char(q_or_chi)
     if a_max is None:
         a_max = (ch.q - 1) // 2
     h, min_w, argmin_a = _margin_min(ch, a_max)
@@ -338,13 +339,13 @@ def margin_profile(q_or_chi, a_max: int | None = None) -> MarginProfile:
 
 def quarter_margin(q_or_chi) -> MarginProfile:
     """Margin profile truncated at q//4, the quarter-range positivity window."""
-    ch = _as_char(q_or_chi)
+    ch = quad_char(q_or_chi)
     return margin_profile(ch, ch.q // 4)
 
 
 def weighted_prefix_sum(q_or_chi, t) -> Fraction:
     """S(t) = A(floor(t)) - B(floor(t))/t as an exact Fraction; S(t) = 0 for t < 1."""
-    ch = _as_char(q_or_chi)
+    ch = quad_char(q_or_chi)
     t = Fraction(t)
     if t <= 0:
         raise DomainError("weighted_prefix_sum needs t > 0")
@@ -363,7 +364,7 @@ def rational_margin(q_or_chi, x) -> tuple[Fraction, bool]:
     its numerator in lowest terms; a True flag at a denominator not itself
     divisible by q would put a rational zero of f_q unusually low.
     """
-    ch = _as_char(q_or_chi)
+    ch = quad_char(q_or_chi)
     x = Fraction(x)
     if not 0 < x < Fraction(1, 2):
         raise DomainError(f"rational_margin needs 0 < x < 1/2, got {x}")
@@ -376,5 +377,4 @@ def t_stat(q: int) -> int:
     """B(q//4) for a prime q = 7 (mod 8); grows like a class-number surrogate."""
     if not is_prime(q) or q % 8 != 7:
         raise DomainError(f"t_stat needs a prime q = 7 (mod 8), got {q}")
-    ch = QuadChar(q, (q,))
-    return prefix_sums(ch, q // 4).linear
+    return prefix_sums(quad_char(q, assume_prime=True), q // 4).linear

@@ -25,10 +25,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .charsum import (_as_char, _block_moments, _linear_sum, _low_spans, _margins,
-                      _span_min, _w_span, class_number, weighted_prefix_sum)
+from .charsum import (_block_moments, _linear_sum, _low_spans, _margins, _span_min,
+                      _w_span, class_number, weighted_prefix_sum)
 from .errors import DomainError, ExactnessError
-from .ntcore import BLOCK, PI2_HI, QuadChar, chi_values, is_prime
+from .ntcore import BLOCK, PI2_HI, QuadChar, chi_values, is_prime, quad_char
 
 _HALF = Fraction(1, 2)
 
@@ -84,7 +84,7 @@ class SeriesValue:
 
 def fq_series(q_or_chi, x, n_terms: int) -> SeriesValue:
     """Truncated f_q(x); the dropped tail is below 1/n_terms in absolute value."""
-    ch = _as_char(q_or_chi)
+    ch = quad_char(q_or_chi)
     if n_terms < 1:
         raise DomainError("need n_terms >= 1")
     x = Fraction(x)
@@ -108,7 +108,7 @@ def fq_exact(q_or_chi, x) -> FqExact:
     At x = a/q the coefficient equals W(a)/q with W the integer margin, so
     positivity questions reduce to signs of integers.
     """
-    ch = _as_char(q_or_chi)
+    ch = quad_char(q_or_chi)
     x = Fraction(x)
     t = x - math.floor(x)
     sign = 1
@@ -154,7 +154,7 @@ def piecewise_fq(q_or_chi, a_max: int | None = None) -> PiecewiseFq:
     One walk gives W over 0..a_max + 1; the slope of piece a is
     W(a + 1) - W(a) = h - A(a) and its intercept W(a) - a*slope.
     """
-    ch = _as_char(q_or_chi)
+    ch = quad_char(q_or_chi)
     if a_max is None:
         a_max = (ch.q - 1) // 2
     if a_max < 1:
@@ -196,11 +196,11 @@ def fq_min_and_zeros(q_or_chi) -> FqShape:
     lies in one block, so a piece that counts is read once, in the span
     of its block's run.
     """
-    ch = _as_char(q_or_chi)
+    ch = quad_char(q_or_chi)
     q = ch.q
     half = (q - 1) // 2
     chi = chi_values(ch, half)
-    h, _, _, A, B = _block_moments(q, chi)
+    h, _, _, A, B = _block_moments(ch, chi)
     mins, zeros, flats = [], [], []
     for lo, W in _low_spans(h, A, B, chi, half, 0):  # W[j] = W(lo - 1 + j)
         mins.append(_span_min(lo, W))
@@ -379,7 +379,7 @@ def _prime_frac_cores(chars, p, a, counts) -> np.ndarray:
 
 def fq_prime_frac(a: int, p: int, q_or_chi) -> PrimeFracEval:
     """Evaluate f_q(a/p) for an odd prime p = 3 (mod 4) not dividing q."""
-    ch = _as_char(q_or_chi)
+    ch = quad_char(q_or_chi)
     q = ch.q
     if not is_prime(p) or p % 4 != 3:
         raise DomainError(f"p must be a prime = 3 (mod 4), got {p}")
@@ -412,7 +412,7 @@ def _lattice_char(q_or_chi, a: int | None = None) -> QuadChar:
     size of q is left to the table gate of chi_values, which refuses a
     period of more than ntcore._TABLE_MAX = 2**30 entries before it
     allocates anything."""
-    ch = _as_char(q_or_chi)
+    ch = quad_char(q_or_chi)
     q = ch.q
     if a is not None:
         if not 1 <= a < q:
@@ -579,7 +579,7 @@ def identity_check(q_or_chi, a: int | None = None) -> bool:
     q = ch.q
     chi = chi_values(ch, q - 1)
     half = (q - 1) // 2
-    h, _, _, A, B = _block_moments(q, chi[:half + 1])
+    h, _, _, A, B = _block_moments(ch, chi[:half + 1])
     if a is not None:
         return _lattice_core(chi, a) == 4 * q * int(_w_span(h, A, B, chi, a, a)[0])
     bufs = [np.empty(min(_LATTICE_BLOCK, half), dtype=np.int64) for _ in range(2)]
@@ -610,7 +610,7 @@ def _pattern_sums(q_or_chi, patterns, n_terms: int) -> list[float]:
 
     N and the patterns are checked and the chi table comes first, so
     rejected input and an N the table gate refuses allocate nothing."""
-    ch = _as_char(q_or_chi)
+    ch = quad_char(q_or_chi)
     n_terms = int(n_terms)
     if n_terms < 1:
         raise DomainError("need n_terms >= 1")

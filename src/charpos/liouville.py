@@ -17,10 +17,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .charsum import _as_char
 from .errors import DomainError, SearchBudgetExceeded
 from .fq import SeriesValue, _sin_sum, fq_exact
-from .ntcore import jacobi, liouville_sieve, pi4_times_at_least, primes_in_range
+from .ntcore import (jacobi, liouville_sieve, pi4_times_at_least, primes_in_range,
+                     quad_char)
 
 
 @functools.lru_cache(maxsize=1)
@@ -60,7 +60,7 @@ def agreement_length(q_or_chi) -> AgreementRecord:
     with chi(p) != -1 settles it.  Termination is guaranteed because chi
     vanishes on divisors of q.
     """
-    ch = _as_char(q_or_chi)
+    ch = quad_char(q_or_chi)
     hi = 256
     while True:
         for p in primes_in_range(2, min(hi, ch.q)):
@@ -119,7 +119,7 @@ def f_lower_bound(x, q_or_chi) -> FBound:
     The positivity verdict compares 2*pi**2*coeff/sqrt(q) with 2/N by
     cross-multiplying into pi**4 * coeff**2 * N**2 >= q, all rational.
     """
-    ch = _as_char(q_or_chi)
+    ch = quad_char(q_or_chi)
     x = Fraction(x)
     if not 0 < x <= Fraction(1, 2):
         raise DomainError(f"need 0 < x <= 1/2, got {x}")

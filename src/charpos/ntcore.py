@@ -216,8 +216,13 @@ class QuadChar:
     __call__ = chi
 
 
-def quad_char(q: int, *, assume_prime: bool = False) -> QuadChar:
-    """Validate q and build its character.
+def quad_char(q_or_chi, *, assume_prime: bool = False) -> QuadChar:
+    """Validate q and build its character; a QuadChar comes back unchanged.
+
+    Every QuadChar is built here, so its factors are settled once, and code
+    downstream trusts them: q is prime when factors == (q,), and nothing
+    tests its primality again.  Every entry point that takes a modulus or
+    a character passes it through here.
 
     q = 3 is rejected: the class number formula used downstream needs q > 3.
     With assume_prime the caller vouches for primality (used by scans that
@@ -230,14 +235,14 @@ def quad_char(q: int, *, assume_prime: bool = False) -> QuadChar:
     the division reached, and q is rejected at once with InvalidModulus
     rather than sieving primes up to sqrt(q).
     """
-    q = int(q)
+    if isinstance(q_or_chi, QuadChar):
+        return q_or_chi
+    q = int(q_or_chi)
     if q <= 3:
         raise InvalidModulus(f"modulus must exceed 3, got {q}")
     if q % 4 != 3:
         raise InvalidModulus(f"modulus must be 3 (mod 4), got {q}")
-    if assume_prime:
-        return QuadChar(q, (q,))
-    if is_prime(q):
+    if assume_prime or is_prime(q):
         return QuadChar(q, (q,))
     # q < 2**64 past is_prime, so one uint64 remainder per prime is exact
     primes = primes_in_range(2, min(math.isqrt(q), _TRIAL_LIMIT)).astype(np.uint64)

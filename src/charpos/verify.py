@@ -22,9 +22,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import ntcore
-from .charsum import _as_char, _margin_min, _margins, margin_profile
+from .charsum import _margin_min, _margins, margin_profile
 from .check import verify_certificate
-from .errors import (CertificateError, DomainError, ExactnessError,
+from .errors import (CertificateError, CharposError, DomainError, ExactnessError,
                      InsufficientBound)
 from .fq import _prime_frac_cores
 from .liouville import agreement_length, find_imitator
@@ -109,18 +109,13 @@ def _scan_chunk(qs):
 
 def _chunked(qs):
     """Split ascending moduli into blocks of about _CHUNK_WEIGHT total."""
-    out = []
-    cur = []
-    acc = 0
-    for q in qs:
-        cur.append(int(q))
-        acc += int(q)
-        if acc >= _CHUNK_WEIGHT:
-            out.append(cur)
-            cur = []
+    out, acc = [], _CHUNK_WEIGHT
+    for q in map(int, qs):
+        if acc >= _CHUNK_WEIGHT:  # the last block is full: open the next
+            out.append([])
             acc = 0
-    if cur:
-        out.append(cur)
+        out[-1].append(q)
+        acc += q
     return out
 
 
@@ -183,6 +178,12 @@ def scan_positivity(q_min: int, q_max: int, *, jobs: int = 1,
     per chunk and resumes after the latest matching line on restart.  A
     q_max whose table the gate refuses is refused before any prime is
     sieved, even if no modulus in the range would need that table.
+
+    A worker that dies fails the scan fast: CharposError names the q
+    range of the first chunk whose result was lost, the chunks not yet
+    started are cancelled, and no worker outlives the call.  The
+    checkpoint then ends at the last complete frontier, and a resume
+    gives the report of an unbroken scan.
     """
     if jobs < 1:
         raise DomainError("jobs must be >= 1")
@@ -200,12 +201,21 @@ def scan_positivity(q_min: int, q_max: int, *, jobs: int = 1,
     workers = min(jobs, len(chunks), len(os.sched_getaffinity(0))
                   if hasattr(os, "sched_getaffinity") else os.cpu_count())
     with contextlib.ExitStack() as stack:
-        parts = map(_scan_chunk, chunks)
+        parts, broken = map(_scan_chunk, chunks), ()  # () catches nothing
         if workers > 1:
-            pool = stack.enter_context(multiprocessing.get_context(
-                "fork").Pool(workers))
-            parts = pool.imap(_scan_chunk, chunks)
-        for chunk, minima in zip(chunks, parts):
+            # imported here: its modules take about 20 ms to import (2-core
+            # Xeon VM), which only a scan that starts workers should pay
+            from concurrent.futures import process
+            pool = process.ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"))
+            stack.callback(pool.shutdown, cancel_futures=True)
+            parts, broken = pool.map(_scan_chunk, chunks), process.BrokenProcessPool
+        for chunk in chunks:
+            try:
+                minima = next(parts)
+            except broken as exc:
+                raise CharposError(f"a scan worker died; the result for q = "
+                                   f"{chunk[0]}..{chunk[-1]} was lost") from exc
             for q, m in zip(chunk, minima):
                 count += 1
                 if min_w is None or m < min_w:
@@ -272,7 +282,7 @@ def certify_f_positive(eps, q: int | None = None, xmax=Fraction(1, 4), *,
         raise DomainError(f"need 0 < eps < xmax <= 1/2, got eps={eps}, xmax={xmax}")
     if q is None:
         q = find_imitator(target_agreement, search_ceiling)
-    ch = _as_char(q)
+    ch = quad_char(q)
     q = ch.q
     rec = agreement_length(ch)
     n = rec.n_agree

@@ -137,7 +137,7 @@ class TestClassNumber:
         # range, about 4.9 MiB
         tracemalloc.start()
         try:
-            cn = charsum._class_number_cached.__wrapped__(999983)
+            cn = charsum._class_number_cached.__wrapped__(ntcore.quad_char(999983))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -149,7 +149,7 @@ class TestClassNumber:
         # entry per block: no (q-1)/2 int64 squares and no int64 prefix sums
         tracemalloc.start()
         try:
-            cn = charsum._class_number_cached.__wrapped__(9999991)
+            cn = charsum._class_number_cached.__wrapped__(ntcore.quad_char(9999991))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -298,7 +298,8 @@ class TestBlockedMarginMin:
         for q in SQUAREFREE_3MOD4_1500:
             for a_max in edge_a_maxes(q):
                 assert fresh_margin_min(q, a_max) == oracle_min(q, a_max), (q, a_max)
-            assert charsum.class_number(q) == charsum._class_number_cached.__wrapped__(q)
+            assert charsum.class_number(q) == charsum._class_number_cached.__wrapped__(
+                ntcore.quad_char(q))
 
     @pytest.mark.parametrize("lo, hi", [(7, 4000), (32000, 32800)])
     def test_short_half_ranges_at_the_default_block(self, lo, hi):
@@ -323,8 +324,9 @@ class TestBlockedMarginMin:
         for q in (7, 11, 23, 35, 163, 1019, 2647):
             half = (q - 1) // 2
             h, w = margins(q, half)
-            chi = ntcore.chi_values(ntcore.quad_char(q), half)
-            got_h, a_half, b_half, A, B = charsum._block_moments(q, chi)
+            ch = ntcore.quad_char(q)
+            chi = ntcore.chi_values(ch, half)
+            got_h, a_half, b_half, A, B = charsum._block_moments(ch, chi)
             assert got_h == h
             assert (a_half, b_half) == direct_sums(q, half)
             # the sums at every block edge
@@ -428,6 +430,19 @@ class TestMarginKernelCrossChecks:
         with pytest.raises(errors.ExactnessError, match="even class number"):
             fresh_margin_min(23, 11)
 
+    @pytest.mark.parametrize("q, prime", [(163, True), (35, False)])
+    def test_odd_class_number_is_asked_of_prime_characters_only(self, q, prime):
+        # A(half) = 6 and B(half) = 2q pass every other check with h = 2
+        # (chi(2) = -1 at both q); primality is read off the character's
+        # factors, so the prime one is refused and the composite one is not
+        ch = ntcore.quad_char(q)
+        assert (ch.factors == (q,)) is prime
+        if prime:
+            with pytest.raises(errors.ExactnessError, match="even class number"):
+                charsum._checked_class_number(ch, 6, 2 * q)
+        else:
+            assert charsum._checked_class_number(ch, 6, 2 * q) == 2
+
     def test_nonpositive_class_number(self, monkeypatch):
         corrupt_table(monkeypatch, lambda t: t.fill(-1))
         with pytest.raises(errors.ExactnessError, match="nonpositive"):
@@ -442,7 +457,7 @@ class TestMarginKernelCrossChecks:
         lambda: charsum.margin_values(163, 81),
         lambda: fq.piecewise_fq(163),
         lambda: fq.identity_check(163),
-        lambda: charsum._class_number_cached.__wrapped__(163),
+        lambda: charsum._class_number_cached.__wrapped__(ntcore.quad_char(163)),
     ], ids=["margin_values", "piecewise_fq", "identity_check", "class_number"])
     def test_every_path_checks_chi_of_two(self, monkeypatch, path):
         monkeypatch.setattr(charsum, "jacobi", lambda n, m: 1)
@@ -471,7 +486,7 @@ class TestWalk:
             half = (q - 1) // 2
             h, want = oracle_margins(q, 2 * q)
             chi = ntcore.chi_values(ch, 2 * q)
-            got_h, _, _, A, B = charsum._block_moments(q, chi[:half + 1])
+            got_h, _, _, A, B = charsum._block_moments(ch, chi[:half + 1])
             assert got_h == h
             for lo in sorted({0, 1, L - 1, L, L + 1, half - 1, half}):
                 for hi in sorted({lo, lo + 1, lo + L, half, half + 1, q, 2 * q}):

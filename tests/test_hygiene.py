@@ -182,18 +182,15 @@ def test_cross_module_privates_are_pinned():
     # is on purpose, and a new one joins this list only with its reason
     trees = {path.stem: ast.parse(path.read_text()) for path in SRC}
     assert cross_module_privates(trees) == [
-        "fq←charsum._as_char",  # q or a QuadChar, one coercion for all
         "fq←charsum._block_moments",  # h and block sums of W, read twice
         "fq←charsum._linear_sum",  # P1(q-1) of the lattice kernel
         "fq←charsum._low_spans",  # fq_min_and_zeros walks the W spans
         "fq←charsum._margins",  # piecewise_fq's one walk of W
         "fq←charsum._span_min",  # fq_min_and_zeros's minimum per span
         "fq←charsum._w_span",  # identity_check's single node
-        "liouville←charsum._as_char",  # agreement_length's modulus
         # f_series shares the sine kernel of fq_series, so the two agree
         # bitwise wherever lambda and chi agree
         "liouville←fq._sin_sum",
-        "verify←charsum._as_char",  # certify_f_positive's modulus
         "verify←charsum._margin_min",  # the scan's kernel per modulus
         "verify←charsum._margins",  # a certificate's margins
         "verify←fq._prime_frac_cores",  # the census's cores per group
@@ -210,6 +207,50 @@ def test_cross_module_privates_detector():
                        "    return a._LIMIT + alias._y + a.__doc__ + a.public + _x()\n"),
     }
     assert cross_module_privates(trees) == ["b←a._LIMIT", "b←a._x", "b←a._y"]
+
+
+def quadchar_builders(trees: dict[str, ast.Module]) -> list[str]:
+    """"module.name" of each module-level function or class, or "module"
+    for module-level code, that calls QuadChar(...): by name, by an alias
+    it was imported under, or as an attribute (ntcore.QuadChar(...))."""
+    found = set()
+    for module, tree in trees.items():
+        names = {"QuadChar"} | {alias.asname for node in ast.walk(tree)
+                                if isinstance(node, ast.ImportFrom)
+                                for alias in node.names
+                                if alias.name == "QuadChar" and alias.asname}
+        for top in tree.body:
+            where = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and (
+                        getattr(node.func, "id", None) in names
+                        or getattr(node.func, "attr", None) == "QuadChar"):
+                    found.add(f"{module}.{where}" if where else module)
+    return sorted(found)
+
+
+def test_quadchar_is_built_only_by_quad_char():
+    # quad_char validates a modulus once and settles its factors, and
+    # everything downstream trusts them (a prime q has factors == (q,));
+    # a QuadChar built anywhere else would carry factors nothing checked
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC}
+    assert quadchar_builders(trees) == ["ntcore.quad_char"]
+
+
+def test_quadchar_builders_detector():
+    trees = {
+        "ntcore": ast.parse("class QuadChar:\n    pass\n"
+                            "def quad_char(q):\n    return QuadChar(q, (q,))\n"
+                            "def other(q):\n    return [QuadChar(q, ())]\n"),
+        "b": ast.parse("from . import ntcore\n"
+                       "from .ntcore import QuadChar, QuadChar as QC\n"
+                       "CH = QC(7, (7,))\n"
+                       "def f(q):\n    \"\"\"Not QuadChar(q).\"\"\"\n"
+                       "    return ntcore.QuadChar(q, (q,)), QuadChar\n"
+                       "def g(ch: QuadChar):\n    return isinstance(ch, QuadChar)\n"),
+    }
+    assert quadchar_builders(trees) == ["b", "b.f", "ntcore.other",
+                                        "ntcore.quad_char"]
 
 
 def module_state(trees: dict[str, ast.Module]) -> list[str]:

@@ -397,7 +397,7 @@ class TestTableGate:
         q = 134217779  # the least prime q = 3 (mod 8) above 2**27
         built = stub_builders(monkeypatch)
         with pytest.raises(Built):
-            charsum._class_number_cached.__wrapped__(q)
+            charsum._class_number_cached.__wrapped__(ntcore.quad_char(q))
         assert built == [("_qr_period", q)]
 
     def test_period_far_past_the_range_is_sieved(self, monkeypatch):

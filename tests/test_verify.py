@@ -1,14 +1,18 @@
+import concurrent.futures.process
 import copy
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import random
+import re
+import signal
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
 from importlib import resources
-from types import SimpleNamespace
 
 import jsonschema
 import numpy as np
@@ -80,27 +84,23 @@ class TestScan:
         assert a.to_json() == b.to_json()
 
     def test_pool_has_at_most_one_worker_per_chunk(self, monkeypatch):
-        # a fake pool records its size and maps in process, so no worker
-        # is ever started
+        # a fake executor records its size and maps in process, so no
+        # worker is ever started
         monkeypatch.setattr(verify, "_CHUNK_WEIGHT", 25_000)
         sizes = []
 
-        class FakePool:
-            def __init__(self, n):
+        class FakeExecutor:
+            def __init__(self, n, mp_context):
                 sizes.append(n)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def imap(self, fn, items):
+            def map(self, fn, items):
                 return map(fn, items)
 
-        fake = SimpleNamespace(Pool=FakePool)
-        monkeypatch.setattr(verify, "multiprocessing", SimpleNamespace(
-            get_context=lambda method: fake))
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor",
+                            FakeExecutor)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
                             raising=False)
         n_chunks = len(verify._chunked(
@@ -120,6 +120,57 @@ class TestScan:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         assert verify.scan_positivity(5, 2000, jobs=5000).to_json() == wide.to_json()
         assert sizes == [3, 2, 2]
+
+    def test_worker_death_fails_fast(self, monkeypatch, tmp_path):
+        # a worker killed mid-scan (os._exit, as the OOM killer would do)
+        # must end the scan at once with CharposError naming the lost
+        # chunk, leave no child behind, and keep a frontier from which a
+        # resume reports what an unbroken scan reports
+        monkeypatch.setattr(verify, "_CHUNK_WEIGHT", 200_000)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        real, parent = verify._margin_min, os.getpid()
+
+        def dying(ch, a_max):
+            if ch.q > 30_000 and os.getpid() != parent:
+                os._exit(9)
+            return real(ch, a_max)
+
+        def hung(signum, frame):
+            raise TimeoutError("the scan hung after its worker died")
+
+        monkeypatch.setattr(verify, "_margin_min", dying)
+        path = tmp_path / "scan.jsonl"
+        old = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            t0 = time.perf_counter()
+            with pytest.raises(errors.CharposError, match="worker died") as info:
+                verify.scan_positivity(5, 60_000, jobs=2, checkpoint_path=path)
+            elapsed = time.perf_counter() - t0
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+        assert elapsed < 20, elapsed
+        assert multiprocessing.active_children() == []
+        # the lost chunk is a whole chunk of the layout, no later than the
+        # first one that kills its worker, and the frontier is the end of
+        # the chunk before it
+        lo, hi = map(int, re.search(r"q = (\d+)\.\.(\d+)", str(info.value)).groups())
+        chunks = verify._chunked(ntcore.primes_in_range(5, 60_000, residue=3,
+                                                        modulus=8))
+        k = [c[0] for c in chunks].index(lo)
+        dies = next(i for i, c in enumerate(chunks) if c[-1] > 30_000)
+        assert 1 <= k <= dies and chunks[k][-1] == hi
+        frontier = verify.read_checkpoint(path, "positivity:5:60000")
+        assert frontier.last_q == chunks[k - 1][-1]
+        monkeypatch.setattr(verify, "_margin_min", real)
+        clean_path = tmp_path / "clean.jsonl"
+        clean = verify.scan_positivity(5, 60_000, checkpoint_path=clean_path)
+        assert path.read_text().splitlines()[-1] in clean_path.read_text().splitlines()
+        resumed = verify.scan_positivity(5, 60_000, jobs=2, checkpoint_path=path)
+        assert resumed.to_json() == clean.to_json()
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_json_is_pinned(self, jobs):
@@ -972,3 +1023,41 @@ class TestPrimeFracScan:
         assert verify.scan_prime_fracs(20, 60, a_max=10 ** 30) == want
         assert verify.scan_prime_fracs(20, 60, a_max=9) == want
         assert verify.scan_prime_fracs(20, 60, a_max=8) != want
+
+
+class TestPrimalityIsDecidedOnce:
+    """quad_char settles a modulus's primality, and everything downstream
+    reads it off the character's factors: is_prime runs once per modulus
+    given as an integer, and never for one a scan enumerated as prime."""
+
+    @pytest.fixture
+    def tested(self, monkeypatch):
+        real, tested = ntcore.is_prime, []
+
+        def spy(n):
+            tested.append(n)
+            return real(n)
+
+        binders = sorted(name for name, mod in sys.modules.items()
+                         if name.split(".")[0] == "charpos"
+                         and getattr(mod, "is_prime", None) is real)
+        assert {"charpos.ntcore", "charpos.charsum", "charpos.fq",
+                "charpos.check"} <= set(binders)
+        for name in binders:
+            monkeypatch.setattr(sys.modules[name], "is_prime", spy)
+        charsum._class_number_cached.cache_clear()
+        return tested
+
+    @pytest.mark.parametrize("call, want, primes", [
+        (lambda: verify.scan_positivity(950_000, 10**6).count, 897, []),
+        (lambda: charsum.class_number(999983).h, 1171, [999983]),
+        (lambda: charsum.margin_profile(999983).min_w, 0, [999983]),
+        (lambda: fq.identity_check(999983), True, [999983]),
+        (lambda: verify.certify_f_positive(Fraction(7, 163), q=163).achieved_xmax,
+         Fraction(1, 4), [163]),
+        (lambda: verify.scan_prime_fracs(150, 1000).count, 20975, []),
+    ], ids=["scan", "class_number_miss", "margin_profile", "identity_check",
+            "certify", "census"])
+    def test_is_prime_calls(self, tested, call, want, primes):
+        assert call() == want
+        assert tested == primes
