@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 a mathematical check failed, 2 usage error
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import re
@@ -24,7 +25,7 @@ from .errors import (CharposError, CertificateError, DomainError,
                      InsufficientBound, SearchBudgetExceeded)
 from .fq import fq_exact, fq_min_and_zeros, fq_prime_frac, identity_check
 from .liouville import agreement_length, f_series, find_imitator
-from .ntcore import primes_in_range, quad_char
+from .ntcore import primes_upward, quad_char
 from .verify import certify_f_positive, scan_positivity
 
 _RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
@@ -196,13 +197,8 @@ def cmd_imitator(args) -> int:
 def cmd_tq(args) -> int:
     if args.count < 0:
         raise DomainError("tq needs --count >= 0")
-    shown = 0
-    lo, hi = 7, 1 << 10
-    while shown < args.count:
-        for q in primes_in_range(lo, hi, residue=7, modulus=8)[:args.count - shown]:
-            print(f"{t_stat(int(q))} {int(q)}")
-            shown += 1
-        lo, hi = hi + 1, hi * 4
+    for q in itertools.islice(primes_upward(7, residue=7, modulus=8), args.count):
+        print(f"{t_stat(q)} {q}")
     return 0
 
 

@@ -25,8 +25,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .charsum import (_block_moments, _linear_sum, _low_spans, _margins, _span_min,
-                      _w_span, class_number, weighted_prefix_sum)
+from .charsum import (_block_moments, _linear_sum, _low_spans, _span_min, class_number,
+                      margin_values, weighted_prefix_sum)
 from .errors import DomainError, ExactnessError
 from .ntcore import BLOCK, PI2_HI, QuadChar, chi_values, is_prime, quad_char
 
@@ -151,7 +151,7 @@ class PiecewiseFq:
 def piecewise_fq(q_or_chi, a_max: int | None = None) -> PiecewiseFq:
     """The pieces a = 0..a_max (default (q-1)/2) of x*(h - S(qx)).
 
-    One walk gives W over 0..a_max + 1; the slope of piece a is
+    margin_values gives W over 0..a_max + 1; the slope of piece a is
     W(a + 1) - W(a) = h - A(a) and its intercept W(a) - a*slope.
     """
     ch = quad_char(q_or_chi)
@@ -159,7 +159,7 @@ def piecewise_fq(q_or_chi, a_max: int | None = None) -> PiecewiseFq:
         a_max = (ch.q - 1) // 2
     if a_max < 1:
         raise DomainError("need a_max >= 1")
-    h, W = _margins(ch, 0, a_max + 1)
+    h, W = margin_values(ch, a_max + 1)
     slopes, W = np.diff(W), W[:-1]
     return PiecewiseFq(ch.q, h, a_max, slopes, W - np.arange(a_max + 1) * slopes, W)
 
@@ -560,8 +560,12 @@ def identity_check(q_or_chi, a: int | None = None) -> bool:
     """Confirm core(a) == 4*q*W(a), for one a or the whole half range.
 
     Both sides read one chi table, and h comes from _block_moments on it,
-    with every class number check.  One a compares core(a) with the single
-    node _w_span gives.
+    with every class number check.  One a compares core(a) with W(a) =
+    a*(h - A(a)) + B(a), read off that table: A(a) is its int64 sum through
+    a and B(a) is _linear_sum of it, so no W walk and no array past the
+    table is formed, wherever a lies in 1..q-1.  Both are exact in int64,
+    as a < q <= ntcore._TABLE_MAX = 2**30 gives |A(a)| <= a < 2**30 and
+    |B(a)| <= a**2/2 < 2**59; W is a Python integer.
 
     The half range forms no W at all.  W(a+1) - W(a) = h - A(a), so W is
     fixed by W(-1) = -h, W(0) = 0 and W(a) - 2W(a-1) + W(a-2) = -chi(a-1).
@@ -579,9 +583,10 @@ def identity_check(q_or_chi, a: int | None = None) -> bool:
     q = ch.q
     chi = chi_values(ch, q - 1)
     half = (q - 1) // 2
-    h, _, _, A, B = _block_moments(ch, chi[:half + 1])
+    h = _block_moments(ch, chi[:half + 1])[0]
     if a is not None:
-        return _lattice_core(chi, a) == 4 * q * int(_w_span(h, A, B, chi, a, a)[0])
+        w = a * (h - int(chi[:a + 1].sum(dtype=np.int64))) + _linear_sum(chi[:a + 1])
+        return _lattice_core(chi, a) == 4 * q * w
     bufs = [np.empty(min(_LATTICE_BLOCK, half), dtype=np.int64) for _ in range(2)]
     y1, d1 = 0, 4 * h  # 4W(0) and 4W(0) - 4W(-1)
     for a1, y in _lattice_blocks(chi, half):

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DomainError, SearchBudgetExceeded
 from .fq import SeriesValue, _sin_sum, fq_exact
 from .ntcore import (jacobi, liouville_sieve, pi4_times_at_least, primes_in_range,
-                     quad_char)
+                     primes_upward, quad_char)
 
 
 @functools.lru_cache(maxsize=1)
@@ -57,19 +57,15 @@ def agreement_length(q_or_chi) -> AgreementRecord:
 
     Both functions are completely multiplicative, so agreement up to N is
     equivalent to chi(p) = -1 for every prime p <= N, and the first prime
-    with chi(p) != -1 settles it.  Termination is guaranteed because chi
-    vanishes on divisors of q.
+    with chi(p) != -1 settles it.  The primes come from primes_upward, so
+    the walk holds one window of them and sieves nothing twice.
+    Termination is guaranteed because chi vanishes on divisors of q.
     """
     ch = quad_char(q_or_chi)
-    hi = 256
-    while True:
-        for p in primes_in_range(2, min(hi, ch.q)):
-            p = int(p)
-            if jacobi(p, ch.q) != -1:
-                return AgreementRecord(ch.q, p - 1, p)
-        if hi >= ch.q:
-            raise DomainError(f"no character mismatch below q={ch.q}")
-        hi *= 2
+    for p in primes_upward(2, ch.q):
+        if jacobi(p, ch.q) != -1:
+            return AgreementRecord(ch.q, p - 1, p)
+    raise DomainError(f"no character mismatch below q={ch.q}")
 
 
 def find_imitator(n_agree: int, ceiling: int = 10 ** 6) -> int:
@@ -77,20 +73,16 @@ def find_imitator(n_agree: int, ceiling: int = 10 ** 6) -> int:
 
     Needs chi(p) = -1 for every prime p <= n_agree.  Candidates thin out
     double-exponentially, so the search is capped; raising the ceiling is
-    the caller's explicit opt-in to a longer run.  The candidates are
-    enumerated in windows [lo, min(ceiling, 4*lo)] from lo = 5, so the
-    cost up to the answer does not depend on the ceiling.
+    the caller's explicit opt-in to a longer run.  The candidates come
+    from primes_upward, one window at a time, so the cost and the memory
+    up to the answer do not depend on the ceiling.
     """
     if n_agree < 1:
         raise DomainError("need n_agree >= 1")
-    targets = [int(p) for p in primes_in_range(2, n_agree)]
-    lo = 5
-    while lo <= ceiling:
-        hi = min(ceiling, 4 * lo)
-        for q in primes_in_range(lo, hi, residue=3, modulus=8).tolist():
-            if all(jacobi(p, q) == -1 for p in targets):
-                return q
-        lo = hi + 1
+    targets = primes_in_range(2, n_agree).tolist()
+    for q in primes_upward(5, ceiling, residue=3, modulus=8):
+        if all(jacobi(p, q) == -1 for p in targets):
+            return q
     raise SearchBudgetExceeded(
         f"no imitator with agreement {n_agree} below {ceiling}")
 

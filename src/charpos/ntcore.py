@@ -2,8 +2,11 @@
 segmented prime enumeration, Liouville and quadratic-character sieves.
 
 One segmented sieve, primes_in_range, lists every prime this module
-uses, its own base primes included.  The module keeps no state between
-calls: every table and prime list is a fresh array that its caller owns.
+uses, its own base primes included.  One walk, primes_upward, steps up
+through the primes a window of that sieve at a time, for every search
+that may stop early and for the multiplicative sieves.  The module keeps
+no state between calls: every table and prime list is a fresh array that
+its caller owns.
 
 Everything that feeds a verdict is exact: Python integers, Fraction, or
 numpy integer arrays whose worst-case magnitudes are checked before use.
@@ -146,6 +149,30 @@ def primes_in_range(lo: int, hi: int, *, residue: int | None = None,
     return np.concatenate(out)
 
 
+def primes_upward(lo: int, hi: int | None = None, *, residue: int | None = None,
+                  modulus: int | None = None):
+    """Yield the primes p >= lo (and p <= hi when hi is given), ascending,
+    optionally p = residue (mod modulus), as Python ints.
+
+    The one upward prime walk of the package.  It sieves one
+    primes_in_range window [s, min(max(4*s, s + 255), s + BLOCK - 1, hi)]
+    at a time, from s = max(lo, 2), and starts the next just past it: the
+    first window is at least 256 wide, later ones reach at most four times
+    their start, and none is wider than BLOCK.  A walk stopped at p has
+    sieved nothing past min(max(4*p, p + 255), p + BLOCK - 1), so a search
+    that stops early holds one window of primes whatever its ceiling.  The
+    first window is sieved even when empty, so a bad residue raises
+    DomainError at the first step.
+    """
+    s, end = max(lo, 2), math.inf if hi is None else hi
+    while True:
+        top = min(max(4 * s, s + 255), s + BLOCK - 1, end)
+        yield from primes_in_range(s, top, residue=residue, modulus=modulus).tolist()
+        if top >= end:
+            return
+        s = top + 1
+
+
 @dataclass(frozen=True, eq=False)
 class LiouvilleTable:
     """Liouville lambda(n) for 0 <= n <= limit; values[0] is 0 by convention."""
@@ -166,25 +193,24 @@ def _multiplicative(n_max: int, sign) -> np.ndarray:
     A prime with sign 0 zeroes its multiples.  A prime with sign -1 flips
     the sign of every multiple of each of its powers pe <= n_max, one
     strided pass per power, which counts multiplicity exactly.  The primes
-    come from primes_in_range one window of BLOCK entries at a time; each
-    prime's passes commute with every other's, so the order is free.  The
-    working memory is the table plus one window of primes, but the Python
-    loop over every prime up to n_max remains.
+    come from primes_upward; each prime's passes commute with every
+    other's, so the order is free.  The working memory is the table plus
+    one window of primes, but the Python loop over every prime up to n_max
+    remains.
     """
     out = np.ones(n_max + 1, dtype=np.int8)
     out[0] = 0
-    for lo in range(2, n_max + 1, BLOCK):
-        for p in primes_in_range(lo, min(lo + BLOCK - 1, n_max)).tolist():
-            v = sign(p)
-            if v == 0:
-                out[p::p] = 0
-            elif v == -1:
-                pe = p
-                while pe <= n_max:
-                    out[pe::pe] *= -1
-                    if pe > n_max // p:
-                        break
-                    pe *= p
+    for p in primes_upward(2, n_max):
+        v = sign(p)
+        if v == 0:
+            out[p::p] = 0
+        elif v == -1:
+            pe = p
+            while pe <= n_max:
+                out[pe::pe] *= -1
+                if pe > n_max // p:
+                    break
+                pe *= p
     return out
 
 

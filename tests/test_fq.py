@@ -545,17 +545,25 @@ class TestLatticeQuad:
     @pytest.mark.parametrize("a", [None, 40])
     def test_identity_passes(self, monkeypatch, a):
         # the half range takes one table and one lattice pass and no W
-        # walk; a single node still reads its W from one _w_span
+        # walk; a single node reads W(a) off the same table, from its sum
+        # through a and one _linear_sum (the kernel's P1(q-1) is the other)
         calls = []
-        for name in ("_w_span", "chi_values", "_lattice_blocks"):
+        for name in ("chi_values", "_lattice_blocks", "_linear_sum"):
             def spy(*args, real=getattr(fq, name), name=name):
                 calls.append(name)
                 return real(*args)
 
             monkeypatch.setattr(fq, name, spy)
+
+        def no_walk(*args):
+            raise AssertionError("W walk")
+
+        monkeypatch.setattr(charsum, "_w_span", no_walk)
+        monkeypatch.setattr(charsum, "_margins", no_walk)
         assert fq.identity_check(163, a) is True
         assert sorted(calls) == sorted(
-            ["chi_values", "_lattice_blocks"] + (["_w_span"] if a else []))
+            ["chi_values", "_lattice_blocks", "_linear_sum"]
+            + (["_linear_sum"] if a else []))
 
     # 999983 is the largest prime the int64 path takes, with a up to 499991
     @pytest.mark.parametrize("q", [163, 35, 999983])
@@ -651,9 +659,28 @@ class TestLatticeQuad:
         assert built == [163]
 
     def test_identity_single_nodes(self):
-        ch = ntcore.quad_char(163)
-        for a in (1, 2, 40, 81, 100, 162):
-            assert fq.identity_check(ch, a) is True, a
+        # W(a) read off the table, past the half range too, meets the
+        # independent lattice core at every coprime node of these moduli
+        qs = ntcore.primes_in_range(7, 400, residue=3, modulus=4).tolist()
+        for q in qs + [35, 55, 95, 143, 187]:
+            ch = ntcore.quad_char(q)
+            for a in range(1, q):
+                if math.gcd(a, q) == 1:
+                    assert fq.identity_check(ch, a) is True, (q, a)
+
+    def test_identity_single_node_holds_no_w(self):
+        # the last node took a W walk from the last half-range block edge,
+        # 4.8 MiB at q = 999983 (96 MiB at q = 19999999); now it holds the
+        # period of q bytes and no more than the half range does
+        peaks = []
+        for a in (None, 999982):
+            tracemalloc.start()
+            try:
+                assert fq.identity_check(999983, a) is True
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= min(peaks[0], 2 * 2 ** 20), peaks
 
     def test_noncoprime_batch_values(self):
         # the identity core = 4qW holds even off the coprime set

@@ -124,9 +124,9 @@ def test_unread_public_functions_are_pinned():
     trees = {path.stem: ast.parse(path.read_text()) for path in SRC}
     assert unread_publics(trees) == [
         # public API (re-exported by charpos), kept for library users;
-        # margin_values, lattice_quad_values and scan_prime_fracs are
-        # perfbench trace targets too, and check_positivity its scan oracle
-        "charsum.margin_values", "charsum.quarter_margin",
+        # lattice_quad_values and scan_prime_fracs are perfbench trace
+        # targets too, and check_positivity its scan oracle
+        "charsum.quarter_margin",
         "fq.fifth_alpha_lower_bound", "fq.fq_fifth", "fq.fq_lattice_quad",
         "fq.fq_series", "fq.fq_third", "fq.lattice_quad_values",
         "fq.piecewise_fq",
@@ -183,11 +183,10 @@ def test_cross_module_privates_are_pinned():
     trees = {path.stem: ast.parse(path.read_text()) for path in SRC}
     assert cross_module_privates(trees) == [
         "fq←charsum._block_moments",  # h and block sums of W, read twice
-        "fq←charsum._linear_sum",  # P1(q-1) of the lattice kernel
+        # P1(q-1) of the lattice kernel, and B(a) of a single node
+        "fq←charsum._linear_sum",
         "fq←charsum._low_spans",  # fq_min_and_zeros walks the W spans
-        "fq←charsum._margins",  # piecewise_fq's one walk of W
         "fq←charsum._span_min",  # fq_min_and_zeros's minimum per span
-        "fq←charsum._w_span",  # identity_check's single node
         # f_series shares the sine kernel of fq_series, so the two agree
         # bitwise wherever lambda and chi agree
         "liouville←fq._sin_sum",
@@ -251,6 +250,76 @@ def test_quadchar_builders_detector():
     }
     assert quadchar_builders(trees) == ["b", "b.f", "ntcore.other",
                                         "ntcore.quad_char"]
+
+
+def looped_sieve_callers(trees: dict[str, ast.Module]) -> list[str]:
+    """"module.name" of each module-level function or class, or "module"
+    for module-level code, that calls primes_in_range (by name, by an
+    alias it was imported under, or as an attribute) inside the body of a
+    for or while loop, in a while test, or in a comprehension's element or
+    condition: anywhere one call may sieve window after window.  The
+    iterable of a for is evaluated once and does not count."""
+    found = set()
+    for module, tree in trees.items():
+        names = {"primes_in_range"} | {alias.asname for node in ast.walk(tree)
+                                       if isinstance(node, ast.ImportFrom)
+                                       for alias in node.names
+                                       if alias.name == "primes_in_range"
+                                       and alias.asname}
+        for top in tree.body:
+            where = getattr(top, "name", None)
+            for loop in ast.walk(top):
+                if isinstance(loop, (ast.For, ast.AsyncFor)):
+                    parts = loop.body + loop.orelse
+                elif isinstance(loop, ast.While):
+                    parts = [loop.test] + loop.body + loop.orelse
+                elif isinstance(loop, (ast.ListComp, ast.SetComp, ast.GeneratorExp,
+                                       ast.DictComp)):
+                    parts = [getattr(loop, f) for f in ("elt", "key", "value")
+                             if hasattr(loop, f)]
+                    parts += [c for g in loop.generators for c in g.ifs]
+                else:
+                    continue
+                for node in (n for part in parts for n in ast.walk(part)):
+                    if isinstance(node, ast.Call) and (
+                            getattr(node.func, "id", None) in names
+                            or getattr(node.func, "attr", None) == "primes_in_range"):
+                        found.add(f"{module}.{where}" if where else module)
+    return sorted(found)
+
+
+def test_primes_upward_is_the_one_prime_walk():
+    # primes_upward holds the window policy of every walk up through the
+    # primes; a loop elsewhere that sieves window after window keeps a
+    # policy of its own, and may hold far more than one window
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC}
+    assert looped_sieve_callers(trees) == ["ntcore.primes_upward"]
+
+
+def test_looped_sieve_callers_detector():
+    trees = {
+        "a": ast.parse("from . import ntcore\n"
+                       "from .ntcore import primes_in_range, primes_in_range as pir\n"
+                       "def once(n):\n    return primes_in_range(2, n)\n"
+                       "def whole(n):\n"
+                       "    for p in primes_in_range(2, n):\n        yield p\n"
+                       "def windows(n):\n"
+                       "    for lo in range(2, n, 8):\n"
+                       "        yield from pir(lo, lo + 7)\n"
+                       "def until(n):\n"
+                       "    while not ntcore.primes_in_range(2, n).size:\n"
+                       "        n *= 2\n"
+                       "def nested(n):\n"
+                       "    def inner():\n"
+                       "        return [primes_in_range(k, k) for k in range(n)]\n"
+                       "    return inner\n"
+                       "def keyed(n):\n"
+                       "    \"\"\"Not primes_in_range in a loop.\"\"\"\n"
+                       "    return {k: ntcore.primes_in_range(k, k) for k in range(n)}\n"
+                       "for m in range(3):\n    primes_in_range(2, m)\n"),
+    }
+    assert looped_sieve_callers(trees) == ["a", "a.keyed", "a.nested",
+                                           "a.until", "a.windows"]
 
 
 def module_state(trees: dict[str, ast.Module]) -> list[str]:

@@ -94,18 +94,21 @@ class TestImitators:
             assert liouville.agreement_length(int(q)).n_agree < 40, q
 
     def test_huge_ceiling_enumerates_only_small_windows(self, monkeypatch):
-        # the candidates come in windows [lo, 4*lo], so the answer 163 is
-        # reached without a sieve anywhere near the ceiling
+        # the candidates come from primes_upward, whose windows reach at
+        # most 4 times their start (the first one 257), so the answer 163
+        # is reached without a sieve anywhere near the ceiling; the walk
+        # reads ntcore's name, and liouville's own serves only the targets
         his = []
-        real = liouville.primes_in_range
+        real = ntcore.primes_in_range
 
         def recording(lo, hi, **kwargs):
-            his.append(hi)
+            his.append((lo, hi, kwargs))
             return real(lo, hi, **kwargs)
 
-        monkeypatch.setattr(liouville, "primes_in_range", recording)
+        monkeypatch.setattr(ntcore, "primes_in_range", recording)
         assert liouville.find_imitator(40, 10**18) == 163
-        assert his and max(his) <= 4 * 163, his
+        assert (5, 260, dict(residue=3, modulus=8)) in his
+        assert max(hi for _, hi, _ in his) <= 4 * 163, his
 
     def test_budget_exceeded(self):
         with pytest.raises(errors.SearchBudgetExceeded):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -123,6 +124,77 @@ class TestPrimesInRange:
                 got = ntcore.primes_in_range(lo, hi, **kw)
                 assert got.dtype == np.int64
                 assert got.tolist() == want, (lo, hi, cls)
+
+
+def window_tops(lo, hi, block):
+    """The window tops [s, min(max(4*s, s + 255), s + block - 1, hi)] of
+    primes_upward from lo, written out by hand."""
+    s, tops = max(lo, 2), []
+    while True:
+        tops.append(min(max(4 * s, s + 255), s + block - 1, hi))
+        if tops[-1] >= hi:
+            return tops
+        s = tops[-1] + 1
+
+
+class TestPrimesUpward:
+    CLASSES = (None, (3, 8), (7, 8), (3, 4))
+
+    @pytest.mark.parametrize("block", [64, 1000, ntcore.BLOCK])
+    def test_matches_primes_in_range_across_window_edges(self, monkeypatch, block):
+        # hi lands one short of, on and one past each of the first four
+        # window tops of the walk from lo, or far past them; a window
+        # reaches 4 times its start or its start + 255, and with BLOCK = 64
+        # or 1000 the later ones are capped at BLOCK; the last ranges are
+        # empty or inverted
+        monkeypatch.setattr(ntcore, "BLOCK", block)
+        ends = {(lo, t + d) for lo in (-3, 0, 2, 5, 7, 300)
+                for t in window_tops(lo, 10**5, block)[:4] for d in (-1, 0, 1)}
+        ends |= {(lo, 20_000) for lo in (2, 5, 300)}
+        ends |= {(lo, lo - 1) for lo in (2, 5, 300)} | {(300, 7), (5, 4), (-3, 1)}
+        for lo, hi in sorted(ends):
+            for cls in self.CLASSES:
+                kw = {} if cls is None else dict(residue=cls[0], modulus=cls[1])
+                got = list(ntcore.primes_upward(lo, hi, **kw))
+                assert got == ntcore.primes_in_range(lo, hi, **kw).tolist(), (lo, hi, cls)
+                assert all(type(p) is int for p in got)
+
+    def test_open_walk_matches_primes_in_range(self):
+        for cls in self.CLASSES:
+            kw = {} if cls is None else dict(residue=cls[0], modulus=cls[1])
+            want = ntcore.primes_in_range(2, 30_000, **kw).tolist()
+            got = list(itertools.islice(ntcore.primes_upward(0, **kw), len(want)))
+            assert got == want, cls
+
+    def test_bad_residue_is_rejected_at_the_first_step(self):
+        with pytest.raises(errors.DomainError):
+            next(ntcore.primes_upward(2, residue=9, modulus=8))
+        with pytest.raises(errors.DomainError):
+            next(ntcore.primes_upward(5, 3, residue=1))
+
+    @pytest.mark.parametrize("block, stop", [
+        (64, 2), (64, 263), (64, 9973), (1000, 1031), (1000, 99_991),
+        (ntcore.BLOCK, 2), (ntcore.BLOCK, 257), (ntcore.BLOCK, 263),
+        (ntcore.BLOCK, 99_991), (ntcore.BLOCK, 2_000_003)])
+    def test_a_stopped_walk_sieved_one_window(self, monkeypatch, block, stop):
+        # every window the walk and the sieve's own base-prime calls ask
+        # for ends at most at min(max(4p, p + 255), p + BLOCK - 1) for the
+        # prime p the walk stopped at, whatever its ceiling; 2_000_003 and
+        # the small BLOCKs reach the BLOCK cap
+        monkeypatch.setattr(ntcore, "BLOCK", block)
+        his = []
+        real = ntcore.primes_in_range
+
+        def recording(lo, hi, **kwargs):
+            his.append(hi)
+            return real(lo, hi, **kwargs)
+
+        monkeypatch.setattr(ntcore, "primes_in_range", recording)
+        for p in ntcore.primes_upward(2, 10**18):
+            if p >= stop:
+                break
+        assert p == stop
+        assert max(his) <= min(max(4 * p, p + 255), p + block - 1), his
 
 
 class TestLiouville:
