@@ -204,8 +204,7 @@ def cmd_tq(args) -> int:
 
 def cmd_testpq(args) -> int:
     ev = fq_prime_frac(args.a, args.p, quad_char(args.q))
-    stat = "-" if ev.stat is None else str(ev.stat)
-    print(f"{stat} {ev.core} {_float(ev.value)}")
+    print(f"{ev.stat} {ev.core} {_float(ev.value)}")
     return 0
 
 

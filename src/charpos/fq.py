@@ -7,14 +7,20 @@ Three routes are provided and cross-checked against each other:
 * a truncated floating series with a proven 1/N tail bound,
 * a closed form that is exact rational arithmetic up to one final factor
   of 2*pi**2/sqrt(q),
-* two independent finite character sums (an arithmetic-progression sum
-  over [1, pq] for x = a/p, and a quadratic lattice sum for x = a/q)
-  that evaluate f_q at rational points as single integers.
+* integer cores at rational points: at x = a/q a quadratic lattice sum,
+  independent of the margins and checked against them by
+  identity_check, and at x = a/p (fq_prime_frac and the census kernel
+  _prime_frac_stats) the lattice interpolation between W(k) and
+  W(k + 1), k = floor(aq/p).
 
 The closed form comes from summing the Fourier series of the sawtooth
 against the character: on each interval [a/q, (a+1)/q] the function
 x -> x*(h - S(qx)) is linear with slope h - A(a) and intercept B(a)/q,
-and f_q(x) = 2*pi**2/sqrt(q) * that.
+and f_q(x) = 2*pi**2/sqrt(q) * that.  At x = a/p this gives the core
+4pq (p B(k) + a q (h - A(k))) of PrimeFracEval, equal to the window sum
+over b <= pq of the paper; only the tests' oracle
+(oracles.prime_frac_core) forms that sum, literally, as the independent
+check of both prime-fraction paths.
 """
 
 from __future__ import annotations
@@ -25,8 +31,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .charsum import (_block_moments, _linear_sum, _low_spans, _span_min, class_number,
-                      margin_values, weighted_prefix_sum)
+from .charsum import (_block_moments, _checked_class_number, _linear_sum, _low_spans,
+                      _span_min, class_number, margin_values, weighted_prefix_sum)
 from .errors import DomainError, ExactnessError
 from .ntcore import BLOCK, PI2_HI, QuadChar, chi_values, is_prime, quad_char
 
@@ -224,98 +230,70 @@ def fq_min_and_zeros(q_or_chi) -> FqShape:
 
 @dataclass(frozen=True)
 class PrimeFracEval:
-    """f_q(a/p) recovered from one finite sum over the window [1, pq].
+    """f_q(a/p) as an exact multiple of p*q.  With k = floor(aq/p),
 
-    core is the integer  -chi_q(p) * (T(aq mod p) - T(-aq mod p))  with
-    T(r) = sum of b**2 chi_q(b) over b <= pq, b = r (mod p), and
+        core = 4pq (p B(k) + a q (h - A(k))),
+        f_q(a/p) = pi**2 * core / (2 p**2 q**2 sqrt(q)),
 
-        f_q(a/p) = pi**2 * core / (2 p**2 q**2 sqrt(q)).
-
-    stat = core/(p*q) when that division is exact (it always has been in
-    every scan run to date), else None.
+    the lattice interpolation between W(k) and W(k+1).  core equals the
+    window sum -chi_q(p) * (T(aq mod p) - T(-aq mod p)) with T(r) = sum
+    of b**2 chi_q(b) over b <= pq, b = r (mod p), and stat = core/(p*q)
+    is always an integer.
     """
 
     a: int
     p: int
     q: int
     core: int
-    stat: int | None
+    stat: int
     q_divides: bool
     modulus_prime: bool
     value: float
 
 
-# int64 ceiling for the census sums of _residue_totals and _prime_frac_cores.
-_CENSUS_INT64_GUARD = 1 << 62
+# int64 ceiling of the census stats: _prime_frac_stats takes int64 when
+# 4 p q**2 < _CENSUS_INT64_GUARD for the largest p and q of a group.
+_CENSUS_INT64_GUARD = 1 << 63
 
 
-def _census_dtype(p_top: int, q: int):
-    """int64 when 10 * p_top**2 * q**3 < _CENSUS_INT64_GUARD, else object,
-    for the largest p (0 for none) and the largest q of some cores.
+def _prime_frac_stats(chars, p, a, counts) -> np.ndarray:
+    """stat = 4 (p B(k) + a q (h - A(k))), k = floor(aq/p), for aligned
+    int64 arrays p, a: counts[i] evaluations in turn for each character
+    chars[i], with 0 < 2a < p < q.
 
-    _residue_totals proves every partial sum of a core below that bound.
+    The half tables chi_values(ch, (q-1)//2) are laid end to end; the
+    table gate of chi_values refuses one above ntcore._TABLE_MAX = 2**30
+    entries before it builds anything.  k <= (q-1)/2, as 2a < p, so the
+    half table of q holds chi(0..k).  chi is read in slabs of at most
+    BLOCK entries: P0 and G1, the sums of chi(y) and of y chi(y) (y the
+    position in chi) before a position x, are two int64 cumulative sums
+    per slab, carried from slab to slab, read at x = start + k + 1 of each
+    evaluation and at each table end.  A table's start is the end before
+    it, so A(k) = P0(x) - P0(start) and B(k) = G1(x) - G1(start) - start
+    A(k), and the same differences at the table's own end give A(half)
+    and B(half), from which charsum._checked_class_number gives h.  With
+    N = len(chi), |P0| <= N and |G1| < N**2/2: int64, as a group of one
+    modulus has N <= 2**29 + 1 and a group of several a few thousand
+    entries (verify._census_groups).
+
+    The stats are formed in int64 when 4 p q**2 < _CENSUS_INT64_GUARD =
+    2**63 for the largest p and q of the call, else in Python integers in
+    an object array.  From k <= q/2, |B(k)| <= q**2/8, |h - A(k)| < q
+    and a < p/2, every partial sum in evaluation order is below
+    4 (p q**2/8 + p q**2/2) = 2.5 p q**2.  The census is checked against
+    the literal T sum of the tests' oracle, oracles.prime_frac_core.
     """
-    return np.int64 if 10 * p_top ** 2 * q ** 3 < _CENSUS_INT64_GUARD else object
-
-
-def _residue_totals(chi: np.ndarray, p, r, s, mods, t) -> np.ndarray:
-    """T(r)/chi(p) for T(r) = sum of b**2 chi(b) over 0 < b <= pq, b = r (mod p).
-
-    chi holds one period of the character mod each modulus of mods, laid
-    end to end.  p, r, s and t are equal-length integer arrays: evaluation
-    i reads the period of q = mods[t[i]], with gcd(p, q) = 1, 0 <= r < p
-    and s = r/p mod q, where s = q may stand for 0.  With b = i*p + r, 0 <= i < q
-    (b = 0 adds 0 and b = pq adds chi(pq) = 0), complete multiplicativity
-    gives chi(b) = chi(p) chi(i + s), so
-
-        T(r)/chi(p) = p**2 S2 + 2pr S1 + r**2 S0,  S_k = sum_i i**k chi(i + s).
-
-    Splitting the period at j = s (i = j - s above it, j - s + q below)
-    writes every S_k through M_k(t) = sum_{j<t} j**k chi(j):
-
-        S0 = M0(q)
-        S1 = M1(q) - s M0(q) + q M0(s)
-        S2 = M2(q) - 2s M1(q) + s**2 M0(q) + 2q M1(s) + q(q - 2s) M0(s)
-
-    M0(q) = 0, as chi is not principal, and M2(q) = q M1(q), as chi is
-    odd: j -> q - j maps a period onto itself with chi(q - j) = -chi(j),
-    so M2(q) = -(q**2 M0(q) - 2q M1(q) + M2(q)).  Hence S2 = (q - 2s) S1
-    + 2q M1(s) and
-
-        T(r)/chi(p) = p (S1 (p (q - 2s) + 2r) + 2pq M1(s)),
-
-    so M0 and M1 at the split points and at the ends of the periods serve
-    every residue in O(1); s = q reads M0(q) = 0 and M1(q), which gives
-    the same S1 and S2 as s = 0.
-
-    chi is read in slabs of at most BLOCK entries.  P0 and G1, the sums
-    of chi(y) and of y chi(y) (y the position in chi) over all of chi
-    before a position x, are two int64 cumulative sums per slab, carried
-    from slab to slab, and read at the split points x = start + s and at
-    the periods' edges.  Every period before x sums to M0(q) = 0, so
-    M0(s) is P0 at the split point, and sum over y < x of start(y) chi(y)
-    is start * M0(s); hence M1(s) = G1(x) - G1(start) - start M0(s) and
-    M1(q) = G1(start + q) - G1(start).  With N = len(chi), |P0| < N, |G1|
-    < N**2/2 and |start M0(s)| < N**2, all in int64, as N <= 2**30: the
-    table gate of chi_values (ntcore._TABLE_MAX) builds no longer period,
-    and a census group (verify._census_groups) holds a few thousand
-    entries.  The recombination runs once for all evaluations, in the
-    dtype _census_dtype picks for the largest p and q.  From |M0(s)| <= s
-    <= q and |M1| < q**2/2, every partial sum in evaluation order obeys
-    |S1| < 1.5 q**2, |p (q - 2s) + 2r| <= p (q + 2), |S1 (p (q - 2s) +
-    2r)| < 1.5 p q**2 (q + 2) and |2pq M1(s)| < p q**3, so |T| < p**2
-    q**2 (2.5 q + 3) <= 3.5 p**2 q**3 for q >= 3, and a core, the
-    difference of two T, is below 7 p**2 q**3 < 10 p**2 q**3.
-    Each evaluation's sums are bounded by its own p and q, so by the
-    largest p and q of the call.
-    """
-    mods = np.array(mods, dtype=np.int64)
-    t = np.asarray(t)
-    ends = np.cumsum(mods)
-    starts = ends - mods
-    n, m = len(t), len(mods)
-    # the split points and the periods' edges, as positions in chi
-    x = np.concatenate((starts[t] + np.asarray(s, dtype=np.int64), starts, ends))
+    halves = [(ch.q - 1) // 2 for ch in chars]
+    tables = [chi_values(ch, n) for ch, n in zip(chars, halves)]
+    chi = tables[0] if len(tables) == 1 else np.concatenate(tables)
+    sizes = np.array(halves, dtype=np.int64) + 1
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    t = np.repeat(np.arange(len(chars)), counts)
+    q = np.array([ch.q for ch in chars], dtype=np.int64)[t]
+    p = np.asarray(p, dtype=np.int64)
+    a = np.asarray(a, dtype=np.int64)
+    x = np.concatenate((starts[t] + a * q // p + 1, ends))
     p0 = np.empty(len(x), dtype=np.int64)
     g1 = np.empty(len(x), dtype=np.int64)
     c0 = c1 = 0
@@ -336,49 +314,30 @@ def _residue_totals(chi: np.ndarray, p, r, s, mods, t) -> np.ndarray:
         o = x[hit] - lo
         p0[hit] = a0[o]
         g1[hit] = a1[o]
-    dtype = _census_dtype(int(np.max(p, initial=0)), int(mods.max()))
-    q = mods.astype(dtype)[t]
-    m0 = p0[:n].astype(dtype, copy=False)
-    base = g1[n:n + m]
-    m1 = g1[:n] - base[t] - starts[t] * p0[:n]
-    s1 = (g1[n + m:] - base).astype(dtype)[t] + q * m0
-    f = np.asarray(p).astype(dtype, copy=False)
-    return f * (s1 * (f * (q - 2 * np.asarray(s).astype(dtype, copy=False))
-                      + 2 * np.asarray(r).astype(dtype, copy=False))
-                + 2 * f * q * m1.astype(dtype, copy=False))
-
-
-def _prime_frac_cores(chars, p, a, counts) -> np.ndarray:
-    """core = -chi(p) (T(aq mod p) - T(-aq mod p)) for aligned arrays p, a:
-    counts[i] evaluations in turn for each character chars[i].
-
-    Builds one period table of each chi with chi_values, whose table gate
-    refuses a modulus above 2**30 before it builds anything, laid end to
-    end for _residue_totals.  Since chi(p)**2 = 1 the core is -(T'(r+) -
-    T'(r-)) with T' = T/chi(p), so chi(p) is never evaluated.  With k =
-    floor(aq/p) < q/2, as 2a < p, the residues are r+ = aq - kp and r- =
-    p - r+ (p divides neither a < p nor q), and r/p mod q is q - k (q for
-    0 when k = 0) for r+ and k + 1 < q for r-.  p and a may be int64 or
-    object arrays; the cores come back in the dtype _census_dtype picks
-    for the largest p and q, int64 when |core| < 10 p**2 q**3 fits.
-    """
-    mods = [ch.q for ch in chars]
-    tables = [chi_values(ch, ch.q - 1) for ch in chars]
-    chi = tables[0] if len(tables) == 1 else np.concatenate(tables)
-    dtype = _census_dtype(int(np.max(p, initial=0)), max(mods))
-    t = np.repeat(np.arange(len(mods)), counts)
-    q = np.array(mods, dtype=dtype)[t]
-    p = np.asarray(p).astype(dtype, copy=False)
-    aq = np.asarray(a).astype(dtype, copy=False) * q
-    k = aq // p
-    r = aq - k * p
-    res = _residue_totals(chi, np.concatenate((p, p)), np.concatenate((r, p - r)),
-                          np.concatenate((q - k, k + 1)), mods, np.concatenate((t, t)))
-    return res[len(r):] - res[:len(r)]
+    n = len(t)
+    e0, e1 = np.concatenate(([0], p0[n:])), np.concatenate(([0], g1[n:]))
+    a_half = np.diff(e0)
+    b_half = np.diff(e1) - starts * a_half
+    h = np.array([_checked_class_number(ch, s0, s1) for ch, s0, s1
+                  in zip(chars, a_half.tolist(), b_half.tolist())], dtype=np.int64)
+    a_k = p0[:n] - e0[t]
+    b_k = g1[:n] - e1[t] - starts[t] * a_k
+    dtype = (np.int64 if 4 * int(np.max(p, initial=0)) * int(q.max(initial=0)) ** 2
+             < _CENSUS_INT64_GUARD else object)
+    p, a, q = (col.astype(dtype) for col in (p, a, q))
+    return 4 * (p * b_k.astype(dtype) + a * q * (h[t] - a_k).astype(dtype))
 
 
 def fq_prime_frac(a: int, p: int, q_or_chi) -> PrimeFracEval:
-    """Evaluate f_q(a/p) for an odd prime p = 3 (mod 4) not dividing q."""
+    """Evaluate f_q(a/p) for an odd prime p = 3 (mod 4) not dividing q.
+
+    Like identity_check's single node, everything is read off one half
+    table chi_values(ch, (q-1)//2), whose table gate refuses an oversized
+    q before anything is built: h from _block_moments, A(k) as its int64
+    sum through k = floor(aq/p) <= (q-1)/2 and B(k) as _linear_sum of it,
+    and stat = 4 (p B(k) + a q (h - A(k))) in Python integers, whatever
+    the size of p.
+    """
     ch = quad_char(q_or_chi)
     q = ch.q
     if not is_prime(p) or p % 4 != 3:
@@ -387,12 +346,13 @@ def fq_prime_frac(a: int, p: int, q_or_chi) -> PrimeFracEval:
         raise DomainError(f"p = {p} divides the modulus {q}")
     if not (1 <= a and 2 * a < p):
         raise DomainError(f"need 0 < a < p/2, got a={a}, p={p}")
-    core = int(_prime_frac_cores([ch], np.array([p], dtype=object),
-                                 np.array([a], dtype=object), [1])[0])
-    stat = core // (p * q) if core % (p * q) == 0 else None
-    q_div = stat is not None and stat % q == 0
+    chi = chi_values(ch, (q - 1) // 2)
+    h = _block_moments(ch, chi)[0]
+    head = chi[:a * q // p + 1]
+    stat = 4 * (p * _linear_sum(head) + a * q * (h - int(head.sum(dtype=np.int64))))
+    core = p * q * stat
     value = math.pi ** 2 * core / (2.0 * p * p * q * q * math.sqrt(q))
-    return PrimeFracEval(a, p, q, core, stat, q_div,
+    return PrimeFracEval(a, p, q, core, stat, stat % q == 0,
                          len(ch.factors) == 1, value)
 
 

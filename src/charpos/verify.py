@@ -26,7 +26,7 @@ from .charsum import _margin_min, _margins, margin_profile
 from .check import verify_certificate
 from .errors import (CertificateError, CharposError, DomainError, ExactnessError,
                      InsufficientBound)
-from .fq import _prime_frac_cores
+from .fq import _prime_frac_stats
 from .liouville import agreement_length, find_imitator
 from .ntcore import pi4_square_thresholds, primes_in_range, quad_char
 
@@ -370,19 +370,20 @@ _CENSUS_GROUP = 1 << 12
 
 
 def _census_groups(p_all, tops, qs):
-    """Yield (q, p, a, cores) per group of the census: aligned arrays of
-    the modulus, p, a and core of each evaluation, in (q, p, a) order.
+    """Yield (q, p, a, stats) per group of the census: aligned arrays of
+    the modulus, p, a and stat = core/(p*q) of each evaluation, in
+    (q, p, a) order.
 
     tops[i] is the number of a for p_all[i], so the (p, a) pairs are
     listed once, and the evaluations of a modulus q are the prefix with
     p < q.  Consecutive moduli form a group while their periods and
     evaluations total at most _CENSUS_GROUP (a larger modulus is a group
-    of one); the group takes one chi table per modulus, laid end to end,
-    and one fq._prime_frac_cores call, whose cores take the dtype
-    fq._census_dtype picks for the group's largest p and q.  A group of
-    two or more moduli is int64: its last two moduli q' < q have q' + q
-    <= _CENSUS_GROUP, and primes of one class mod 8 lie close together
-    there, so q stays near 2**11 and 10 p**2 q**3 < 10 q**5 < 2**62.
+    of one); the group takes one half chi table per modulus, laid end to
+    end, and one fq._prime_frac_stats call, whose stats are int64 when
+    4 p q**2 < fq._CENSUS_INT64_GUARD for the group's largest p and q.  A
+    group of two or more moduli is int64: its last two moduli q' < q have
+    q' + q <= _CENSUS_GROUP, and primes of one class mod 8 lie close
+    together there, so q stays near 2**11 and 4 p q**2 < 4 q**3 < 2**63.
     """
     ends = np.cumsum(tops)
     p_list = np.repeat(p_all, tops)
@@ -400,9 +401,9 @@ def _census_groups(p_all, tops, qs):
         mods, counts = zip(*group)
         p = np.concatenate([p_list[:n] for n in counts])
         a = np.concatenate([a_list[:n] for n in counts])
-        cores = _prime_frac_cores([quad_char(q, assume_prime=True) for q in mods],
+        stats = _prime_frac_stats([quad_char(q, assume_prime=True) for q in mods],
                                   p, a, counts)
-        yield np.repeat(mods, counts), p, a, cores
+        yield np.repeat(mods, counts), p, a, stats
 
 
 def scan_prime_fracs(p_max: int, q_max: int, a_max: int | None = None,
@@ -410,18 +411,21 @@ def scan_prime_fracs(p_max: int, q_max: int, a_max: int | None = None,
     """Evaluate f_q(a/p) for all p < q <= q_max, p <= p_max, 0 < a < p/2.
 
     q runs over primes = q_mod8 (mod 8), p over primes = 3 (mod 4) below q.
-    Records any nonpositive core, any core not divisible by p*q, how often
-    the reduced value is divisible by q, and the minimum reduced value
-    (first occurrence in (q, p, a) order).  The moduli are taken in
-    cache-sized groups (_census_groups, at most _CENSUS_GROUP period
-    entries and evaluations each): one chi table per modulus, and one
-    moment pass over a group's tables (fq._residue_totals), which serves
-    every (p, a) in O(1); the records are read once per group.  The cores
-    are formed in int64 where fq._census_dtype proves they fit, else in
-    Python integers (only in a group of one modulus), and every record
-    holds Python integers.  An a_max of at least (p_max - 1)/2 caps
-    nothing.  A q_max whose period the table gate refuses is refused
-    before any prime is sieved.
+    Records any nonpositive core, how often stat = core/(p*q) is divisible
+    by q, and the minimum stat (first occurrence in (q, p, a) order).
+    Every core is 4pq (p B(k) + a q (h - A(k))) with k = floor(aq/p), a
+    multiple of p*q, so nonintegral is always (); the independent check of
+    the census is the literal T sum of the tests' oracle.  The moduli are
+    taken in cache-sized groups (_census_groups, at most _CENSUS_GROUP
+    period entries and evaluations each): one half chi table per modulus,
+    and one moment pass over a group's tables (fq._prime_frac_stats),
+    read once per evaluation; the records are read once per group, and
+    core = p*q*stat is formed only for a nonpositive one.  The stats are
+    int64 when 4 p q**2 < fq._CENSUS_INT64_GUARD = 2**63, else Python
+    integers (only in a group of one modulus), and every record holds
+    Python integers.  An a_max of at least (p_max - 1)/2 caps nothing.  A
+    q_max whose period the table gate refuses is refused before any prime
+    is sieved.
     """
     if q_mod8 % 4 != 3:
         raise DomainError("q_mod8 must be 3 or 7")
@@ -435,25 +439,19 @@ def scan_prime_fracs(p_max: int, q_max: int, a_max: int | None = None,
     qs = primes_in_range(5, q_max, residue=q_mod8, modulus=8)
     count = 0
     nonpos = []
-    nonint = []
     qdiv = 0
     min_stat = None
     argmin = None
-    for q, p, a, cores in _census_groups(p_all, tops, qs):
-        pq = (p * q).astype(cores.dtype, copy=False)
-        stat = cores // pq
-        whole = stat * pq == cores
-        nonpos += [(int(a[i]), int(p[i]), int(q[i]), int(cores[i]))
-                   for i in np.flatnonzero(cores <= 0)]
-        nonint += [(int(a[i]), int(p[i]), int(q[i]), int(cores[i]))
-                   for i in np.flatnonzero(~whole)]
-        count += len(cores)
-        hits = np.flatnonzero(whole)
-        if len(hits):
-            qdiv += int(np.count_nonzero(stat[hits] % q[hits] == 0))
-            best = hits[np.argmin(stat[hits])]
-            if min_stat is None or stat[best] < min_stat:
-                min_stat = int(stat[best])
-                argmin = (int(a[best]), int(p[best]), int(q[best]))
+    for q, p, a, stat in _census_groups(p_all, tops, qs):
+        count += len(stat)
+        if not len(stat):
+            continue
+        nonpos += [(int(a[i]), int(p[i]), int(q[i]), int(p[i]) * int(q[i]) * int(stat[i]))
+                   for i in np.flatnonzero(stat <= 0)]
+        qdiv += int(np.count_nonzero(stat % q == 0))
+        best = int(np.argmin(stat))
+        if min_stat is None or stat[best] < min_stat:
+            min_stat = int(stat[best])
+            argmin = (int(a[best]), int(p[best]), int(q[best]))
     return PrimeFracScan(p_max, q_max, q_mod8, count, tuple(nonpos),
-                         tuple(nonint), qdiv, min_stat, argmin)
+                         (), qdiv, min_stat, argmin)

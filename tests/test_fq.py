@@ -382,64 +382,46 @@ class TestPrimeFrac:
     @given(st.sampled_from([11, 19, 43, 163, 15, 35, 51, 91]),
            st.sampled_from(PRIMES_3_MOD_4), st.data())
     def test_core_matches_direct_sum(self, q, p, data):
-        # small slabs put the split points r/p mod q on slab edges
         ch = ntcore.quad_char(q)
         assume(p not in ch.factors)
         a = data.draw(st.integers(1, (p - 1) // 2))
-        want = prime_frac_core(a, p, q)
-        for block in (ntcore.BLOCK, 1, 7):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(fq, "BLOCK", block)
-                assert fq.fq_prime_frac(a, p, ch).core == want, block
+        assert fq.fq_prime_frac(a, p, ch).core == prime_frac_core(a, p, q)
 
-    @pytest.mark.parametrize("q", [11, 163, 35, 91])
-    def test_residue_totals_match_direct_sums(self, monkeypatch, q):
-        # every residue r mod p, so the split points s = r/p mod q cover
-        # the period and its slab edges; chi(p) = 1/chi(p) turns T into T'
-        ch = ntcore.quad_char(q)
-        chi = ntcore.chi_values(ch, q - 1)
-        for p in (3, 7, 19, 43, 59):
-            if p in ch.factors:
-                continue
-            r = np.arange(p)
-            s = r * pow(p, -1, q) % q
-            want = [chi_factor(p, q) * sum(b * b * chi_factor(b, q)
-                                           for b in range(x, p * q + 1, p))
-                    for x in range(p)]
-            for block in (ntcore.BLOCK, 1, 7):
-                monkeypatch.setattr(fq, "BLOCK", block)
-                got = fq._residue_totals(chi, np.full(p, p), r, s, [q],
-                                         np.zeros(p, dtype=np.intp))
-                assert got.tolist() == want, (p, block)
-
-    def test_residue_totals_over_periods_end_to_end(self, monkeypatch):
-        # the periods of four moduli laid end to end, as a census group
-        # lays them; slabs of 1, 7 and 100 entries cut across the periods
-        # and BLOCK holds them all.  Every residue r mod p of every period.
-        mods = [11, 35, 91, 163]
-        chi = np.concatenate([ntcore.chi_values(ntcore.quad_char(q), q - 1)
-                              for q in mods])
-        p, r, s, t, want = [], [], [], [], []
+    @pytest.mark.parametrize("mods", [[11], [163], [35], [91],
+                                      [19, 11, 35, 91, 163], [15, 43, 51]])
+    def test_prime_frac_stats_match_direct_sums(self, monkeypatch, mods):
+        # every a < p/2 of every p < q = 3 (mod 4) prime to q, against the
+        # literal T sum; a group lays its half tables end to end, and its
+        # first modulus has no evaluations, so only its table end is read.
+        # Slabs of 1 and 7 entries cut across the tables, and BLOCK holds
+        # them all.
+        chars = [ntcore.quad_char(q) for q in mods]
+        p, a, counts, want = [], [], [], []
         for i, q in enumerate(mods):
-            for pp in (3, 19, 43):
-                if math.gcd(pp, q) > 1:
-                    continue
-                for x in range(pp):
-                    p.append(pp)
-                    r.append(x)
-                    s.append(x * pow(pp, -1, q) % q)
-                    t.append(i)
-                    want.append(chi_factor(pp, q) * sum(
-                        b * b * chi_factor(b, q) for b in range(x, pp * q + 1, pp)))
-        for block in (ntcore.BLOCK, 1, 7, 100):
+            pairs = [(pp, aa) for pp in PRIMES_3_MOD_4 if pp < q and q % pp
+                     for aa in range(1, (pp + 1) // 2)]
+            if len(mods) > 1 and i == 0:
+                pairs = []
+            counts.append(len(pairs))
+            for pp, aa in pairs:
+                p.append(pp)
+                a.append(aa)
+                core = prime_frac_core(aa, pp, q)
+                assert core % (pp * q) == 0
+                want.append(core // (pp * q))
+        p, a = np.array(p, dtype=np.int64), np.array(a, dtype=np.int64)
+        for block in (ntcore.BLOCK, 1, 7):
             monkeypatch.setattr(fq, "BLOCK", block)
-            got = fq._residue_totals(chi, np.array(p), np.array(r), np.array(s),
-                                     mods, np.array(t))
+            got = fq._prime_frac_stats(chars, p, a, counts)
+            assert got.dtype == np.int64
             assert got.tolist() == want, block
+        monkeypatch.setattr(fq, "_CENSUS_INT64_GUARD", 0)
+        got = fq._prime_frac_stats(chars, p, a, counts)
+        assert got.dtype == object and got.tolist() == want
 
     def test_modulus_past_int64_moments_is_pinned(self):
         # sum of j**2 chi(j) over one period could overflow int64 past
-        # q ~ 3.0e6; at q = 10000019 the slabs must recombine exactly
+        # q ~ 3.0e6; at q = 10000019 the core must still be exact
         ev = fq.fq_prime_frac(1, 1163, ntcore.quad_char(10000019))
         assert ev.core == 593232567163096044384
         assert ev.stat == 51008722272
@@ -447,16 +429,25 @@ class TestPrimeFrac:
 
     @pytest.mark.parametrize("q", [11, 163, 35])
     def test_huge_p_matches_closed_form(self, q):
-        # the kernel costs O(q) rows whatever p is; f_q(a/p) from fq_exact
-        # gives core = 4 p**2 q**2 coeff exactly
+        # one half table serves every p; f_q(a/p) from fq_exact gives
+        # core = 4 p**2 q**2 coeff exactly, for a huge p and for every
+        # census row of q (every a < p/2 of every p < q prime to q)
         p = 10 ** 12 + 39
         ev = fq.fq_prime_frac(12345, p, ntcore.quad_char(q))
         coeff = fq.fq_exact(q, Fraction(12345, p)).coeff
         assert ev.core == 4 * p * p * q * q * coeff
+        rows = [(pp, aa) for pp in PRIMES_3_MOD_4 if pp < q and q % pp
+                for aa in range(1, (pp + 1) // 2)]
+        assert rows
+        stats = fq._prime_frac_stats([ntcore.quad_char(q)], [pp for pp, _ in rows],
+                                     [aa for _, aa in rows], [len(rows)])
+        for (pp, aa), stat in zip(rows, stats.tolist()):
+            coeff = fq.fq_exact(q, Fraction(aa, pp)).coeff
+            assert pp * q * stat == 4 * pp * pp * q * q * coeff, (aa, pp)
 
     def test_oversized_modulus_rejected(self, monkeypatch):
         # 2**31 + 11 is prime and 3 (mod 4); the table gate refuses its
-        # period before either table builder runs
+        # half table before either table builder runs
         def refuse(*args):
             raise AssertionError("built a table")
 
@@ -465,20 +456,20 @@ class TestPrimeFrac:
         q = 2 ** 31 + 11
         ch = ntcore.quad_char(q)
         with pytest.raises(errors.DomainError,
-                           match=f"would have {q} entries, above the limit"):
+                           match=f"would have {(q + 1) // 2} entries, above the limit"):
             fq.fq_prime_frac(1, 7, ch)
 
     def test_slabs_recombine_exactly(self, monkeypatch):
-        # BLOCK = 64 splits the period of q = 2971 into 47 slabs and
-        # BLOCK = 1 gives one period entry per slab
+        # BLOCK = 64 splits the half table of q = 2971 into 24 slabs and
+        # BLOCK = 1 gives one table entry per slab
         ch = ntcore.quad_char(2971)
         assert fq.fq_prime_frac(1, 719, ch).stat == 130724
         for block in (64, 1):
             monkeypatch.setattr(fq, "BLOCK", block)
-            assert fq.fq_prime_frac(1, 719, ch).stat == 130724
+            assert fq._prime_frac_stats([ch], [719], [1], [1]).tolist() == [130724]
             for a, p, q in [(2, 7, 15), (5, 43, 91), (9, 31, 163)]:
-                got = fq.fq_prime_frac(a, p, ntcore.quad_char(q)).core
-                assert got == prime_frac_core(a, p, q), (block, a, p, q)
+                got = fq._prime_frac_stats([ntcore.quad_char(q)], [p], [a], [1])
+                assert p * q * int(got[0]) == prime_frac_core(a, p, q), (block, a, p, q)
 
 
 class TestLatticeQuad:

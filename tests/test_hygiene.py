@@ -182,8 +182,10 @@ def test_cross_module_privates_are_pinned():
     # is on purpose, and a new one joins this list only with its reason
     trees = {path.stem: ast.parse(path.read_text()) for path in SRC}
     assert cross_module_privates(trees) == [
-        "fq←charsum._block_moments",  # h and block sums of W, read twice
-        # P1(q-1) of the lattice kernel, and B(a) of a single node
+        "fq←charsum._block_moments",  # h and block sums of W off one table
+        # h of each census modulus from its half table's two end sums
+        "fq←charsum._checked_class_number",
+        # P1(q-1) of the lattice kernel, and B(a) of a single node and of f_q(a/p)
         "fq←charsum._linear_sum",
         "fq←charsum._low_spans",  # fq_min_and_zeros walks the W spans
         "fq←charsum._span_min",  # fq_min_and_zeros's minimum per span
@@ -192,7 +194,7 @@ def test_cross_module_privates_are_pinned():
         "liouville←fq._sin_sum",
         "verify←charsum._margin_min",  # the scan's kernel per modulus
         "verify←charsum._margins",  # a certificate's margins
-        "verify←fq._prime_frac_cores",  # the census's cores per group
+        "verify←fq._prime_frac_stats",  # the census's stats per group
         "verify←ntcore._check_table",  # the gate, before primes are sieved
     ]
 

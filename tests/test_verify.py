@@ -845,10 +845,10 @@ def pointwise_census(p_max, q_max, q_mod8):
 
 
 def spy_groups(monkeypatch):
-    """Record (moduli, dtype, size) for every _prime_frac_cores call of a
+    """Record (moduli, dtype, size) for every _prime_frac_stats call of a
     census, size being the period entries plus the evaluations."""
     groups = []
-    real = fq._prime_frac_cores
+    real = fq._prime_frac_stats
 
     def spy(chars, p, a, counts):
         out = real(chars, p, a, counts)
@@ -856,7 +856,7 @@ def spy_groups(monkeypatch):
         groups.append((mods, out.dtype, sum(mods) + len(out)))
         return out
 
-    monkeypatch.setattr(verify, "_prime_frac_cores", spy)
+    monkeypatch.setattr(verify, "_prime_frac_stats", spy)
     return groups
 
 
@@ -944,13 +944,13 @@ class TestPrimeFracScan:
         assert hashlib.sha256(repr(sc).encode()).hexdigest() == digest
 
     def test_census_straddling_the_guard(self, monkeypatch):
-        # 10 * 59**2 * q**3 < guard exactly for q < 150, so a group takes
+        # 4 * 59 * q**2 < guard exactly for q < 150, so a group takes
         # int64 when its largest modulus is below 150 and object dtype
         # otherwise, a group across 150 included, with the same records
         monkeypatch.setattr(fq, "_CENSUS_INT64_GUARD", 0)
         want = verify.scan_prime_fracs(60, 300)
         groups = spy_groups(monkeypatch)
-        monkeypatch.setattr(fq, "_CENSUS_INT64_GUARD", 10 * 59 ** 2 * 150 ** 3)
+        monkeypatch.setattr(fq, "_CENSUS_INT64_GUARD", 4 * 59 * 150 ** 2)
         monkeypatch.setattr(verify, "_CENSUS_GROUP", 1000)
         assert verify.scan_prime_fracs(60, 300) == want
         for mods, d, _ in groups:
@@ -962,7 +962,7 @@ class TestPrimeFracScan:
     @pytest.mark.parametrize("p_max", [3, 150, 1000])
     def test_groups_of_several_moduli_are_int64(self, monkeypatch, q_mod8, p_max):
         # two consecutive moduli of one group total at most _CENSUS_GROUP,
-        # so its last q stays near 2**11 and 10 p**2 q**3 < 10 q**5 is far
+        # so its last q stays near 2**11 and 4 p q**2 < 4 q**3 is far
         # below the real guard: only a group of one modulus can need
         # Python integers
         groups = spy_groups(monkeypatch)
@@ -983,7 +983,7 @@ class TestPrimeFracScan:
         qs = [q for q in simple_primes(q_max) if q > 3 and q % 8 == q_mod8]
         q_mid = qs[len(qs) // 2]
         p_top = max(p for p in simple_primes(min(p_max, q_mid - 1)) if p % 4 == 3)
-        monkeypatch.setattr(fq, "_CENSUS_INT64_GUARD", 10 * p_top ** 2 * q_mid ** 3)
+        monkeypatch.setattr(fq, "_CENSUS_INT64_GUARD", 4 * p_top * q_mid ** 2)
         monkeypatch.setattr(verify, "_CENSUS_GROUP", bound)
         groups = spy_groups(monkeypatch)
         sc = verify.scan_prime_fracs(p_max, q_max, q_mod8=q_mod8)
@@ -1000,10 +1000,38 @@ class TestPrimeFracScan:
 
     @pytest.mark.parametrize("q_mod8", [3, 7])
     def test_census_groups_match_pointwise_oracle(self, monkeypatch, q_mod8):
-        monkeypatch.setattr(fq, "_CENSUS_INT64_GUARD", 10 * 59 ** 2 * 150 ** 3)
+        monkeypatch.setattr(fq, "_CENSUS_INT64_GUARD", 4 * 59 * 150 ** 2)
         monkeypatch.setattr(verify, "_CENSUS_GROUP", 400)
         want = pointwise_census(60, 300, q_mod8)
         assert verify.scan_prime_fracs(60, 300, q_mod8=q_mod8) == want
+
+    @pytest.mark.parametrize("p_max,q_max", [(2, 100), (150, 6), (3, 5)])
+    def test_empty_census(self, p_max, q_max):
+        # moduli but no p, no moduli, and neither: every group (if any)
+        # has no evaluations
+        sc = verify.scan_prime_fracs(p_max, q_max)
+        assert sc == verify.PrimeFracScan(p_max, q_max, 3, 0, (), (), 0, None, None)
+
+    @pytest.mark.parametrize("p_max,q_max,q_mod8,q_divisible",
+                             [(150, 1000, 3, 161), (60, 3000, 3, 37), (200, 2000, 7, 338)])
+    def test_q_divisible_rows_are_those_with_q_dividing_b(self, p_max, q_max, q_mod8,
+                                                           q_divisible):
+        # stat = 4 (p B(k) + a q (h - A(k))) = 4p B(k) (mod q), k = floor(aq/p),
+        # and q divides neither 4 nor p, so q | stat exactly when q | B(k)
+        rows = 0
+        for q in [q for q in simple_primes(q_max) if q > 3 and q % 8 == q_mod8]:
+            chi = [chi_factor(j, q) for j in range((q + 1) // 2)]
+            b = np.cumsum(np.arange(len(chi)) * np.array(chi)).tolist()
+            rows += sum(b[a * q // p] % q == 0
+                        for p in simple_primes(min(p_max, q - 1)) if p % 4 == 3
+                        for a in range(1, (p + 1) // 2))
+        assert rows == q_divisible
+        assert verify.scan_prime_fracs(p_max, q_max, q_mod8=q_mod8).q_divisible == rows
+        # criterion 7's pair has B(k) = 0, so each stat is 4aq (h - A(k))
+        for a, p, q, k, h in [(1, 1163, 3511, 3, 41), (1, 719, 2971, 4, 11)]:
+            ps = charsum.prefix_sums(q, a * q // p)
+            assert (ps.upto, ps.linear, charsum.class_number(q).h) == (k, 0, h)
+            assert fq.fq_prime_frac(a, p, q).stat == 4 * a * q * (h - ps.plain)
 
     def test_census_peak_memory(self):
         # groups of at most _CENSUS_GROUP entries and evaluations keep every
